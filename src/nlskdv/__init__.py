@@ -17,13 +17,13 @@ from .evolve import (EvolveState, EvolveTrace, evolve, orbital_distance,
 from .exact import (SechProfile, kdv_ground, kdv_profile, lambda_for_mass,
                     nls_ground, nls_profile)
 from .functionals import (ConservedTriple, PhysParams, charge,
-                          conserved_triple, energy, kdv_action, momentum,
-                          nls_action, signed_power)
+                          conserved_triple, energy, energy_gradient,
+                          kdv_action, momentum, nls_action, signed_power)
 from .grid import (ComplexField, Grid1D, RealField, deriv, integrate,
                    load_field, make_grid, norm_l2, same_grid, save_field)
 from .minimize import (MinimizeOptions, MinimizeReport, SolitaryWavePair,
                        WSolution, convolution_fixed_point_gap, el_residual,
-                       energy_gradient, minimize_I, minimize_W, multipliers,
+                       minimize_I, minimize_W, multipliers,
                        subadditivity_probe)
 from .rearrange import (RearrangeReport, decreasing_rearrangement,
                         garrisi_check, rearrange_values,

@@ -16,7 +16,7 @@ import os
 from typing import Optional
 
 from .evolve import EvolveTrace
-from .grid import load_field, save_field
+from .grid import atomic_write, load_field, save_field
 from .minimize import SolitaryWavePair, WSolution
 
 
@@ -26,10 +26,7 @@ def canonical_json(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, text.encode("utf-8"))
 
 
 def write_json(path: str, obj) -> None:

@@ -15,8 +15,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -32,55 +30,62 @@ from .verify import (CheckRow, rows_to_table, run_functional_checks,
 
 OUTPUT_ROOT_ENV = "NLSKDV_OUTPUT_ROOT"
 
-_DEFAULTS = {
-    "physics": {"alpha": "1.0", "tau1": "1.0", "tau2": "1.0",
-                "p": "1", "q": "1.0"},
-    "grid": {"half_length": "40.0", "points": "1024"},
-    "solver": {"tol": "1e-8", "max_iter": "200000",
-               "continuation_step": "0.25", "stabilize_iters": "300",
-               "max_boundary_leak": "1e-6"},
-    "problem": {"s": "1.0", "t": "1.0"},
-    "sweep": {"s_values": "1.0", "t_values": "1.0", "workers": "2"},
-    "evolve": {"dt": "0.001", "duration": "20.0", "sample_every": "100",
-               "seed": "1234", "epsilon": "0.0", "wavespeed": "auto"},
-    "verify": {"subadd_count": "2", "seed": "7", "pairs": "20",
-               "garrisi_cases": "5"},
-    "output": {"directory": "runs"},
-}
+
+def _float_list(raw: str) -> list:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-@dataclass
+def _wavespeed(raw: str) -> Optional[float]:
+    raw = raw.strip().lower()
+    return None if raw == "auto" else float(raw)
+
+
+# (section, key, RunConfig attribute, parser, default text); every config
+# key, its validation and its manifest entry come from this one table
+_SCHEMA = [
+    ("physics", "alpha", "alpha", float, "1.0"),
+    ("physics", "tau1", "tau1", float, "1.0"),
+    ("physics", "tau2", "tau2", float, "1.0"),
+    ("physics", "p", "p", parse_odd_denominator, "1"),
+    ("physics", "q", "q", float, "1.0"),
+    ("grid", "half_length", "half_length", float, "40.0"),
+    ("grid", "points", "points", int, "1024"),
+    ("solver", "tol", "tol", float, "1e-8"),
+    ("solver", "max_iter", "max_iter", int, "200000"),
+    ("solver", "continuation_step", "continuation_step", float, "0.25"),
+    ("solver", "stabilize_iters", "stabilize_iters", int, "300"),
+    ("solver", "max_boundary_leak", "max_boundary_leak", float, "1e-6"),
+    ("problem", "s", "s", float, "1.0"),
+    ("problem", "t", "t", float, "1.0"),
+    ("sweep", "s_values", "s_values", _float_list, "1.0"),
+    ("sweep", "t_values", "t_values", _float_list, "1.0"),
+    ("sweep", "workers", "workers", int, "2"),
+    ("evolve", "dt", "dt", float, "0.001"),
+    ("evolve", "duration", "duration", float, "20.0"),
+    ("evolve", "sample_every", "sample_every", int, "100"),
+    ("evolve", "seed", "seed", int, "1234"),
+    ("evolve", "epsilon", "epsilon", float, "0.0"),
+    ("evolve", "wavespeed", "wavespeed", _wavespeed, "auto"),
+    ("verify", "subadd_count", "subadd_count", int, "2"),
+    ("verify", "seed", "verify_seed", int, "7"),
+    ("verify", "pairs", "verify_pairs", int, "20"),
+    ("verify", "garrisi_cases", "garrisi_cases", int, "5"),
+    ("output", "directory", "directory", str, "runs"),
+]
+
+_DEFAULTS: dict = {}
+for _section, _key, _, _, _default in _SCHEMA:
+    _DEFAULTS.setdefault(_section, {})[_key] = _default
+
+
 class RunConfig:
-    """Validated configuration for one CLI invocation."""
+    """Validated configuration for one CLI invocation.
 
-    alpha: float
-    tau1: float
-    tau2: float
-    p: Fraction
-    q: float
-    half_length: float
-    points: int
-    tol: float
-    max_iter: int
-    continuation_step: float
-    stabilize_iters: int
-    max_boundary_leak: float
-    s: float
-    t: float
-    s_values: list
-    t_values: list
-    workers: int
-    dt: float
-    duration: float
-    sample_every: int
-    seed: int
-    epsilon: float
-    wavespeed: Optional[float]
-    subadd_count: int
-    verify_seed: int
-    verify_pairs: int
-    garrisi_cases: int
-    directory: str
+    Holds one attribute per _SCHEMA row (alpha, tau1, ..., directory).
+    """
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
 
     @staticmethod
     def from_file(path: Optional[str],
@@ -109,52 +114,15 @@ class RunConfig:
                     raise ValidationError(
                         f"unknown config key {key!r} in [{section}]")
 
-        def fget(sec, key):
+        values = {}
+        for section, key, attr, parse, _ in _SCHEMA:
+            raw = parser[section][key]
             try:
-                return float(parser[sec][key])
+                values[attr] = parse(raw)
             except ValueError as exc:
                 raise ValidationError(
-                    f"[{sec}] {key} = {parser[sec][key]!r}: {exc}") from exc
-
-        def iget(sec, key):
-            try:
-                return int(parser[sec][key])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"[{sec}] {key} = {parser[sec][key]!r}: {exc}") from exc
-
-        def flist(sec, key):
-            raw = parser[sec][key]
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-
-        wavespeed_raw = parser["evolve"]["wavespeed"].strip().lower()
-        wavespeed = None if wavespeed_raw == "auto" else float(wavespeed_raw)
-
-        return RunConfig(
-            alpha=fget("physics", "alpha"), tau1=fget("physics", "tau1"),
-            tau2=fget("physics", "tau2"),
-            p=parse_odd_denominator(parser["physics"]["p"]),
-            q=fget("physics", "q"),
-            half_length=fget("grid", "half_length"),
-            points=iget("grid", "points"),
-            tol=fget("solver", "tol"), max_iter=iget("solver", "max_iter"),
-            continuation_step=fget("solver", "continuation_step"),
-            stabilize_iters=iget("solver", "stabilize_iters"),
-            max_boundary_leak=fget("solver", "max_boundary_leak"),
-            s=fget("problem", "s"), t=fget("problem", "t"),
-            s_values=flist("sweep", "s_values"),
-            t_values=flist("sweep", "t_values"),
-            workers=iget("sweep", "workers"),
-            dt=fget("evolve", "dt"), duration=fget("evolve", "duration"),
-            sample_every=iget("evolve", "sample_every"),
-            seed=iget("evolve", "seed"), epsilon=fget("evolve", "epsilon"),
-            wavespeed=wavespeed,
-            subadd_count=iget("verify", "subadd_count"),
-            verify_seed=iget("verify", "seed"),
-            verify_pairs=iget("verify", "pairs"),
-            garrisi_cases=iget("verify", "garrisi_cases"),
-            directory=parser["output"]["directory"],
-        )
+                    f"[{section}] {key} = {raw!r}: {exc}") from exc
+        return RunConfig(**values)
 
     def phys_params(self) -> PhysParams:
         return PhysParams(alpha=self.alpha, tau1=self.tau1, tau2=self.tau2,
@@ -180,28 +148,16 @@ class RunConfig:
         return path
 
     def manifest(self) -> dict:
-        doc = {
-            "physics": self.phys_params().to_dict(),
-            "grid": {"L": self.half_length, "n": self.points},
-            "solver": {"tol": self.tol, "max_iter": self.max_iter,
-                       "continuation_step": self.continuation_step,
-                       "stabilize_iters": self.stabilize_iters,
-                       "max_boundary_leak": self.max_boundary_leak},
-            "problem": {"s": self.s, "t": self.t},
-            "sweep": {"s_values": self.s_values,
-                      "t_values": self.t_values, "workers": self.workers},
-            "evolve": {"dt": self.dt, "duration": self.duration,
-                       "sample_every": self.sample_every, "seed": self.seed,
-                       "epsilon": self.epsilon,
-                       "wavespeed": self.wavespeed},
-            "verify": {"subadd_count": self.subadd_count,
-                       "seed": self.verify_seed,
-                       "pairs": self.verify_pairs,
-                       "garrisi_cases": self.garrisi_cases},
-            "output": {"directory": self.directory},
-            "outside_theorem": not (self.phys_params().stability_regime()
-                                    and self.alpha > 0),
-        }
+        doc: dict = {}
+        for section, key, attr, _, _ in _SCHEMA:
+            doc.setdefault(section, {})[key] = getattr(self, attr)
+        # physics echoes the validated parameters with the derived betas,
+        # grid uses the {L, n} naming of the field headers
+        prm = self.phys_params()
+        doc["physics"] = prm.to_dict()
+        doc["grid"] = {"L": self.half_length, "n": self.points}
+        doc["outside_theorem"] = not (prm.stability_regime()
+                                      and self.alpha > 0)
         return doc
 
 
@@ -241,8 +197,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _sweep_point(args):
-    s, t, cfg_blob = args
-    cfg = RunConfig(**cfg_blob)
+    s, t, cfg = args
     prm = cfg.phys_params()
     grid = cfg.grid()
     pair, report = minimize_I(s, t, prm, grid, cfg.solver_opts())
@@ -250,9 +205,7 @@ def _sweep_point(args):
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    points = [(s, t) for s in cfg.s_values for t in cfg.t_values]
-    blob = dict(cfg.__dict__)
-    jobs = [(s, t, blob) for s, t in points]
+    jobs = [(s, t, cfg) for s in cfg.s_values for t in cfg.t_values]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
@@ -391,7 +344,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         raise ValidationError(f"unknown command {args.command}")
-    except ValidationError as exc:
+    except (ValidationError, configparser.Error) as exc:
         print(json.dumps({"error": str(exc), "code": 2}))
         return 2
     except (OSError, json.JSONDecodeError, KeyError) as exc:

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import BlowUpError, GridMismatchError, ValidationError
-from .functionals import ConservedTriple, PhysParams, conserved_triple
+from .functionals import PhysParams, conserved_triple, nonlinearity
 from .grid import ComplexField, Grid1D, RealField, same_grid
-from .minimize import SolitaryWavePair, _signed_power_fn
+from .minimize import SolitaryWavePair
 
 
 @dataclass
@@ -64,10 +64,6 @@ class EvolveTrace:
         scale = max(abs(float(series[0])), 1e-300)
         return self.drift(name) / scale
 
-    def triple_at(self, i: int) -> ConservedTriple:
-        return ConservedTriple(E=float(self.E[i]), G=float(self.G[i]),
-                               H=float(self.H[i]))
-
 
 def stable_dt_bound(state: EvolveState) -> float:
     """Step-size guidance from the grid and current field magnitudes.
@@ -90,14 +86,12 @@ class _Stepper:
     """Precomputed propagators and dealiased nonlinearity for one dt."""
 
     def __init__(self, grid: Grid1D, prm: PhysParams, dt: float):
-        self.grid = grid
         self.prm = prm
         self.dt = dt
         n = grid.n
         self.n = n
-        k = grid.wavenumbers
-        kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-        self.eu_h = np.exp(-1j * k ** 2 * (dt / 2.0))
+        kr = grid.rwavenumbers
+        self.eu_h = np.exp(-1j * grid.wavenumbers ** 2 * (dt / 2.0))
         self.eu_f = self.eu_h ** 2
         self.ev_h = np.exp(1j * kr ** 3 * (dt / 2.0))
         self.ev_f = self.ev_h ** 2
@@ -105,19 +99,14 @@ class _Stepper:
         idx = np.abs(np.fft.fftfreq(n) * n)
         self.mask_u = (idx <= cut).astype(float)
         self.mask_v = (np.arange(kr.size) <= cut).astype(float)
-        self.ikr = 1j * kr
-        self.ikr[-1] = 0.0
-        self.pow_p1 = _signed_power_fn(prm.p + 1)
-        self.cnl = prm.tau2 / (prm.p_float + 1.0)
+        self.ikr = grid.deriv_symbol(1, True)
 
     def nonlinear(self, uh, vh):
-        prm = self.prm
         u = np.fft.ifft(uh * self.mask_u)
         v = np.fft.irfft(vh * self.mask_v, self.n)
-        nu = 1j * (prm.tau1 * np.abs(u) ** prm.q * u + prm.alpha * u * v)
+        nu, w = nonlinearity(u, v, self.prm)
+        nuh = np.fft.fft(1j * nu) * self.mask_u
         # long-wave nonlinearity in conservative form, one derivative
-        w = self.cnl * self.pow_p1(v) + 0.5 * prm.alpha * np.abs(u) ** 2
-        nuh = np.fft.fft(nu) * self.mask_u
         nvh = -self.ikr * np.fft.rfft(w) * self.mask_v
         return nuh, nvh
 
@@ -256,19 +245,12 @@ def solitary_initial(pair: SolitaryWavePair, c: float,
                        prm=prm)
 
 
-def _h1_weighted_spectra(vals, grid):
-    fh = np.fft.fft(vals)
-    w = 1.0 + grid.wavenumbers ** 2
-    return fh, w
-
-
 def y_norm(uvals: np.ndarray, vvals: np.ndarray, grid: Grid1D) -> float:
     """Product H1 norm of a pair of sample arrays."""
-    uh, w = _h1_weighted_spectra(uvals, grid)
-    vh, _ = _h1_weighted_spectra(vvals, grid)
+    w = grid.h1_weights
     scale = grid.dx / grid.n
-    total = scale * (np.sum(w * np.abs(uh) ** 2)
-                     + np.sum(w * np.abs(vh) ** 2))
+    total = scale * (np.sum(w * np.abs(np.fft.fft(uvals)) ** 2)
+                     + np.sum(w * np.abs(np.fft.fft(vvals)) ** 2))
     return float(np.sqrt(total))
 
 
@@ -292,7 +274,7 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
     psi = reference.psi.values
     u, v = state.u.values, state.v.values
 
-    w = 1.0 + grid.wavenumbers ** 2
+    w = grid.h1_weights
     scale = grid.dx / grid.n
     Phih, uh = np.fft.fft(Phi), np.fft.fft(u)
     psih, vh = np.fft.fft(psi), np.fft.fft(v)

@@ -40,22 +40,39 @@ def parse_odd_denominator(p) -> Fraction:
     return frac
 
 
-def signed_power(values: np.ndarray, power: Fraction) -> np.ndarray:
-    """Real rational power v**(a/b) with odd b, defined for negative v.
+@dataclass(frozen=True)
+class _SignedPower:
+    """v**(a/b) with odd b, reduced to a float exponent and a parity flag.
 
     Truth table for v < 0 (b odd, so the real b-th root exists):
         a even -> +|v|**(a/b)     e.g. (-8)**(2/3) = +4
         a odd  -> -|v|**(a/b)     e.g. (-8)**(1/3) = -2
-    For v >= 0 this is the ordinary power.
+    For v >= 0 this is the ordinary power.  Built once per power, so
+    evaluation in hot loops does no Fraction arithmetic.
     """
-    power = Fraction(power)
-    if power.denominator % 2 == 0:
-        raise ValidationError(
-            f"power {power} has an even denominator; sign is undefined")
-    mag = np.abs(values) ** float(power)
-    if power.numerator % 2 == 0:
-        return mag
-    return np.sign(values) * mag
+
+    exponent: float
+    odd: bool
+
+    @classmethod
+    def of(cls, power) -> "_SignedPower":
+        power = Fraction(power)
+        if power.denominator % 2 == 0:
+            raise ValidationError(
+                f"power {power} has an even denominator; sign is undefined")
+        return cls(float(power), power.numerator % 2 == 1)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        mag = np.abs(values) ** self.exponent
+        return np.sign(values) * mag if self.odd else mag
+
+
+def signed_power(values: np.ndarray, power: Fraction) -> np.ndarray:
+    """Real rational power v**(a/b) with odd b, defined for negative v.
+
+    Odd numerators keep the sign of v, even ones drop it; see _SignedPower.
+    """
+    return _SignedPower.of(power)(values)
 
 
 @dataclass(frozen=True)
@@ -65,7 +82,9 @@ class PhysParams:
     alpha is the coupling strength, tau1 and tau2 the self-interaction
     strengths, q the short-wave nonlinearity power and p the long-wave
     one (a positive rational with odd denominator so v**p makes sense
-    for v < 0).  beta1 and beta2 are the derived energy coefficients.
+    for v < 0).  beta1 and beta2 are the derived energy coefficients,
+    kdv_coeff = tau2/(p+1) the long-wave nonlinearity coefficient, and
+    pow_p1, pow_p2 the signed powers v**(p+1), v**(p+2).
     """
 
     alpha: float
@@ -75,6 +94,9 @@ class PhysParams:
     q: float
     beta1: float = field(init=False)
     beta2: float = field(init=False)
+    kdv_coeff: float = field(init=False)
+    pow_p1: _SignedPower = field(init=False, repr=False)
+    pow_p2: _SignedPower = field(init=False, repr=False)
 
     def __post_init__(self):
         p = parse_odd_denominator(self.p)
@@ -89,10 +111,13 @@ class PhysParams:
             raise ValidationError(f"q must lie in [1, 4), got {self.q}")
         if not (Fraction(1) <= p < Fraction(4)):
             raise ValidationError(f"p must lie in [1, 4), got {p}")
-        pf = float(p)
+        pf1 = self.p_float + 1.0
         object.__setattr__(self, "beta1", 2.0 * self.tau1 / (self.q + 2.0))
         object.__setattr__(self, "beta2",
-                           2.0 * self.tau2 / ((pf + 1.0) * (pf + 2.0)))
+                           2.0 * self.tau2 / (pf1 * (self.p_float + 2.0)))
+        object.__setattr__(self, "kdv_coeff", self.tau2 / pf1)
+        object.__setattr__(self, "pow_p1", _SignedPower.of(p + 1))
+        object.__setattr__(self, "pow_p2", _SignedPower.of(p + 2))
 
     @property
     def p_float(self) -> float:
@@ -123,6 +148,20 @@ class ConservedTriple:
                           sort_keys=True)
 
 
+def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
+    """The nonlinearity N = (N_u, N_v) of the coupled system.
+
+        N_u = tau1 |u|^q u + alpha u v
+        N_v = tau2/(p+1) v^(p+1) + alpha/2 |u|^2
+
+    The flow is i u_t + u_xx = -N_u and v_t + v_xxx = -(N_v)_x, and the
+    potential part of the energy gradient is -2 N.
+    """
+    au = np.abs(u)
+    return (prm.tau1 * au ** prm.q * u + prm.alpha * u * v,
+            prm.kdv_coeff * prm.pow_p1(v) + 0.5 * prm.alpha * au ** 2)
+
+
 def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
                   grid) -> float:
     """Energy quadrature on raw sample arrays (u may be real or complex)."""
@@ -131,15 +170,34 @@ def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
     au = np.abs(u)
     integrand = (np.abs(ux) ** 2 + vx ** 2
                  - prm.beta1 * au ** (prm.q + 2.0)
-                 - prm.beta2 * signed_power(v, prm.p + 2)
+                 - prm.beta2 * prm.pow_p2(v)
                  - prm.alpha * au ** 2 * v)
     return float(grid.dx * np.sum(integrand))
+
+
+def gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams, grid):
+    """First variation of the energy on raw arrays: -2 ((u_xx, v_xx) + N)."""
+    nu, nv = nonlinearity(u, v, prm)
+    return (-2.0 * (deriv_values(u, grid, 2) + nu),
+            -2.0 * (deriv_values(v, grid, 2) + nv))
 
 
 def energy(u: ComplexField, v: RealField, prm: PhysParams) -> float:
     """E(u, v): kinetic terms minus the three potential terms."""
     g = same_grid(u, v)
     return energy_values(u.values, v.values, prm, g)
+
+
+def energy_gradient(phi: ComplexField, psi: RealField, prm: PhysParams):
+    """First-variation fields of the energy.
+
+    The pairing convention is Re int grad conj(h) dx, so a central
+    difference of the energy along h matches the inner product of the
+    returned fields with h.
+    """
+    grid = same_grid(phi, psi)
+    gphi, gpsi = gradient_values(phi.values, psi.values, prm, grid)
+    return ComplexField(grid, gphi), RealField(grid, gpsi)
 
 
 def charge(u: ComplexField) -> float:
@@ -158,17 +216,13 @@ def momentum(u: ComplexField, v: RealField) -> float:
 def kdv_action(gfield: RealField, prm: PhysParams) -> float:
     """J(g) = int (g_x^2 - beta2 g^(p+2)) dx, the long-wave action."""
     grid = gfield.grid
-    gx = deriv_values(gfield.values, grid)
-    integrand = gx ** 2 - prm.beta2 * signed_power(gfield.values, prm.p + 2)
-    return float(grid.dx * np.sum(integrand))
+    return energy_values(np.zeros(grid.n), gfield.values, prm, grid)
 
 
 def nls_action(f: ComplexField, prm: PhysParams) -> float:
     """J~(f) = int (|f_x|^2 - beta1 |f|^(q+2)) dx, the short-wave action."""
     grid = f.grid
-    fx = deriv_values(f.values, grid)
-    integrand = np.abs(fx) ** 2 - prm.beta1 * np.abs(f.values) ** (prm.q + 2.0)
-    return float(grid.dx * np.sum(integrand))
+    return energy_values(f.values, np.zeros(grid.n), prm, grid)
 
 
 def conserved_triple(u: ComplexField, v: RealField,

@@ -20,13 +20,20 @@ from .errors import GridMismatchError, ValidationError
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform periodic grid with n samples on [-L, L)."""
+    """Uniform periodic grid with n samples on [-L, L).
+
+    wavenumbers are in full FFT ordering, rwavenumbers in rfft ordering
+    (Nyquist last), and h1_weights = 1 + k^2 weight the product H1 norm.
+    """
 
     half_length: float
     n: int
     dx: float = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
     wavenumbers: np.ndarray = field(init=False, repr=False)
+    rwavenumbers: np.ndarray = field(init=False, repr=False)
+    h1_weights: np.ndarray = field(init=False, repr=False)
+    _symbols: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         L, n = self.half_length, self.n
@@ -34,11 +41,33 @@ class Grid1D:
         x = -L + dx * np.arange(n)
         # pi*j/L for j in standard FFT ordering (Nyquist stored as -n/2)
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        for arr in (x, k):
+        kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+        w = 1.0 + k ** 2
+        for arr in (x, k, kr, w):
             arr.flags.writeable = False
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "wavenumbers", k)
+        object.__setattr__(self, "rwavenumbers", kr)
+        object.__setattr__(self, "h1_weights", w)
+
+    def deriv_symbol(self, order: int, real: bool) -> np.ndarray:
+        """Multiplier (i k)^order of the spectral derivative, built once.
+
+        real selects rfft ordering.  The Nyquist mode is zeroed for odd
+        orders so real input stays real; even-order symbols are real.
+        """
+        sym = self._symbols.get((order, real))
+        if sym is None:
+            k = self.rwavenumbers if real else self.wavenumbers
+            sym = (1j * k) ** order
+            if order % 2 == 0:
+                sym = sym.real.copy()
+            else:
+                sym[-1 if real else self.n // 2] = 0.0
+            sym.flags.writeable = False
+            self._symbols[(order, real)] = sym
+        return sym
 
     def __eq__(self, other):
         if not isinstance(other, Grid1D):
@@ -114,28 +143,18 @@ def sample(grid: Grid1D, fn, kind: str = "real") -> Field:
     return ComplexField(grid, np.asarray(vals, dtype=np.complex128))
 
 
-def zero_field(grid: Grid1D, kind: str = "real") -> Field:
-    if kind == "real":
-        return RealField(grid, np.zeros(grid.n))
-    return ComplexField(grid, np.zeros(grid.n, dtype=np.complex128))
-
-
 def deriv_values(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray:
     """Spectral derivative of a raw sample array.
 
-    Mode j is multiplied by (i k_j)^order; the Nyquist mode is zeroed for
-    odd orders so real input stays real.
+    Mode j is multiplied by (i k_j)^order (see Grid1D.deriv_symbol); real
+    input goes through the real-to-complex transform and stays real.
     """
     if order < 1:
         raise ValidationError(f"derivative order must be >= 1, got {order}")
-    mult = (1j * grid.wavenumbers) ** order
-    if order % 2 == 1:
-        mult = mult.copy()
-        mult[grid.n // 2] = 0.0
-    out = np.fft.ifft(np.fft.fft(values) * mult)
     if np.isrealobj(values):
-        return out.real
-    return out
+        return np.fft.irfft(grid.deriv_symbol(order, True)
+                            * np.fft.rfft(values), grid.n)
+    return np.fft.ifft(grid.deriv_symbol(order, False) * np.fft.fft(values))
 
 
 def deriv(f: Field, order: int = 1) -> Field:
@@ -158,19 +177,9 @@ def integrate(f: Field):
     return complex(total)
 
 
-def integrate_values(values: np.ndarray, grid: Grid1D) -> float:
-    return float(grid.dx * np.sum(values))
-
-
 def norm_l2(f: Field) -> float:
     """Quadrature L2 norm sqrt(int |f|^2 dx)."""
     return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
-
-
-def inner_l2(a: Field, b: Field) -> float:
-    """Real L2 pairing Re int a conj(b) dx."""
-    g = same_grid(a, b)
-    return float(np.real(g.dx * np.sum(a.values * np.conj(b.values))))
 
 
 def shift_values(values: np.ndarray, grid: Grid1D, y: float) -> np.ndarray:
@@ -199,9 +208,9 @@ def save_field(f: Field, basepath: str) -> None:
     dtype = "<f8" if kind == "real" else "<c16"
     raw = np.ascontiguousarray(f.values.astype(dtype)).tobytes()
     header = {"L": f.grid.half_length, "n": f.grid.n, "kind": kind}
-    _atomic_write(basepath + ".bin", raw)
-    _atomic_write(basepath + ".json",
-                  (json.dumps(header, sort_keys=True) + "\n").encode())
+    atomic_write(basepath + ".bin", raw)
+    atomic_write(basepath + ".json",
+                 (json.dumps(header, sort_keys=True) + "\n").encode())
 
 
 def load_field(basepath: str) -> Field:
@@ -217,7 +226,8 @@ def load_field(basepath: str) -> Field:
     return ComplexField(grid, vals.astype(np.complex128))
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
+    """Write bytes to a temp file beside path, then rename it into place."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

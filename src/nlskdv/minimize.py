@@ -10,9 +10,10 @@ k^2 stiffness of the raw flow.  During an initial stabilization phase
 iterates may be replaced by the rearrangement of their modulus, which
 never raises the energy beyond discretization noise.
 
-Lagrange multipliers come from integral identities obtained by pairing
-the stationarity equations with the profiles themselves, and residuals
-of the stationarity system are the convergence certificates.
+Lagrange multipliers come from pairing the energy gradient with the
+profiles themselves (sigma = -<dE/dphi, phi>/2s, c = -<dE/dpsi, psi>/2t),
+and the residuals dE/2 + multiplier * profile of the stationarity
+system are the convergence certificates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -29,9 +29,10 @@ from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError)
 from .exact import kdv_profile, nls_ground
-from .functionals import PhysParams, signed_power
-from .grid import (ComplexField, Grid1D, RealField, boundary_leak,
-                   deriv_values, same_grid, shift_values)
+from .functionals import (PhysParams, energy_values, gradient_values,
+                          nonlinearity)
+from .grid import (ComplexField, Grid1D, RealField, boundary_leak, same_grid,
+                   shift_values)
 from .rearrange import rearrange_values
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -121,60 +122,23 @@ class WSolution:
     n_unavailable: int = 0
 
 
-def _signed_power_fn(power: Fraction):
-    pf = float(power)
-    if power.numerator % 2 == 0:
-        return lambda v: np.abs(v) ** pf
-    return lambda v: np.sign(v) * np.abs(v) ** pf
-
-
 class _Workspace:
-    """Precomputed spectral arrays and closures for one (prm, grid)."""
+    """Energy, gradient and H1 preconditioner for one (prm, grid)."""
 
     def __init__(self, prm: PhysParams, grid: Grid1D, shift: float):
         self.prm = prm
         self.grid = grid
-        n = grid.n
-        self.n = n
         self.dx = grid.dx
-        kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-        self.ikr = 1j * kr
-        self.ikr[-1] = 0.0            # Nyquist zeroed for odd derivative
-        self.k2r = kr ** 2
-        self.precond = 1.0 / (2.0 * (self.k2r + shift))
-        self.pow_p2 = _signed_power_fn(prm.p + 2)
-        self.pow_p1 = _signed_power_fn(prm.p + 1)
-        self.qp2 = prm.q + 2.0
-        self.cpsi = 2.0 * prm.tau2 / (prm.p_float + 1.0)
-
-    def dx1(self, a):
-        return np.fft.irfft(self.ikr * np.fft.rfft(a), self.n)
-
-    def dx2(self, a):
-        return np.fft.irfft(-self.k2r * np.fft.rfft(a), self.n)
+        self.precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + shift))
 
     def smooth(self, a):
-        return np.fft.irfft(self.precond * np.fft.rfft(a), self.n)
+        return np.fft.irfft(self.precond * np.fft.rfft(a), self.grid.n)
 
     def energy(self, phi, psi):
-        prm = self.prm
-        phix = self.dx1(phi)
-        psix = self.dx1(psi)
-        integ = (phix * phix + psix * psix
-                 - prm.beta1 * np.abs(phi) ** self.qp2
-                 - prm.beta2 * self.pow_p2(psi)
-                 - prm.alpha * (phi * phi) * psi)
-        return self.dx * float(np.sum(integ))
+        return energy_values(phi, psi, self.prm, self.grid)
 
     def gradient(self, phi, psi):
-        prm = self.prm
-        gphi = (-2.0 * self.dx2(phi)
-                - 2.0 * prm.tau1 * np.abs(phi) ** prm.q * phi
-                - 2.0 * prm.alpha * phi * psi)
-        gpsi = (-2.0 * self.dx2(psi)
-                - self.cpsi * self.pow_p1(psi)
-                - prm.alpha * phi * phi)
-        return gphi, gpsi
+        return gradient_values(phi, psi, self.prm, self.grid)
 
     def mass(self, a):
         return self.dx * float(np.sum(a * a))
@@ -306,31 +270,24 @@ def _circular_centroid(weights, grid):
     return grid.half_length * float(np.angle(z)) / np.pi
 
 
+def _pairing(a, b, dx) -> float:
+    """Real L2 pairing Re int a conj(b) dx."""
+    return float(dx * np.sum(np.real(a * np.conj(b))))
+
+
 def _multipliers_arrays(phi, psi, s, t, prm, grid):
-    dx = grid.dx
-    sigma = math.nan
-    c = math.nan
-    aphi = np.abs(phi)
-    if s > 0.0:
-        phix = deriv_values(phi, grid)
-        intg = (np.abs(phix) ** 2 - prm.tau1 * aphi ** (prm.q + 2.0)
-                - prm.alpha * aphi ** 2 * psi)
-        sigma = -float(dx * np.sum(np.real(intg))) / s
-    if t > 0.0:
-        psix = deriv_values(psi, grid)
-        intg = (psix ** 2
-                - (prm.tau2 / (prm.p_float + 1.0)) * signed_power(psi, prm.p + 2)
-                - 0.5 * prm.alpha * aphi ** 2 * psi)
-        c = -float(dx * np.sum(intg)) / t
+    gphi, gpsi = gradient_values(phi, psi, prm, grid)
+    sigma = -0.5 * _pairing(gphi, phi, grid.dx) / s if s > 0.0 else math.nan
+    c = -0.5 * _pairing(gpsi, psi, grid.dx) / t if t > 0.0 else math.nan
     return sigma, c
 
 
 def multipliers(pair: SolitaryWavePair, prm: PhysParams):
     """Multipliers recovered from the integral identities.
 
-    sigma comes from pairing the short-wave equation with phi, c from
-    pairing the long-wave equation with psi.  c is NaN (flagged
-    undefined) when t = 0, and sigma is NaN when s = 0.
+    sigma comes from pairing the energy gradient in phi with phi, c from
+    pairing the one in psi with psi.  c is NaN (flagged undefined) when
+    t = 0, and sigma is NaN when s = 0.
     """
     grid = same_grid(pair.phi, pair.psi)
     return _multipliers_arrays(pair.phi.values, pair.psi.values,
@@ -338,31 +295,20 @@ def multipliers(pair: SolitaryWavePair, prm: PhysParams):
 
 
 def _residual_fields(phi, psi, sigma, c, prm, grid):
-    aphi = np.abs(phi)
-    rphi = None
-    rpsi = None
-    if np.isfinite(sigma):
-        rphi = (-deriv_values(phi, grid, 2) + sigma * phi
-                - prm.tau1 * aphi ** prm.q * phi
-                - prm.alpha * phi * psi)
-    if np.isfinite(c):
-        rpsi = (-deriv_values(psi, grid, 2) + c * psi
-                - (prm.tau2 / (prm.p_float + 1.0)) * signed_power(psi, prm.p + 1)
-                - 0.5 * prm.alpha * aphi ** 2)
+    """Stationarity residuals dE/2 + multiplier * profile (None if NaN)."""
+    gphi, gpsi = gradient_values(phi, psi, prm, grid)
+    rphi = 0.5 * gphi + sigma * phi if np.isfinite(sigma) else None
+    rpsi = 0.5 * gpsi + c * psi if np.isfinite(c) else None
     return rphi, rpsi
 
 
 def el_residual(pair: SolitaryWavePair, prm: PhysParams):
     """L2 norms of the two stationarity residuals (NaN where undefined)."""
     grid = same_grid(pair.phi, pair.psi)
-    rphi, rpsi = _residual_fields(pair.phi.values, pair.psi.values,
-                                  pair.sigma, pair.c, prm, grid)
-    dx = grid.dx
-    nphi = math.nan if rphi is None else float(
-        np.sqrt(dx * np.sum(np.abs(rphi) ** 2)))
-    npsi = math.nan if rpsi is None else float(
-        np.sqrt(dx * np.sum(rpsi ** 2)))
-    return nphi, npsi
+    return tuple(
+        math.nan if r is None else math.sqrt(_pairing(r, r, grid.dx))
+        for r in _residual_fields(pair.phi.values, pair.psi.values,
+                                  pair.sigma, pair.c, prm, grid))
 
 
 def convolution_fixed_point_gap(pair: SolitaryWavePair,
@@ -375,31 +321,12 @@ def convolution_fixed_point_gap(pair: SolitaryWavePair,
     if not np.isfinite(pair.sigma) or pair.sigma <= 0:
         raise ValidationError("fixed-point form needs sigma > 0")
     grid = pair.grid
-    phi, psi = pair.phi.values, pair.psi.values
-    rhs = prm.tau1 * np.abs(phi) ** prm.q * phi + prm.alpha * phi * psi
-    k2 = grid.wavenumbers ** 2
-    conv = np.fft.ifft(np.fft.fft(rhs) / (k2 + pair.sigma))
+    phi = pair.phi.values
+    rhs, _ = nonlinearity(phi, pair.psi.values, prm)
+    conv = np.fft.ifft(np.fft.fft(rhs)
+                       / (pair.sigma - grid.deriv_symbol(2, False)))
     gap = phi - conv
     return float(np.sqrt(grid.dx * np.sum(np.abs(gap) ** 2)))
-
-
-def energy_gradient(phi: ComplexField, psi: RealField, prm: PhysParams):
-    """First-variation fields of the energy.
-
-    The pairing convention is Re int grad conj(h) dx, so a central
-    difference of the energy along h matches the inner product of the
-    returned fields with h.
-    """
-    grid = same_grid(phi, psi)
-    p, q = phi.values, psi.values
-    aphi = np.abs(p)
-    gphi = (-2.0 * deriv_values(p, grid, 2)
-            - 2.0 * prm.tau1 * aphi ** prm.q * p
-            - 2.0 * prm.alpha * p * q)
-    gpsi = (-2.0 * deriv_values(q, grid, 2)
-            - (2.0 * prm.tau2 / (prm.p_float + 1.0)) * signed_power(q, prm.p + 1)
-            - prm.alpha * aphi ** 2)
-    return ComplexField(grid, gphi), RealField(grid, np.real(gpsi))
 
 
 def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
@@ -490,19 +417,12 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
 
     e_val = ws.energy(phi, psi)
     sigma, c = _multipliers_arrays(phi, psi, s, t, prm, grid)
-    phi_c = phi.astype(np.complex128)
-    rphi, rpsi = _residual_fields(phi_c, psi, sigma, c, prm, grid)
-    dx = grid.dx
-    res_phi = math.nan if rphi is None else float(
-        np.sqrt(dx * np.sum(np.abs(rphi) ** 2)))
-    res_psi = math.nan if rpsi is None else float(
-        np.sqrt(dx * np.sum(rpsi ** 2)))
-
     pair = SolitaryWavePair(
-        phi=ComplexField(grid, phi_c), psi=RealField(grid, psi),
+        phi=ComplexField(grid, phi), psi=RealField(grid, psi),
         sigma=sigma, c=c, s=s, t=t, energy_value=e_val,
-        el_residual_phi=res_phi, el_residual_psi=res_psi,
+        el_residual_phi=math.nan, el_residual_psi=math.nan,
         boundary_leak=leak)
+    pair.el_residual_phi, pair.el_residual_psi = el_residual(pair, prm)
     report.I_value = e_val
     return pair, report
 

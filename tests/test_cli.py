@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlskdv as nk
 from nlskdv import artifacts
-from nlskdv.cli import OUTPUT_ROOT_ENV, RunConfig, main
+from nlskdv.cli import _SCHEMA, OUTPUT_ROOT_ENV, RunConfig, main
 
 SMALL = """
 [grid]
@@ -90,10 +91,25 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     assert err["code"] == 2
 
 
-def test_unknown_key_exit_2(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[physics]\nbogus = 3\n")
-    assert main(["solve", "--config", str(cfg)]) == 2
+@pytest.mark.parametrize("text,overrides", [
+    ("[physics]\nbogus = 3\n", []),
+    (None, ["sweep.s_values=1,abc"]),
+    (None, ["evolve.wavespeed=fast"]),
+    ("alpha = 1.0\n", []),
+    ("[physics]\nalpha = 1.0\nalpha = 2.0\n", []),
+], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
+        "no-section-header", "duplicate-key"])
+def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
+    args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
+    if text is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        args += ["--config", str(cfg)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 2
 
 
 def test_missing_config_exit_3(tmp_path):
@@ -238,6 +254,56 @@ def test_set_overrides(cfgfile):
         RunConfig.from_file(cfgfile, ["bogus.key=1"])
     with pytest.raises(nk.ValidationError):
         RunConfig.from_file(cfgfile, ["nodot=1"])
+
+
+def test_default_manifest_golden():
+    golden = Path(__file__).parent / "data" / "default_manifest.json"
+    man = artifacts.canonical_json(RunConfig.from_file(None).manifest())
+    assert man == golden.read_text()
+
+
+# a non-default value for every config key: (raw text, manifest section,
+# manifest key, parsed value)
+_NEW_VALUES = {
+    "physics.alpha": ("0.5", "physics", "alpha", 0.5),
+    "physics.tau1": ("2.0", "physics", "tau1", 2.0),
+    "physics.tau2": ("3.0", "physics", "tau2", 3.0),
+    "physics.p": ("7/5", "physics", "p", "7/5"),
+    "physics.q": ("2.5", "physics", "q", 2.5),
+    "grid.half_length": ("33.0", "grid", "L", 33.0),
+    "grid.points": ("512", "grid", "n", 512),
+    "solver.tol": ("1e-7", "solver", "tol", 1e-7),
+    "solver.max_iter": ("1000", "solver", "max_iter", 1000),
+    "solver.continuation_step": ("0.5", "solver", "continuation_step", 0.5),
+    "solver.stabilize_iters": ("10", "solver", "stabilize_iters", 10),
+    "solver.max_boundary_leak": ("1e-5", "solver", "max_boundary_leak",
+                                 1e-5),
+    "problem.s": ("2.0", "problem", "s", 2.0),
+    "problem.t": ("0.0", "problem", "t", 0.0),
+    "sweep.s_values": ("0.5, 1.5", "sweep", "s_values", [0.5, 1.5]),
+    "sweep.t_values": ("2", "sweep", "t_values", [2.0]),
+    "sweep.workers": ("1", "sweep", "workers", 1),
+    "evolve.dt": ("0.01", "evolve", "dt", 0.01),
+    "evolve.duration": ("3.0", "evolve", "duration", 3.0),
+    "evolve.sample_every": ("7", "evolve", "sample_every", 7),
+    "evolve.seed": ("99", "evolve", "seed", 99),
+    "evolve.epsilon": ("0.1", "evolve", "epsilon", 0.1),
+    "evolve.wavespeed": ("0.25", "evolve", "wavespeed", 0.25),
+    "verify.subadd_count": ("3", "verify", "subadd_count", 3),
+    "verify.seed": ("8", "verify", "seed", 8),
+    "verify.pairs": ("4", "verify", "pairs", 4),
+    "verify.garrisi_cases": ("1", "verify", "garrisi_cases", 1),
+    "output.directory": ("elsewhere", "output", "directory", "elsewhere"),
+}
+
+
+def test_every_config_key_reaches_manifest():
+    assert set(_NEW_VALUES) == {f"{row[0]}.{row[1]}" for row in _SCHEMA}
+    default = RunConfig.from_file(None).manifest()
+    for dotted, (raw, section, key, value) in _NEW_VALUES.items():
+        man = RunConfig.from_file(None, [f"{dotted}={raw}"]).manifest()
+        assert man[section][key] == value, dotted
+        assert default[section][key] != value, dotted
 
 
 def test_outside_theorem_flag(cfgfile):

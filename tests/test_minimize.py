@@ -178,6 +178,31 @@ class TestMinimizeICoupled:
         assert rphi > 1e-3 and rpsi > 1e-3
 
 
+def _assert_solver_matches_functionals(pair, prm):
+    assert nk.energy(pair.phi, pair.psi, prm) == pytest.approx(
+        pair.energy_value, rel=1e-13, abs=0.0)
+    sigma, c = nk.multipliers(pair, prm)
+    assert sigma == pytest.approx(pair.sigma, rel=1e-12, abs=0.0)
+    assert c == pytest.approx(pair.c, rel=1e-12, abs=0.0)
+    rphi, rpsi = nk.el_residual(pair, prm)
+    assert abs(rphi - pair.el_residual_phi) <= 1e-12
+    assert abs(rpsi - pair.el_residual_psi) <= 1e-12
+
+
+class TestSolverMatchesFunctionals:
+    # the values a solve stores agree with the public functionals
+    # evaluated on the stored pair
+    def test_coupled(self, coupled_pair_30, prm_coupled):
+        pair, _, _ = coupled_pair_30
+        _assert_solver_matches_functionals(pair, prm_coupled)
+
+    def test_fractional_p(self):
+        grid = nk.make_grid(30.0, 512)
+        prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=2.0, p="7/5", q=2.5)
+        pair, _ = nk.minimize_I(1.0, 1.0, prm, grid)
+        _assert_solver_matches_functionals(pair, prm)
+
+
 class TestGeneralPowers:
     def test_fractional_p_coupled_solve(self):
         grid = nk.make_grid(30.0, 768)
