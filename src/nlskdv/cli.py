@@ -95,7 +95,11 @@ class RunConfig:
         if path is not None:
             if not os.path.exists(path):
                 raise FileNotFoundError(f"config file not found: {path}")
-            read = parser.read(path)
+            try:
+                read = parser.read(path, encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"config file {path} is not valid UTF-8: {exc}") from exc
             if not read:
                 raise FileNotFoundError(f"cannot read config: {path}")
         for item in overrides or []:

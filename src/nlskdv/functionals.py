@@ -48,11 +48,14 @@ class _SignedPower:
         a even -> +|v|**(a/b)     e.g. (-8)**(2/3) = +4
         a odd  -> -|v|**(a/b)     e.g. (-8)**(1/3) = -2
     For v >= 0 this is the ordinary power.  Built once per power, so
-    evaluation in hot loops does no Fraction arithmetic.
+    evaluation in hot loops does no Fraction arithmetic.  An integer
+    power k >= 2 is the plain product v * ... * v, which obeys the table
+    by itself (libm pow is many times slower on negative bases).
     """
 
     exponent: float
     odd: bool
+    whole: int = 0
 
     @classmethod
     def of(cls, power) -> "_SignedPower":
@@ -60,9 +63,16 @@ class _SignedPower:
         if power.denominator % 2 == 0:
             raise ValidationError(
                 f"power {power} has an even denominator; sign is undefined")
-        return cls(float(power), power.numerator % 2 == 1)
+        whole = power.numerator if (power.denominator == 1
+                                    and power.numerator >= 2) else 0
+        return cls(float(power), power.numerator % 2 == 1, whole)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        if self.whole:
+            out = values * values
+            for _ in range(self.whole - 2):
+                out *= values
+            return out
         mag = np.abs(values) ** self.exponent
         return np.sign(values) * mag if self.odd else mag
 
@@ -155,11 +165,18 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
         N_v = tau2/(p+1) v^(p+1) + alpha/2 |u|^2
 
     The flow is i u_t + u_xx = -N_u and v_t + v_xxx = -(N_v)_x, and the
-    potential part of the energy gradient is -2 N.
+    potential part of the energy gradient is -2 N.  N_u is evaluated as
+    (tau1 |u|^q + alpha v) u, with no power taken at q = 1.
     """
     au = np.abs(u)
-    return (prm.tau1 * au ** prm.q * u + prm.alpha * u * v,
-            prm.kdv_coeff * prm.pow_p1(v) + 0.5 * prm.alpha * au ** 2)
+    gain = prm.tau1 * (au if prm.q == 1 else au ** prm.q)
+    gain += prm.alpha * v
+    nv = prm.pow_p1(v)
+    nv *= prm.kdv_coeff
+    au *= au
+    au *= 0.5 * prm.alpha
+    nv += au
+    return gain * u, nv
 
 
 def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,

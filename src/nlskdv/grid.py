@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,8 +228,19 @@ def load_field(basepath: str) -> Field:
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write bytes to a temp file beside path, then rename it into place."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write bytes to a temp file beside path, then rename it into place.
+
+    The temp name is unique, so concurrent writers to one path never
+    share a temp file; a failed write removes its temp file.  The file
+    is created like open(path, "wb") would create it (mode 0o666 less
+    the umask), unlike tempfile.mkstemp's 0o600.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -97,13 +97,17 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["evolve.wavespeed=fast"]),
     ("alpha = 1.0\n", []),
     ("[physics]\nalpha = 1.0\nalpha = 2.0\n", []),
+    (b"[physics]\nalpha = \xff\n", []),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
-        "no-section-header", "duplicate-key"])
+        "no-section-header", "duplicate-key", "non-utf8"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
         args += ["--config", str(cfg)]
     for item in overrides:
         args += ["--set", item]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.functionals import parse_odd_denominator
+from nlskdv.functionals import nonlinearity, parse_odd_denominator
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -67,6 +67,21 @@ class TestSignedPower:
         assert nk.signed_power(np.array([x]), p)[0] == pytest.approx(
             x ** float(p), rel=1e-14)
 
+    @pytest.mark.parametrize("power", [Fraction(2), Fraction(3),
+                                       Fraction(12, 5)])
+    @given(mags=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=40),
+           signs=st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_matches_fraction_truth_table(self, power, mags, signs):
+        # integer powers take the plain-product path, 12/5 the |v| path;
+        # both must follow the table on negative entries
+        vals = np.array([-m if neg else m for m, neg in zip(mags, signs)])
+        vals[0] = -abs(vals[0])
+        odd = power.numerator % 2 == 1
+        expect = np.array([(-1.0 if (x < 0 and odd) else 1.0)
+                           * abs(x) ** float(power) for x in vals])
+        np.testing.assert_allclose(nk.signed_power(vals, power), expect,
+                                   rtol=1e-15, atol=0.0)
+
     def test_parse_odd_denominator(self):
         assert parse_odd_denominator("3/5") == Fraction(3, 5)
         assert parse_odd_denominator(2) == Fraction(2)
@@ -74,6 +89,28 @@ class TestSignedPower:
             parse_odd_denominator(1.5)
         with pytest.raises(nk.ValidationError):
             parse_odd_denominator("-1/3")
+
+
+class TestNonlinearity:
+    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(7, 5)])
+    @given(data=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3 * 24))
+    def test_matches_formula(self, p, q, data):
+        # N = (tau1 |u|^q u + alpha u v, tau2/(p+1) v^(p+1) + alpha/2 |u|^2)
+        # to 1e-15 of the size of its terms, fast paths included
+        m = len(data) // 3
+        a = np.array(data[:3 * m]).reshape(3, m)
+        u, v = a[0] + 1j * a[1], a[2]
+        prm = nk.PhysParams(alpha=0.7, tau1=1.3, tau2=2.0, p=p, q=q)
+        nu, nv = nonlinearity(u, v, prm)
+        t1 = prm.tau1 * np.abs(u) ** q * u
+        t2 = prm.alpha * u * v
+        t3 = (prm.tau2 / (float(p) + 1) * np.sign(v) ** (p + 1).numerator
+              * np.abs(v) ** float(p + 1))
+        t4 = prm.alpha / 2 * np.abs(u) ** 2
+        for got, x, y in ((nu, t1, t2), (nv, t3, t4)):
+            scale = max(float(np.max(np.abs(x) + np.abs(y))), 1e-300)
+            assert np.max(np.abs(got - (x + y))) <= 1e-15 * scale
 
 
 class TestEnergy:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.grid import sample
+from nlskdv.grid import atomic_write, sample
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -142,6 +142,28 @@ def test_field_serialization_roundtrip(tmp_path, grid30):
     c2 = nk.load_field(str(tmp_path / "c"))
     assert isinstance(c2, nk.ComplexField)
     assert c2.values.tobytes() == c.values.tobytes()
+
+
+def test_atomic_write_failure_leaves_no_temp(tmp_path):
+    # the rename fails (the target is a directory) and the write fails
+    # (str is not bytes): neither leaves a temp file behind
+    (tmp_path / "target").mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write(str(tmp_path / "target"), b"data")
+    with pytest.raises(TypeError):
+        atomic_write(str(tmp_path / "out.bin"), "not bytes")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+
+def test_atomic_write_unique_temp(tmp_path):
+    # a stale or foreign "<path>.tmp" is neither used nor disturbed
+    path = tmp_path / "out.bin"
+    (tmp_path / "out.bin.tmp").write_bytes(b"other writer")
+    atomic_write(str(path), b"mine")
+    assert path.read_bytes() == b"mine"
+    assert (tmp_path / "out.bin.tmp").read_bytes() == b"other writer"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.bin", "out.bin.tmp"]
 
 
 def test_sample_kinds(grid30):
