@@ -20,7 +20,7 @@ from .functionals import (ConservedTriple, PhysParams, charge,
                           conserved_triple, energy, energy_gradient,
                           kdv_action, momentum, nls_action, signed_power)
 from .grid import (ComplexField, Grid1D, RealField, deriv, integrate,
-                   load_field, make_grid, norm_l2, same_grid, save_field)
+                   load_field, make_grid, same_grid, save_field)
 from .minimize import (MinimizeOptions, MinimizeReport, SolitaryWavePair,
                        WSolution, convolution_fixed_point_gap, el_residual,
                        minimize_I, minimize_W, multipliers,
@@ -43,7 +43,7 @@ __all__ = [
     "energy_gradient", "evolve", "garrisi_check", "integrate", "kdv_action",
     "kdv_ground", "kdv_profile", "lambda_for_mass", "load_field",
     "make_grid", "minimize_I", "minimize_W", "momentum", "multipliers",
-    "nls_action", "nls_ground", "nls_profile", "norm_l2",
+    "nls_action", "nls_ground", "nls_profile",
     "orbital_distance", "perturbed_solitary_initial", "rearrange_values",
     "same_grid", "save_field", "signed_power", "solitary_initial",
     "stable_dt_bound", "step", "subadditivity_probe",

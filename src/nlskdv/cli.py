@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,10 +20,11 @@ import numpy as np
 
 from . import artifacts
 from .errors import (BlowUpError, NlskdvError, ValidationError)
-from .evolve import (evolve, perturbed_solitary_initial, solitary_initial)
+from .evolve import (evolve, perturbed_solitary_initial, solitary_initial,
+                     traveling_wavespeed)
 from .functionals import PhysParams, parse_odd_denominator
 from .grid import Grid1D, make_grid
-from .minimize import (MinimizeOptions, el_residual, minimize_I, minimize_W)
+from .minimize import MinimizeOptions, minimize_I, minimize_W
 from .verify import (CheckRow, rows_to_table, run_functional_checks,
                      run_grid_checks, run_rearrange_suite, run_subadd_probes)
 
@@ -33,6 +33,13 @@ OUTPUT_ROOT_ENV = "NLSKDV_OUTPUT_ROOT"
 
 def _float_list(raw: str) -> list:
     return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _nonneg_float(raw: str) -> float:
+    val = float(raw)
+    if not val >= 0.0:
+        raise ValueError(f"must be >= 0, got {val}")
+    return val
 
 
 def _wavespeed(raw: str) -> Optional[float]:
@@ -61,10 +68,10 @@ _SCHEMA = [
     ("sweep", "t_values", "t_values", _float_list, "1.0"),
     ("sweep", "workers", "workers", int, "2"),
     ("evolve", "dt", "dt", float, "0.001"),
-    ("evolve", "duration", "duration", float, "20.0"),
+    ("evolve", "duration", "duration", _nonneg_float, "20.0"),
     ("evolve", "sample_every", "sample_every", int, "100"),
     ("evolve", "seed", "seed", int, "1234"),
-    ("evolve", "epsilon", "epsilon", float, "0.0"),
+    ("evolve", "epsilon", "epsilon", _nonneg_float, "0.0"),
     ("evolve", "wavespeed", "wavespeed", _wavespeed, "auto"),
     ("verify", "subadd_count", "subadd_count", int, "2"),
     ("verify", "seed", "verify_seed", int, "7"),
@@ -165,13 +172,12 @@ class RunConfig:
         return doc
 
 
-def _pair_row(s, t, pair, report, prm):
-    res_phi, res_psi = el_residual(pair, prm)
+def _pair_row(s, t, pair, report):
     return {
         "s": s, "t": t, "I": pair.energy_value,
         "sigma": pair.sigma, "c": pair.c,
-        "residual_phi": res_phi if math.isfinite(res_phi) else math.nan,
-        "residual_psi": res_psi if math.isfinite(res_psi) else math.nan,
+        "residual_phi": pair.el_residual_phi,
+        "residual_psi": pair.el_residual_psi,
         "iterations": report.iterations,
     }
 
@@ -205,7 +211,7 @@ def _sweep_point(args):
     prm = cfg.phys_params()
     grid = cfg.grid()
     pair, report = minimize_I(s, t, prm, grid, cfg.solver_opts())
-    return _pair_row(s, t, pair, report, prm)
+    return _pair_row(s, t, pair, report)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -242,9 +248,7 @@ def cmd_evolve(cfg: RunConfig, init_path: str) -> int:
     if pair.grid != cfg.grid():
         raise ValidationError(
             "init artifact grid does not match the configured grid")
-    c = cfg.wavespeed
-    if c is None:
-        c = pair.c if math.isfinite(pair.c) else 0.0
+    c = traveling_wavespeed(pair, cfg.wavespeed)
     if cfg.epsilon > 0.0:
         state, eps_abs, _ = perturbed_solitary_initial(
             pair, cfg.epsilon, cfg.seed, prm, wavespeed=c)

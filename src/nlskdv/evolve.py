@@ -104,7 +104,7 @@ class _Stepper:
         self.e_f = self.e_h ** 2
         self.two_e_h = 2.0 * self.e_h
         self.dt_e_h = dt * self.e_h
-        keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
+        keep = np.abs(scipy.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
         # the 2/3 mask as a full complex stack: numpy multiplies two
         # complex (2, n) arrays faster than it broadcasts a real row
         self.mask = np.stack([keep, keep]).astype(np.complex128)
@@ -161,9 +161,11 @@ def _spectral(state: EvolveState) -> np.ndarray:
     return scipy.fft.fft(np.stack([state.u.values, state.v.values]))
 
 
-def _fields(S: np.ndarray):
+def _state(S: np.ndarray, time: float, prm: PhysParams,
+           grid: Grid1D) -> EvolveState:
     x = scipy.fft.ifft(S)
-    return x[0], x[1].real
+    return EvolveState(u=ComplexField(grid, x[0]),
+                       v=RealField(grid, x[1].real), time=time, prm=prm)
 
 
 def _check_dt(state: EvolveState, dt: float) -> None:
@@ -177,15 +179,7 @@ def _check_dt(state: EvolveState, dt: float) -> None:
 
 def step(state: EvolveState, dt: float) -> EvolveState:
     """Advance one step; negative dt integrates backward."""
-    _check_dt(state, dt)
-    S = _Stepper(state.grid, state.prm, dt).step_spectral(_spectral(state))
-    if not np.all(np.isfinite(S)):
-        raise BlowUpError("non-finite samples after one step",
-                          last_state=state)
-    u, v = _fields(S)
-    return EvolveState(u=ComplexField(state.grid, u),
-                       v=RealField(state.grid, v),
-                       time=state.time + dt, prm=state.prm)
+    return evolve(state, dt, dt).final_state
 
 
 def evolve(state: EvolveState, T: float, dt: float,
@@ -209,16 +203,13 @@ def evolve(state: EvolveState, T: float, dt: float,
 
     times, es, gs, hs, ds = [], [], [], [], []
 
-    def record(t, uvals, vvals):
-        uf = ComplexField(grid, uvals)
-        vf = RealField(grid, vvals)
-        trip = conserved_triple(uf, vf, state.prm)
-        times.append(t)
+    def record(snap):
+        trip = conserved_triple(snap.u, snap.v, state.prm)
+        times.append(snap.time)
         es.append(trip.E)
         gs.append(trip.G)
         hs.append(trip.H)
         if reference is not None:
-            snap = EvolveState(u=uf, v=vf, time=t, prm=state.prm)
             ds.append(orbital_distance(snap, reference, wavespeed=wavespeed))
 
     def make_trace(final):
@@ -228,28 +219,20 @@ def evolve(state: EvolveState, T: float, dt: float,
             distance=np.array(ds) if reference is not None else None,
             dt=dt, sample_every=sample_every, seed=seed, final_state=final)
 
-    record(state.time, state.u.values, state.v.values)
-    u_last, v_last, t_last = state.u.values, state.v.values, state.time
+    snap = state
+    record(snap)
     for i in range(1, nsteps + 1):
         S_prev = S
         S = stepper.step_spectral(S)
         if not np.all(np.isfinite(S)):
             t_prev = state.time + (i - 1) * dt
-            u_prev, v_prev = _fields(S_prev)
-            last = EvolveState(u=ComplexField(grid, u_prev),
-                               v=RealField(grid, v_prev),
-                               time=t_prev, prm=state.prm)
+            last = _state(S_prev, t_prev, state.prm, grid)
             raise BlowUpError(f"blow-up at step {i} (t={t_prev + dt:.6g})",
                               last_state=last, trace=make_trace(last))
         if i % sample_every == 0 or i == nsteps:
-            u_now, v_now = _fields(S)
-            t_now = state.time + i * dt
-            record(t_now, u_now, v_now)
-            u_last, v_last, t_last = u_now, v_now, t_now
-    final = EvolveState(u=ComplexField(grid, u_last),
-                        v=RealField(grid, v_last),
-                        time=t_last, prm=state.prm)
-    return make_trace(final)
+            snap = _state(S, state.time + i * dt, state.prm, grid)
+            record(snap)
+    return make_trace(snap)
 
 
 def solitary_initial(pair: SolitaryWavePair, c: float,
@@ -271,13 +254,25 @@ def solitary_initial(pair: SolitaryWavePair, c: float,
                        prm=prm)
 
 
+def traveling_wavespeed(pair: SolitaryWavePair,
+                        wavespeed: Optional[float] = None) -> float:
+    """wavespeed when given, else the pair's own c (0 where c is undefined)."""
+    if wavespeed is not None:
+        return wavespeed
+    return pair.c if np.isfinite(pair.c) else 0.0
+
+
+def _h1_sq(uh: np.ndarray, vh: np.ndarray, grid: Grid1D) -> float:
+    """Squared product H1 norm from the full spectra of the two fields."""
+    w = grid.h1_weights
+    return (grid.dx / grid.n) * (np.sum(w * np.abs(uh) ** 2)
+                                 + np.sum(w * np.abs(vh) ** 2))
+
+
 def y_norm(uvals: np.ndarray, vvals: np.ndarray, grid: Grid1D) -> float:
     """Product H1 norm of a pair of sample arrays."""
-    w = grid.h1_weights
-    scale = grid.dx / grid.n
-    total = scale * (np.sum(w * np.abs(np.fft.fft(uvals)) ** 2)
-                     + np.sum(w * np.abs(np.fft.fft(vvals)) ** 2))
-    return float(np.sqrt(total))
+    return float(np.sqrt(_h1_sq(scipy.fft.fft(uvals), scipy.fft.fft(vvals),
+                                grid)))
 
 
 def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
@@ -286,32 +281,28 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
 
     Minimizes the product H1 norm over spatial shifts (coarse FFT
     cross-correlation, then sub-grid refinement) and the global phase of
-    the short wave (closed form).  The reference short-wave profile is
-    the stored pair twisted by exp(i c x / 2) with its own wavespeed,
-    unless an explicit wavespeed is given.  Minimizing over a single
-    orbit upper-bounds the distance to the full minimizer set.
+    the short wave (closed form).  The reference is the traveling wave
+    solitary_initial builds on the pair, with the pair's own wavespeed
+    unless an explicit one is given.  Minimizing over a single orbit
+    upper-bounds the distance to the full minimizer set.
     """
     grid = state.grid
     if reference.grid != grid:
         raise GridMismatchError("reference lives on a different grid")
-    if wavespeed is None:
-        wavespeed = reference.c if np.isfinite(reference.c) else 0.0
-    Phi = np.exp(1j * (wavespeed / 2.0) * grid.x) * reference.phi.values
-    psi = reference.psi.values
-    u, v = state.u.values, state.v.values
+    c = traveling_wavespeed(reference, wavespeed)
+    ref = solitary_initial(reference, c, prm=state.prm)
 
     w = grid.h1_weights
     scale = grid.dx / grid.n
-    Phih, uh = np.fft.fft(Phi), np.fft.fft(u)
-    psih, vh = np.fft.fft(psi), np.fft.fft(v)
-    c0 = float(scale * (np.sum(w * (np.abs(Phih) ** 2 + np.abs(uh) ** 2))
-                        + np.sum(w * (np.abs(psih) ** 2 + np.abs(vh) ** 2))))
+    Phih, uh = scipy.fft.fft(ref.u.values), scipy.fft.fft(state.u.values)
+    psih, vh = scipy.fft.fft(ref.v.values), scipy.fft.fft(state.v.values)
+    c0 = float(_h1_sq(Phih, psih, grid) + _h1_sq(uh, vh, grid))
 
     zu = w * Phih * np.conj(uh)
     zv = w * psih * np.conj(vh)
     # correlation against all grid shifts at once locates the candidate
-    cu = np.fft.fft(zu) * scale
-    cv = np.fft.fft(zv) * scale
+    cu = scipy.fft.fft(zu) * scale
+    cv = scipy.fft.fft(zv) * scale
     d2 = c0 - 2.0 * np.abs(cu) - 2.0 * np.real(cv)
     m = int(np.argmin(d2))
     y0 = grid.x[m] + grid.half_length  # shift y_m = m * dx
@@ -322,10 +313,7 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
         ph = np.exp(-1j * grid.wavenumbers * y)
         cc = np.sum(zu * ph)
         rot = np.conj(cc) / abs(cc) if cc != 0 else 1.0
-        du = rot * (Phih * ph) - uh
-        dv = psih * ph - vh
-        val = scale * (np.sum(w * np.abs(du) ** 2)
-                       + np.sum(w * np.abs(dv) ** 2))
+        val = _h1_sq(rot * (Phih * ph) - uh, psih * ph - vh, grid)
         return max(float(val), 0.0)
 
     # optimize the offset from the coarse candidate; the bounded scalar
@@ -351,8 +339,7 @@ def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,
     perturbation norm after the projection.
     """
     grid = pair.grid
-    c = wavespeed if wavespeed is not None else (
-        pair.c if np.isfinite(pair.c) else 0.0)
+    c = traveling_wavespeed(pair, wavespeed)
     ref = solitary_initial(pair, c, prm=prm)
     Phi, psi = ref.u.values, ref.v.values
 

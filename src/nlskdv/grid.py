@@ -15,6 +15,7 @@ import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import GridMismatchError, ValidationError
 
@@ -41,8 +42,8 @@ class Grid1D:
         dx = 2.0 * L / n
         x = -L + dx * np.arange(n)
         # pi*j/L for j in standard FFT ordering (Nyquist stored as -n/2)
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-        kr = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+        k = 2.0 * np.pi * scipy.fft.fftfreq(n, d=dx)
+        kr = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dx)
         w = 1.0 + k ** 2
         for arr in (x, k, kr, w):
             arr.flags.writeable = False
@@ -144,6 +145,19 @@ def sample(grid: Grid1D, fn, kind: str = "real") -> Field:
     return ComplexField(grid, np.asarray(vals, dtype=np.complex128))
 
 
+def apply_symbol(values: np.ndarray, grid: Grid1D,
+                 symbol: np.ndarray) -> np.ndarray:
+    """Multiply the spectrum of a sample array by symbol and transform back.
+
+    Real input goes through the real-to-complex transform, so symbol is
+    in rfft ordering (see Grid1D.rwavenumbers) and the output is real;
+    complex input takes the full transform and symbol in full ordering.
+    """
+    if np.isrealobj(values):
+        return scipy.fft.irfft(symbol * scipy.fft.rfft(values), grid.n)
+    return scipy.fft.ifft(symbol * scipy.fft.fft(values))
+
+
 def deriv_values(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray:
     """Spectral derivative of a raw sample array.
 
@@ -152,10 +166,8 @@ def deriv_values(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray
     """
     if order < 1:
         raise ValidationError(f"derivative order must be >= 1, got {order}")
-    if np.isrealobj(values):
-        return np.fft.irfft(grid.deriv_symbol(order, True)
-                            * np.fft.rfft(values), grid.n)
-    return np.fft.ifft(grid.deriv_symbol(order, False) * np.fft.fft(values))
+    return apply_symbol(values, grid,
+                        grid.deriv_symbol(order, np.isrealobj(values)))
 
 
 def deriv(f: Field, order: int = 1) -> Field:
@@ -178,18 +190,10 @@ def integrate(f: Field):
     return complex(total)
 
 
-def norm_l2(f: Field) -> float:
-    """Quadrature L2 norm sqrt(int |f|^2 dx)."""
-    return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
-
-
 def shift_values(values: np.ndarray, grid: Grid1D, y: float) -> np.ndarray:
     """Translate samples so the output is f(x + y), using spectral phases."""
-    phase = np.exp(1j * grid.wavenumbers * y)
-    out = np.fft.ifft(np.fft.fft(values) * phase)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    k = grid.rwavenumbers if np.isrealobj(values) else grid.wavenumbers
+    return apply_symbol(values, grid, np.exp(1j * k * y))
 
 
 def boundary_leak(values: np.ndarray) -> float:

@@ -31,8 +31,8 @@ from .errors import (BoundaryMinimumError, ConvergenceError,
 from .exact import kdv_profile, nls_ground
 from .functionals import (PhysParams, energy_values, gradient_values,
                           nonlinearity)
-from .grid import (ComplexField, Grid1D, RealField, boundary_leak, same_grid,
-                   shift_values)
+from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
+                   boundary_leak, same_grid, shift_values)
 from .rearrange import rearrange_values
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -122,36 +122,13 @@ class WSolution:
     n_unavailable: int = 0
 
 
-class _Workspace:
-    """Energy, gradient and H1 preconditioner for one (prm, grid)."""
-
-    def __init__(self, prm: PhysParams, grid: Grid1D, shift: float):
-        self.prm = prm
-        self.grid = grid
-        self.dx = grid.dx
-        self.precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + shift))
-
-    def smooth(self, a):
-        return np.fft.irfft(self.precond * np.fft.rfft(a), self.grid.n)
-
-    def energy(self, phi, psi):
-        return energy_values(phi, psi, self.prm, self.grid)
-
-    def gradient(self, phi, psi):
-        return gradient_values(phi, psi, self.prm, self.grid)
-
-    def mass(self, a):
-        return self.dx * float(np.sum(a * a))
-
-
-def _project(a, mass, ws):
+def _project(a, mass, dx):
     if mass == 0.0:
         return np.zeros_like(a)
-    cur = ws.mass(a)
-    return a * math.sqrt(mass / cur)
+    return a * math.sqrt(mass / (dx * float(np.sum(a * a))))
 
 
-def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
+def _descend(phi, psi, s, t, prm, grid, tol, opts, budget, stabilize=True):
     """Projected, preconditioned descent at fixed parameters.
 
     Far from the minimizer, steps are accepted by an Armijo test on the
@@ -163,10 +140,11 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
     Returns updated arrays plus (iterations, final_step, history,
     pg_norm, converged flag).
     """
-    dx = ws.dx
+    dx = grid.dx
+    precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + opts.precond_shift))
 
     def grad_pg(a, b):
-        ga, gb = ws.gradient(a, b)
+        ga, gb = gradient_values(a, b, prm, grid)
         if s > 0.0:
             pa = ga - (dx * np.sum(ga * a) / s) * a
         else:
@@ -177,9 +155,9 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
             pb = np.zeros_like(b)
         return pa, pb, math.sqrt(dx * np.sum(pa * pa) + dx * np.sum(pb * pb))
 
-    phi = _project(phi, s, ws)
-    psi = _project(psi, t, ws)
-    e_cur = ws.energy(phi, psi)
+    phi = _project(phi, s, dx)
+    psi = _project(psi, t, dx)
+    e_cur = energy_values(phi, psi, prm, grid)
     history = [e_cur]
     eta = opts.step0
     pgphi, pgpsi, pgnorm = grad_pg(phi, psi)
@@ -188,8 +166,8 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
         if pgnorm <= tol:
             return phi, psi, it, eta, history, pgnorm, True
         it += 1
-        dphi = ws.smooth(pgphi) if s > 0.0 else pgphi
-        dpsi = ws.smooth(pgpsi) if t > 0.0 else pgpsi
+        dphi = apply_symbol(pgphi, grid, precond) if s > 0.0 else pgphi
+        dpsi = apply_symbol(pgpsi, grid, precond) if t > 0.0 else pgpsi
 
         if pgnorm > opts.pg_switch:
             gtd = dx * float(np.sum(pgphi * dphi) + np.sum(pgpsi * dpsi))
@@ -197,9 +175,9 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
             eta = min(eta * 2.0, opts.step_max)
             accepted = False
             while eta >= 1e-16:
-                cand_phi = _project(phi - eta * dphi, s, ws)
-                cand_psi = _project(psi - eta * dpsi, t, ws)
-                e_new = ws.energy(cand_phi, cand_psi)
+                cand_phi = _project(phi - eta * dphi, s, dx)
+                cand_psi = _project(psi - eta * dpsi, t, dx)
+                e_new = energy_values(cand_phi, cand_psi, prm, grid)
                 if e_new <= e_cur - opts.armijo * eta * gtd + slack:
                     accepted = True
                     break
@@ -214,7 +192,7 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
                     and it % opts.stabilize_every == 0:
                 rphi = rearrange_values(np.abs(phi)) if s > 0.0 else phi
                 rpsi = rearrange_values(np.abs(psi)) if t > 0.0 else psi
-                e_r = ws.energy(rphi, rpsi)
+                e_r = energy_values(rphi, rpsi, prm, grid)
                 if e_r <= e_cur + slack:
                     phi, psi, e_cur = rphi, rpsi, e_r
                     history.append(e_cur)
@@ -223,8 +201,8 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
             trial = min(eta * 1.26, opts.step_max)
             accepted = False
             while trial >= 1e-16:
-                cand_phi = _project(phi - trial * dphi, s, ws)
-                cand_psi = _project(psi - trial * dpsi, t, ws)
+                cand_phi = _project(phi - trial * dphi, s, dx)
+                cand_psi = _project(psi - trial * dpsi, t, dx)
                 npgphi, npgpsi, npgn = grad_pg(cand_phi, cand_psi)
                 if npgn <= pgnorm:
                     phi, psi = cand_phi, cand_psi
@@ -235,7 +213,7 @@ def _descend(phi, psi, s, t, ws, tol, opts, budget, stabilize=True):
                 trial *= opts.backtrack
             if not accepted:
                 break
-            e_cur = ws.energy(phi, psi)
+            e_cur = energy_values(phi, psi, prm, grid)
             history.append(e_cur)
     return phi, psi, it, eta, history, pgnorm, pgnorm <= tol
 
@@ -323,8 +301,8 @@ def convolution_fixed_point_gap(pair: SolitaryWavePair,
     grid = pair.grid
     phi = pair.phi.values
     rhs, _ = nonlinearity(phi, pair.psi.values, prm)
-    conv = np.fft.ifft(np.fft.fft(rhs)
-                       / (pair.sigma - grid.deriv_symbol(2, False)))
+    conv = apply_symbol(rhs, grid,
+                        1.0 / (pair.sigma - grid.deriv_symbol(2, False)))
     gap = phi - conv
     return float(np.sqrt(grid.dx * np.sum(np.abs(gap) ** 2)))
 
@@ -353,13 +331,12 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             "with zero long-wave mass and no short-wave self-interaction "
             "the constrained infimum is 0 and is not attained")
 
+    stages = [prm]
     if warm_start is not None:
         phi0 = np.asarray(warm_start[0], dtype=np.float64).copy()
         psi0 = np.asarray(warm_start[1], dtype=np.float64).copy()
-        stages = [prm]
     else:
         phi0, psi0 = _initial_fields(s, t, prm, grid)
-        stages = [prm]
         if prm.alpha > 0.0 and s > 0.0 and t > 0.0 \
                 and prm.alpha > opts.continuation_step:
             ramp = np.arange(opts.continuation_step, prm.alpha,
@@ -375,13 +352,12 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     converged = False
     for idx, stage_prm in enumerate(stages):
         last = idx == len(stages) - 1
-        ws = _Workspace(stage_prm, grid, opts.precond_shift)
         tol = opts.tol if last else max(opts.tol, opts.continuation_tol)
         budget = opts.max_iter - total_iters
         if budget <= 0:
             break
         phi, psi, iters, final_step, history, pgnorm, converged = _descend(
-            phi, psi, s, t, ws, tol, opts, budget,
+            phi, psi, s, t, stage_prm, grid, tol, opts, budget,
             stabilize=(warm_start is None))
         total_iters += iters
 
@@ -396,15 +372,14 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"(projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
             report=report)
 
-    ws = _Workspace(prm, grid, opts.precond_shift)
     if recenter:
         weights = psi * psi if t > 0.0 else phi * phi
         y = _circular_centroid(weights, grid)
         if y != 0.0:
             phi = shift_values(phi, grid, y)
             psi = shift_values(psi, grid, y)
-            phi = _project(phi, s, ws)
-            psi = _project(psi, t, ws)
+            phi = _project(phi, s, grid.dx)
+            psi = _project(psi, t, grid.dx)
     if s > 0.0 and float(np.sum(phi)) < 0.0:
         phi = -phi
 
@@ -415,7 +390,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"boundary leak {leak:.3e} exceeds {opts.max_boundary_leak:.1e}; "
             "enlarge the box")
 
-    e_val = ws.energy(phi, psi)
+    e_val = energy_values(phi, psi, prm, grid)
     sigma, c = _multipliers_arrays(phi, psi, s, t, prm, grid)
     pair = SolitaryWavePair(
         phi=ComplexField(grid, phi), psi=RealField(grid, psi),

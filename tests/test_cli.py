@@ -98,8 +98,11 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     ("alpha = 1.0\n", []),
     ("[physics]\nalpha = 1.0\nalpha = 2.0\n", []),
     (b"[physics]\nalpha = \xff\n", []),
+    (None, ["evolve.epsilon=-0.5"]),
+    (None, ["evolve.duration=-0.1"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
-        "no-section-header", "duplicate-key", "non-utf8"])
+        "no-section-header", "duplicate-key", "non-utf8",
+        "negative-epsilon", "negative-duration"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:

@@ -1,10 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.grid import atomic_write, sample
+from nlskdv.grid import atomic_write, sample, shift_values
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -95,6 +98,40 @@ def test_deriv_linear(a, b):
     lhs = nk.deriv(combo).values
     rhs = a * nk.deriv(f1).values + b * nk.deriv(f2).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + abs(a) + abs(b))
+
+
+@given(y=st.floats(-25, 25), m=st.integers(-64, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shift_real_input(y, m, seed):
+    # real input takes the real-to-complex path; the full transform of
+    # the same phases, with its real part taken, is the reference
+    g = nk.make_grid(10.0, 64)
+    v = np.random.default_rng(seed).standard_normal(g.n)
+    size = np.max(np.abs(v))
+    out = shift_values(v, g, y)
+    assert np.isrealobj(out)
+    full = np.fft.ifft(np.fft.fft(v) * np.exp(1j * g.wavenumbers * y)).real
+    assert np.max(np.abs(out - full)) <= 1e-15 * size
+    # whole cells are exact up to the rounding of the phases k * y
+    whole = shift_values(v, g, m * g.dx)
+    assert np.max(np.abs(whole - np.roll(v, -m))) <= 1e-13 * size
+    # a fractional shift of the Nyquist mode is complex, which a real
+    # field cannot hold, so the round trip starts with it zeroed
+    vh = np.fft.rfft(v)
+    vh[-1] = 0.0
+    v = np.fft.irfft(vh, g.n)
+    back = shift_values(shift_values(v, g, y), g, -y)
+    assert np.max(np.abs(back - v)) <= 1e-14 * size
+
+
+def test_one_fft_library():
+    # every transform in the package goes through scipy.fft
+    src = Path(__file__).resolve().parents[1] / "src" / "nlskdv"
+    named = re.compile(r"\b(np|numpy)\.fft\b")
+    hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if named.search(line)]
+    assert hits == []
 
 
 def test_integral_of_derivative_vanishes(grid30):
