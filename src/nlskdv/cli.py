@@ -42,6 +42,13 @@ def _nonneg_float(raw: str) -> float:
     return val
 
 
+def _pos_float(raw: str) -> float:
+    val = float(raw)
+    if not 0.0 < val < float("inf"):
+        raise ValueError(f"must be positive and finite, got {val}")
+    return val
+
+
 def _wavespeed(raw: str) -> Optional[float]:
     raw = raw.strip().lower()
     return None if raw == "auto" else float(raw)
@@ -67,7 +74,7 @@ _SCHEMA = [
     ("sweep", "s_values", "s_values", _float_list, "1.0"),
     ("sweep", "t_values", "t_values", _float_list, "1.0"),
     ("sweep", "workers", "workers", int, "2"),
-    ("evolve", "dt", "dt", float, "0.001"),
+    ("evolve", "dt", "dt", _pos_float, "0.001"),
     ("evolve", "duration", "duration", _nonneg_float, "20.0"),
     ("evolve", "sample_every", "sample_every", int, "100"),
     ("evolve", "seed", "seed", int, "1234"),

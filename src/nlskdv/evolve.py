@@ -201,6 +201,8 @@ def evolve(state: EvolveState, T: float, dt: float,
     grid = state.grid
     S = _spectral(state)
 
+    orbit = None if reference is None \
+        else _Orbit.of(reference, wavespeed, state.prm)
     times, es, gs, hs, ds = [], [], [], [], []
 
     def record(snap):
@@ -209,8 +211,8 @@ def evolve(state: EvolveState, T: float, dt: float,
         es.append(trip.E)
         gs.append(trip.G)
         hs.append(trip.H)
-        if reference is not None:
-            ds.append(orbital_distance(snap, reference, wavespeed=wavespeed))
+        if orbit is not None:
+            ds.append(orbital_distance(snap, orbit))
 
     def make_trace(final):
         return EvolveTrace(
@@ -275,6 +277,25 @@ def y_norm(uvals: np.ndarray, vvals: np.ndarray, grid: Grid1D) -> float:
                                 grid)))
 
 
+@dataclass(frozen=True)
+class _Orbit:
+    """orbital_distance's reference: spectra Phih, psih and H1 norm^2."""
+
+    grid: Grid1D
+    Phih: np.ndarray
+    psih: np.ndarray
+    h1_sq: float
+
+    @classmethod
+    def of(cls, reference: SolitaryWavePair, wavespeed: Optional[float],
+           prm: PhysParams) -> "_Orbit":
+        c = traveling_wavespeed(reference, wavespeed)
+        ref = solitary_initial(reference, c, prm=prm)
+        Phih, psih = scipy.fft.fft(ref.u.values), scipy.fft.fft(ref.v.values)
+        return cls(reference.grid, Phih, psih,
+                   _h1_sq(Phih, psih, reference.grid))
+
+
 def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
                      wavespeed: Optional[float] = None) -> float:
     """Distance from the state to the symmetry orbit of one reference.
@@ -284,25 +305,25 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
     the short wave (closed form).  The reference is the traveling wave
     solitary_initial builds on the pair, with the pair's own wavespeed
     unless an explicit one is given.  Minimizing over a single orbit
-    upper-bounds the distance to the full minimizer set.
+    upper-bounds the distance to the full minimizer set.  evolve passes
+    the _Orbit it builds once per run in place of the pair.
     """
     grid = state.grid
     if reference.grid != grid:
         raise GridMismatchError("reference lives on a different grid")
-    c = traveling_wavespeed(reference, wavespeed)
-    ref = solitary_initial(reference, c, prm=state.prm)
+    orbit = reference if isinstance(reference, _Orbit) \
+        else _Orbit.of(reference, wavespeed, state.prm)
+    Phih, psih = orbit.Phih, orbit.psih
 
     w = grid.h1_weights
     scale = grid.dx / grid.n
-    Phih, uh = scipy.fft.fft(ref.u.values), scipy.fft.fft(state.u.values)
-    psih, vh = scipy.fft.fft(ref.v.values), scipy.fft.fft(state.v.values)
-    c0 = float(_h1_sq(Phih, psih, grid) + _h1_sq(uh, vh, grid))
+    uh, vh = scipy.fft.fft(state.u.values), scipy.fft.fft(state.v.values)
+    c0 = float(orbit.h1_sq + _h1_sq(uh, vh, grid))
 
     zu = w * Phih * np.conj(uh)
     zv = w * psih * np.conj(vh)
     # correlation against all grid shifts at once locates the candidate
-    cu = scipy.fft.fft(zu) * scale
-    cv = scipy.fft.fft(zv) * scale
+    cu, cv = scipy.fft.fft(np.array([zu, zv])) * scale
     d2 = c0 - 2.0 * np.abs(cu) - 2.0 * np.real(cv)
     m = int(np.argmin(d2))
     y0 = grid.x[m] + grid.half_length  # shift y_m = m * dx

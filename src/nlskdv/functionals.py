@@ -179,11 +179,22 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
     return gain * u, nv
 
 
+def _derivs(u: np.ndarray, v: np.ndarray, grid, order: int):
+    """Spectral derivatives of both fields.
+
+    A real pair is one (2, n) stack: one real transform pair for both.
+    A complex u takes the full transform and v keeps its real one; in a
+    complex stack v would move a solve's stored residuals at rounding.
+    """
+    if np.isrealobj(u):
+        return deriv_values(np.array([u, v]), grid, order)
+    return deriv_values(u, grid, order), deriv_values(v, grid, order)
+
+
 def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
                   grid) -> float:
     """Energy quadrature on raw sample arrays (u may be real or complex)."""
-    ux = deriv_values(u, grid)
-    vx = deriv_values(v, grid)
+    ux, vx = _derivs(u, v, grid, 1)
     au = np.abs(u)
     integrand = (np.abs(ux) ** 2 + vx ** 2
                  - prm.beta1 * au ** (prm.q + 2.0)
@@ -195,8 +206,8 @@ def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
 def gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams, grid):
     """First variation of the energy on raw arrays: -2 ((u_xx, v_xx) + N)."""
     nu, nv = nonlinearity(u, v, prm)
-    return (-2.0 * (deriv_values(u, grid, 2) + nu),
-            -2.0 * (deriv_values(v, grid, 2) + nv))
+    uxx, vxx = _derivs(u, v, grid, 2)
+    return -2.0 * (uxx + nu), -2.0 * (vxx + nv)
 
 
 def energy(u: ComplexField, v: RealField, prm: PhysParams) -> float:

@@ -152,6 +152,9 @@ def apply_symbol(values: np.ndarray, grid: Grid1D,
     Real input goes through the real-to-complex transform, so symbol is
     in rfft ordering (see Grid1D.rwavenumbers) and the output is real;
     complex input takes the full transform and symbol in full ordering.
+    The transform runs along the last axis and leading axes are
+    transformed row by row, so each row of a stack comes back bit for
+    bit as it would alone.
     """
     if np.isrealobj(values):
         return scipy.fft.irfft(symbol * scipy.fft.rfft(values), grid.n)

@@ -122,100 +122,98 @@ class WSolution:
     n_unavailable: int = 0
 
 
-def _project(a, mass, dx):
-    if mass == 0.0:
-        return np.zeros_like(a)
-    return a * math.sqrt(mass / (dx * float(np.sum(a * a))))
+def _project(X, masses, dx):
+    """Rescale each row of the stack X to its mass; zero-mass rows to +0."""
+    live = masses > 0.0
+    scale = np.divide(masses, dx * np.sum(X * X, axis=1),
+                      out=np.zeros(2), where=live)
+    out = X * np.sqrt(scale)[:, None]
+    out[~live] = 0.0
+    return out
 
 
-def _descend(phi, psi, s, t, prm, grid, tol, opts, budget, stabilize=True):
+def _descend(X, masses, prm, grid, tol, opts, budget, stabilize=True):
     """Projected, preconditioned descent at fixed parameters.
 
-    Far from the minimizer, steps are accepted by an Armijo test on the
-    energy.  Once the projected gradient is small the energy differences
-    sink below float rounding, so acceptance switches to requiring a
+    X is the real (2, n) stack [phi; psi] and masses the pair (s, t), so
+    each spectral operation is one transform over both fields.  Far from
+    the minimizer, steps are accepted by an Armijo test on the energy.
+    Once the projected gradient is small the energy differences sink
+    below float rounding, so acceptance switches to requiring a
     decrease of the projected-gradient norm itself, which stays
     measurable down to the convergence tolerance.
 
-    Returns updated arrays plus (iterations, final_step, history,
+    Returns the updated stack plus (iterations, final_step, history,
     pg_norm, converged flag).
     """
     dx = grid.dx
+    live = masses > 0.0
     precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + opts.precond_shift))
 
-    def grad_pg(a, b):
-        ga, gb = gradient_values(a, b, prm, grid)
-        if s > 0.0:
-            pa = ga - (dx * np.sum(ga * a) / s) * a
-        else:
-            pa = np.zeros_like(a)
-        if t > 0.0:
-            pb = gb - (dx * np.sum(gb * b) / t) * b
-        else:
-            pb = np.zeros_like(b)
-        return pa, pb, math.sqrt(dx * np.sum(pa * pa) + dx * np.sum(pb * pb))
+    def grad_pg(X):
+        G = np.array(gradient_values(*X, prm, grid))
+        coef = np.divide(dx * np.sum(G * X, axis=1), masses,
+                         out=np.zeros(2), where=live)
+        P = G - coef[:, None] * X
+        P[~live] = 0.0
+        return P, math.sqrt((dx * np.sum(P * P, axis=1)).sum())
 
-    phi = _project(phi, s, dx)
-    psi = _project(psi, t, dx)
-    e_cur = energy_values(phi, psi, prm, grid)
+    X = _project(X, masses, dx)
+    e_cur = energy_values(*X, prm, grid)
     history = [e_cur]
     eta = opts.step0
-    pgphi, pgpsi, pgnorm = grad_pg(phi, psi)
+    P, pgnorm = grad_pg(X)
     it = 0
     while it < budget:
         if pgnorm <= tol:
-            return phi, psi, it, eta, history, pgnorm, True
+            return X, it, eta, history, pgnorm, True
         it += 1
-        dphi = apply_symbol(pgphi, grid, precond) if s > 0.0 else pgphi
-        dpsi = apply_symbol(pgpsi, grid, precond) if t > 0.0 else pgpsi
+        D = apply_symbol(P, grid, precond)
 
         if pgnorm > opts.pg_switch:
-            gtd = dx * float(np.sum(pgphi * dphi) + np.sum(pgpsi * dpsi))
+            gtd = dx * float(np.sum(P * D, axis=1).sum())
             slack = 1e-13 * (1.0 + abs(e_cur))
             eta = min(eta * 2.0, opts.step_max)
             accepted = False
             while eta >= 1e-16:
-                cand_phi = _project(phi - eta * dphi, s, dx)
-                cand_psi = _project(psi - eta * dpsi, t, dx)
-                e_new = energy_values(cand_phi, cand_psi, prm, grid)
+                cand = _project(X - eta * D, masses, dx)
+                e_new = energy_values(*cand, prm, grid)
                 if e_new <= e_cur - opts.armijo * eta * gtd + slack:
                     accepted = True
                     break
                 eta *= opts.backtrack
             if not accepted:
                 break
-            phi, psi, e_cur = cand_phi, cand_psi, e_new
+            X, e_cur = cand, e_new
             history.append(e_cur)
-            pgphi, pgpsi, pgnorm = grad_pg(phi, psi)
+            P, pgnorm = grad_pg(X)
 
             if stabilize and it <= opts.stabilize_iters \
                     and it % opts.stabilize_every == 0:
-                rphi = rearrange_values(np.abs(phi)) if s > 0.0 else phi
-                rpsi = rearrange_values(np.abs(psi)) if t > 0.0 else psi
-                e_r = energy_values(rphi, rpsi, prm, grid)
+                R = np.array([rearrange_values(np.abs(row)) if on else row
+                              for row, on in zip(X, live)])
+                e_r = energy_values(*R, prm, grid)
                 if e_r <= e_cur + slack:
-                    phi, psi, e_cur = rphi, rpsi, e_r
+                    X, e_cur = R, e_r
                     history.append(e_cur)
-                    pgphi, pgpsi, pgnorm = grad_pg(phi, psi)
+                    P, pgnorm = grad_pg(X)
         else:
             trial = min(eta * 1.26, opts.step_max)
             accepted = False
             while trial >= 1e-16:
-                cand_phi = _project(phi - trial * dphi, s, dx)
-                cand_psi = _project(psi - trial * dpsi, t, dx)
-                npgphi, npgpsi, npgn = grad_pg(cand_phi, cand_psi)
+                cand = _project(X - trial * D, masses, dx)
+                npg, npgn = grad_pg(cand)
                 if npgn <= pgnorm:
-                    phi, psi = cand_phi, cand_psi
-                    pgphi, pgpsi, pgnorm = npgphi, npgpsi, npgn
+                    X, P, pgnorm = cand, npg, npgn
                     eta = trial
                     accepted = True
                     break
                 trial *= opts.backtrack
             if not accepted:
                 break
-            e_cur = energy_values(phi, psi, prm, grid)
+            e_cur = energy_values(*X, prm, grid)
             history.append(e_cur)
-    return phi, psi, it, eta, history, pgnorm, pgnorm <= tol
+    return X, it, eta, history, pgnorm, pgnorm <= tol
 
 
 def _initial_fields(s, t, prm, grid):
@@ -333,10 +331,9 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
 
     stages = [prm]
     if warm_start is not None:
-        phi0 = np.asarray(warm_start[0], dtype=np.float64).copy()
-        psi0 = np.asarray(warm_start[1], dtype=np.float64).copy()
+        X = np.array(warm_start, dtype=np.float64)
     else:
-        phi0, psi0 = _initial_fields(s, t, prm, grid)
+        X = np.array(_initial_fields(s, t, prm, grid))
         if prm.alpha > 0.0 and s > 0.0 and t > 0.0 \
                 and prm.alpha > opts.continuation_step:
             ramp = np.arange(opts.continuation_step, prm.alpha,
@@ -344,7 +341,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             stages = [dataclasses.replace(prm, alpha=float(a))
                       for a in ramp] + [prm]
 
-    phi, psi = phi0, psi0
+    masses = np.array([s, t], dtype=np.float64)
     total_iters = 0
     history = []
     final_step = opts.step0
@@ -356,8 +353,8 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         budget = opts.max_iter - total_iters
         if budget <= 0:
             break
-        phi, psi, iters, final_step, history, pgnorm, converged = _descend(
-            phi, psi, s, t, stage_prm, grid, tol, opts, budget,
+        X, iters, final_step, history, pgnorm, converged = _descend(
+            X, masses, stage_prm, grid, tol, opts, budget,
             stabilize=(warm_start is None))
         total_iters += iters
 
@@ -373,13 +370,11 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             report=report)
 
     if recenter:
-        weights = psi * psi if t > 0.0 else phi * phi
+        weights = X[1] * X[1] if t > 0.0 else X[0] * X[0]
         y = _circular_centroid(weights, grid)
         if y != 0.0:
-            phi = shift_values(phi, grid, y)
-            psi = shift_values(psi, grid, y)
-            phi = _project(phi, s, grid.dx)
-            psi = _project(psi, t, grid.dx)
+            X = _project(shift_values(X, grid, y), masses, grid.dx)
+    phi, psi = X
     if s > 0.0 and float(np.sum(phi)) < 0.0:
         phi = -phi
 

@@ -100,9 +100,10 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (b"[physics]\nalpha = \xff\n", []),
     (None, ["evolve.epsilon=-0.5"]),
     (None, ["evolve.duration=-0.1"]),
+    (None, ["evolve.dt=-0.001"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
-        "negative-epsilon", "negative-duration"])
+        "negative-epsilon", "negative-duration", "negative-dt"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:

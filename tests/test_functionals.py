@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.functionals import nonlinearity, parse_odd_denominator
+from nlskdv.functionals import (energy_values, gradient_values,
+                                nonlinearity, parse_odd_denominator)
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -111,6 +113,31 @@ class TestNonlinearity:
         for got, x, y in ((nu, t1, t2), (nv, t3, t4)):
             scale = max(float(np.max(np.abs(x) + np.abs(y))), 1e-300)
             assert np.max(np.abs(got - (x + y))) <= 1e-15 * scale
+
+
+class TestStackedTransforms:
+    # a real pair is one (2, n) stack: one forward and one inverse
+    # transform per evaluation, not one pair per field
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name,
+                                counting(name, getattr(scipy.fft, name)))
+        return calls
+
+    @pytest.mark.parametrize("fn", [energy_values, gradient_values])
+    def test_one_transform_pair(self, grid30, prm_coupled, fft_calls, fn):
+        u = np.exp(-grid30.x ** 2 / 4)
+        fn(u, 0.5 * u, prm_coupled, grid30)
+        assert fft_calls == ["rfft", "irfft"]
 
 
 class TestEnergy:

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.grid import atomic_write, sample, shift_values
+from nlskdv.grid import (apply_symbol, atomic_write, deriv_values, sample,
+                         shift_values)
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -122,6 +123,21 @@ def test_shift_real_input(y, m, seed):
     v = np.fft.irfft(vh, g.n)
     back = shift_values(shift_values(v, g, y), g, -y)
     assert np.max(np.abs(back - v)) <= 1e-14 * size
+
+
+@given(half=st.integers(4, 1024), order=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_rows_match_single_rows(half, order, seed):
+    # leading axes are transformed row by row, each row bit for bit as
+    # alone; the solver's (2, n) stack of its two fields relies on it
+    g = nk.make_grid(10.0, 2 * half)
+    X = np.random.default_rng(seed).standard_normal((2, g.n))
+    symbol = 1.0 / (1.0 + g.rwavenumbers ** 2)
+    stacked = deriv_values(X, g, order)
+    smoothed = apply_symbol(X, g, symbol)
+    for i in range(2):
+        assert np.array_equal(stacked[i], deriv_values(X[i], g, order))
+        assert np.array_equal(smoothed[i], apply_symbol(X[i], g, symbol))
 
 
 def test_one_fft_library():
