@@ -64,11 +64,11 @@ _SCHEMA = [
     ("physics", "q", "q", float, "1.0"),
     ("grid", "half_length", "half_length", float, "40.0"),
     ("grid", "points", "points", int, "1024"),
-    ("solver", "tol", "tol", float, "1e-8"),
+    ("solver", "tol", "tol", _pos_float, "1e-8"),
     ("solver", "max_iter", "max_iter", int, "200000"),
-    ("solver", "continuation_step", "continuation_step", float, "0.25"),
+    ("solver", "continuation_step", "continuation_step", _pos_float, "0.25"),
     ("solver", "stabilize_iters", "stabilize_iters", int, "300"),
-    ("solver", "max_boundary_leak", "max_boundary_leak", float, "1e-6"),
+    ("solver", "max_boundary_leak", "max_boundary_leak", _pos_float, "1e-6"),
     ("problem", "s", "s", float, "1.0"),
     ("problem", "t", "t", float, "1.0"),
     ("sweep", "s_values", "s_values", _float_list, "1.0"),

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ComplexField, RealField, deriv_values, same_grid
+from .grid import (ComplexField, RealField, apply_symbol, deriv_values,
+                   same_grid)
 
 
 def parse_odd_denominator(p) -> Fraction:
@@ -179,22 +180,22 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
     return gain * u, nv
 
 
-def _derivs(u: np.ndarray, v: np.ndarray, grid, order: int):
-    """Spectral derivatives of both fields.
+def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
+    """Spectral derivatives of both fields, one (u, v) pair per order.
 
-    A real pair is one (2, n) stack: one real transform pair for both.
-    A complex u takes the full transform and v keeps its real one; in a
-    complex stack v would move a solve's stored residuals at rounding.
+    A real pair is one (2, n) stack: one forward transform for it and one
+    inverse for all orders.  A complex u takes the full transform and v
+    keeps its real one; in a complex stack v would move a solve's stored
+    residuals at rounding.
     """
+    real = np.array([grid.deriv_symbol(k, True) for k in orders])
     if np.isrealobj(u):
-        return deriv_values(np.array([u, v]), grid, order)
-    return deriv_values(u, grid, order), deriv_values(v, grid, order)
+        return apply_symbol(np.array([u, v]), grid, real[:, None])
+    full = np.array([grid.deriv_symbol(k, False) for k in orders])
+    return list(zip(apply_symbol(u, grid, full), apply_symbol(v, grid, real)))
 
 
-def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
-                  grid) -> float:
-    """Energy quadrature on raw sample arrays (u may be real or complex)."""
-    ux, vx = _derivs(u, v, grid, 1)
+def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:
     au = np.abs(u)
     integrand = (np.abs(ux) ** 2 + vx ** 2
                  - prm.beta1 * au ** (prm.q + 2.0)
@@ -203,11 +204,24 @@ def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
     return float(grid.dx * np.sum(integrand))
 
 
+def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
+                  grid) -> float:
+    """Energy quadrature on raw sample arrays (u may be real or complex)."""
+    return _energy(u, v, *_derivs(u, v, grid, 1)[0], prm, grid)
+
+
+def energy_gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
+                           grid):
+    """Energy and first variation -2 ((u_xx, v_xx) + N), one spectrum."""
+    (ux, vx), (uxx, vxx) = _derivs(u, v, grid, 1, 2)
+    nu, nv = nonlinearity(u, v, prm)
+    return (_energy(u, v, ux, vx, prm, grid),
+            (-2.0 * (uxx + nu), -2.0 * (vxx + nv)))
+
+
 def gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams, grid):
     """First variation of the energy on raw arrays: -2 ((u_xx, v_xx) + N)."""
-    nu, nv = nonlinearity(u, v, prm)
-    uxx, vxx = _derivs(u, v, grid, 2)
-    return -2.0 * (uxx + nu), -2.0 * (vxx + nv)
+    return energy_gradient_values(u, v, prm, grid)[1]
 
 
 def energy(u: ComplexField, v: RealField, prm: PhysParams) -> float:

@@ -29,34 +29,35 @@ from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError)
 from .exact import kdv_profile, nls_ground
-from .functionals import (PhysParams, energy_values, gradient_values,
-                          nonlinearity)
+from .functionals import (PhysParams, energy_gradient_values,
+                          gradient_values, nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
                    boundary_leak, same_grid, shift_values)
 from .rearrange import rearrange_values
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# fixed constants of the descent and the W search
+_ARMIJO = 1e-4                    # sufficient-decrease fraction
+_BACKTRACK = 0.5
+_STEP0 = 0.25
+_STEP_MAX = 4.0
+_PG_SWITCH = 1e-4                 # below this, accept on gradient norm
+_STABILIZE_EVERY = 25             # rearrangement swap period
+_CONTINUATION_TOL = 1e-6          # exit tolerance of the ramp stages
+_PRECOND_SHIFT = 1.0              # H1 preconditioner 1/(2 (k^2 + shift))
+_W_SCAN_NODES = 33
+_W_REFINE_WIDTH = 1e-6
 
 
 @dataclass
 class MinimizeOptions:
-    """Knobs for the constrained descent; defaults favor reproducibility."""
+    """The settable knobs of the descent; the rest are module constants."""
 
     tol: float = 1e-8                 # projected-gradient L2 norm at exit
     max_iter: int = 200_000
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    step0: float = 0.25
-    step_max: float = 4.0
-    pg_switch: float = 1e-4           # below this, accept on gradient norm
     stabilize_iters: int = 300        # window for modulus/rearrangement swaps
-    stabilize_every: int = 25
     continuation_step: float = 0.25   # coupling ramp for cold coupled solves
-    continuation_tol: float = 1e-6
     max_boundary_leak: float = 1e-6
-    precond_shift: float = 1.0
-    w_scan_nodes: int = 33
-    w_refine_width: float = 1e-6
 
 
 @dataclass
@@ -132,87 +133,70 @@ def _project(X, masses, dx):
     return out
 
 
-def _descend(X, masses, prm, grid, tol, opts, budget, stabilize=True):
+def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
     """Projected, preconditioned descent at fixed parameters.
 
-    X is the real (2, n) stack [phi; psi] and masses the pair (s, t), so
-    each spectral operation is one transform over both fields.  Far from
-    the minimizer, steps are accepted by an Armijo test on the energy.
-    Once the projected gradient is small the energy differences sink
-    below float rounding, so acceptance switches to requiring a
-    decrease of the projected-gradient norm itself, which stays
-    measurable down to the convergence tolerance.
+    X is the real (2, n) stack [phi; psi] and masses the pair (s, t).
+    Each trial point is evaluated once (energy and projected gradient
+    from one spectrum) and an accepted trial's evaluation is the new
+    iterate's.  One backtracking loop takes an Armijo test on the energy
+    far from the minimizer; once the projected gradient is small, energy
+    differences sink below float rounding and a step must instead not
+    raise the projected-gradient norm.
 
     Returns the updated stack plus (iterations, final_step, history,
-    pg_norm, converged flag).
+    pg_norm, converged flag).  After a failed line search final_step is
+    the step below the floor (Armijo phase) or the last accepted one.
     """
     dx = grid.dx
     live = masses > 0.0
-    precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + opts.precond_shift))
+    precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + _PRECOND_SHIFT))
 
-    def grad_pg(X):
-        G = np.array(gradient_values(*X, prm, grid))
+    def evaluate(X):
+        e, G = energy_gradient_values(*X, prm, grid)
+        G = np.array(G)
         coef = np.divide(dx * np.sum(G * X, axis=1), masses,
                          out=np.zeros(2), where=live)
         P = G - coef[:, None] * X
         P[~live] = 0.0
-        return P, math.sqrt((dx * np.sum(P * P, axis=1)).sum())
+        return e, P, math.sqrt((dx * np.sum(P * P, axis=1)).sum())
 
     X = _project(X, masses, dx)
-    e_cur = energy_values(*X, prm, grid)
+    e_cur, P, pgnorm = evaluate(X)
     history = [e_cur]
-    eta = opts.step0
-    P, pgnorm = grad_pg(X)
+    eta = _STEP0
     it = 0
-    while it < budget:
-        if pgnorm <= tol:
-            return X, it, eta, history, pgnorm, True
+    while it < budget and pgnorm > tol:
         it += 1
         D = apply_symbol(P, grid, precond)
-
-        if pgnorm > opts.pg_switch:
+        armijo = pgnorm > _PG_SWITCH
+        if armijo:
             gtd = dx * float(np.sum(P * D, axis=1).sum())
             slack = 1e-13 * (1.0 + abs(e_cur))
-            eta = min(eta * 2.0, opts.step_max)
-            accepted = False
-            while eta >= 1e-16:
-                cand = _project(X - eta * D, masses, dx)
-                e_new = energy_values(*cand, prm, grid)
-                if e_new <= e_cur - opts.armijo * eta * gtd + slack:
-                    accepted = True
-                    break
-                eta *= opts.backtrack
-            if not accepted:
-                break
-            X, e_cur = cand, e_new
-            history.append(e_cur)
-            P, pgnorm = grad_pg(X)
-
-            if stabilize and it <= opts.stabilize_iters \
-                    and it % opts.stabilize_every == 0:
-                R = np.array([rearrange_values(np.abs(row)) if on else row
-                              for row, on in zip(X, live)])
-                e_r = energy_values(*R, prm, grid)
-                if e_r <= e_cur + slack:
-                    X, e_cur = R, e_r
-                    history.append(e_cur)
-                    P, pgnorm = grad_pg(X)
+            trial = min(eta * 2.0, _STEP_MAX)
         else:
-            trial = min(eta * 1.26, opts.step_max)
-            accepted = False
-            while trial >= 1e-16:
-                cand = _project(X - trial * D, masses, dx)
-                npg, npgn = grad_pg(cand)
-                if npgn <= pgnorm:
-                    X, P, pgnorm = cand, npg, npgn
-                    eta = trial
-                    accepted = True
-                    break
-                trial *= opts.backtrack
-            if not accepted:
+            trial = min(eta * 1.26, _STEP_MAX)
+        while trial >= 1e-16:
+            cand = _project(X - trial * D, masses, dx)
+            e_new, P_new, pg_new = evaluate(cand)
+            if (e_new <= e_cur - _ARMIJO * trial * gtd + slack if armijo
+                    else pg_new <= pgnorm):
                 break
-            e_cur = energy_values(*X, prm, grid)
-            history.append(e_cur)
+            trial *= _BACKTRACK
+        else:  # no trial above the step floor passed
+            if armijo:
+                eta = trial
+            break
+        X, e_cur, P, pgnorm, eta = cand, e_new, P_new, pg_new, trial
+        history.append(e_cur)
+
+        if armijo and it <= stabilize_iters and it % _STABILIZE_EVERY == 0:
+            R = np.array([rearrange_values(np.abs(row)) if on else row
+                          for row, on in zip(X, live)])
+            e_r, P_r, pg_r = evaluate(R)
+            if e_r <= e_cur + slack:
+                X, e_cur, P, pgnorm = R, e_r, P_r, pg_r
+                history.append(e_cur)
     return X, it, eta, history, pgnorm, pgnorm <= tol
 
 
@@ -251,10 +235,9 @@ def _pairing(a, b, dx) -> float:
     return float(dx * np.sum(np.real(a * np.conj(b))))
 
 
-def _multipliers_arrays(phi, psi, s, t, prm, grid):
-    gphi, gpsi = gradient_values(phi, psi, prm, grid)
-    sigma = -0.5 * _pairing(gphi, phi, grid.dx) / s if s > 0.0 else math.nan
-    c = -0.5 * _pairing(gpsi, psi, grid.dx) / t if t > 0.0 else math.nan
+def _multipliers_arrays(gphi, gpsi, phi, psi, s, t, dx):
+    sigma = -0.5 * _pairing(gphi, phi, dx) / s if s > 0.0 else math.nan
+    c = -0.5 * _pairing(gpsi, psi, dx) / t if t > 0.0 else math.nan
     return sigma, c
 
 
@@ -266,8 +249,9 @@ def multipliers(pair: SolitaryWavePair, prm: PhysParams):
     t = 0, and sigma is NaN when s = 0.
     """
     grid = same_grid(pair.phi, pair.psi)
-    return _multipliers_arrays(pair.phi.values, pair.psi.values,
-                               pair.s, pair.t, prm, grid)
+    phi, psi = pair.phi.values, pair.psi.values
+    return _multipliers_arrays(*gradient_values(phi, psi, prm, grid),
+                               phi, psi, pair.s, pair.t, grid.dx)
 
 
 def _residual_fields(phi, psi, sigma, c, prm, grid):
@@ -344,18 +328,18 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     masses = np.array([s, t], dtype=np.float64)
     total_iters = 0
     history = []
-    final_step = opts.step0
+    final_step = _STEP0
     pgnorm = math.nan
     converged = False
     for idx, stage_prm in enumerate(stages):
         last = idx == len(stages) - 1
-        tol = opts.tol if last else max(opts.tol, opts.continuation_tol)
+        tol = opts.tol if last else max(opts.tol, _CONTINUATION_TOL)
         budget = opts.max_iter - total_iters
         if budget <= 0:
             break
         X, iters, final_step, history, pgnorm, converged = _descend(
-            X, masses, stage_prm, grid, tol, opts, budget,
-            stabilize=(warm_start is None))
+            X, masses, stage_prm, grid, tol, budget,
+            opts.stabilize_iters if warm_start is None else 0)
         total_iters += iters
 
     report = MinimizeReport(
@@ -385,8 +369,8 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"boundary leak {leak:.3e} exceeds {opts.max_boundary_leak:.1e}; "
             "enlarge the box")
 
-    e_val = energy_values(phi, psi, prm, grid)
-    sigma, c = _multipliers_arrays(phi, psi, s, t, prm, grid)
+    e_val, grads = energy_gradient_values(phi, psi, prm, grid)
+    sigma, c = _multipliers_arrays(*grads, phi, psi, s, t, grid.dx)
     pair = SolitaryWavePair(
         phi=ComplexField(grid, phi), psi=RealField(grid, psi),
         sigma=sigma, c=c, s=s, t=t, energy_value=e_val,
@@ -482,7 +466,7 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
 
     a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
     for _ in range(9):
-        nodes = np.linspace(0.0, a_max, opts.w_scan_nodes)
+        nodes = np.linspace(0.0, a_max, _W_SCAN_NODES)
         for a in nodes[::-1]:
             solve_at(float(a))
         vals = [solve_at(float(a))[0] for a in nodes]
@@ -501,7 +485,7 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
 
     lo = float(nodes[max(best - 1, 0)])
     hi = float(nodes[min(best + 1, len(nodes) - 1)])
-    width = opts.w_refine_width * (1.0 + abs(t))
+    width = _W_REFINE_WIDTH * (1.0 + abs(t))
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = solve_at(x1)[0]

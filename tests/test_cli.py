@@ -101,9 +101,15 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["evolve.epsilon=-0.5"]),
     (None, ["evolve.duration=-0.1"]),
     (None, ["evolve.dt=-0.001"]),
+    (None, ["solver.continuation_step=0"]),
+    (None, ["solver.tol=0"]),
+    (None, ["solver.tol=nan"]),
+    (None, ["solver.max_boundary_leak=-1"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
-        "negative-epsilon", "negative-duration", "negative-dt"])
+        "negative-epsilon", "negative-duration", "negative-dt",
+        "zero-continuation-step", "nonpositive-tol", "nan-tol",
+        "negative-leak"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.functionals import (energy_values, gradient_values,
-                                nonlinearity, parse_odd_denominator)
+from nlskdv.functionals import (energy_gradient_values, energy_values,
+                                gradient_values, nonlinearity,
+                                parse_odd_denominator)
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -133,11 +134,20 @@ class TestStackedTransforms:
                                 counting(name, getattr(scipy.fft, name)))
         return calls
 
-    @pytest.mark.parametrize("fn", [energy_values, gradient_values])
+    @pytest.mark.parametrize("fn", [energy_values, gradient_values,
+                                    energy_gradient_values])
     def test_one_transform_pair(self, grid30, prm_coupled, fft_calls, fn):
         u = np.exp(-grid30.x ** 2 / 4)
         fn(u, 0.5 * u, prm_coupled, grid30)
         assert fft_calls == ["rfft", "irfft"]
+
+    def test_descent_calls_per_iteration(self, grid40, prm_coupled,
+                                         fft_calls):
+        # each trial point is one transform pair (energy and gradient from
+        # one spectrum) and the preconditioner one more; separate energy
+        # and gradient transforms would cost 7.4 calls per iteration
+        _, rep = nk.minimize_I(1.0, 1.0, prm_coupled, grid40)
+        assert len(fft_calls) <= 6 * rep.iterations
 
 
 class TestEnergy:

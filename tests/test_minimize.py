@@ -12,6 +12,7 @@ from nlskdv.minimize import MinimizeOptions
 from conftest import sech
 
 GOLDEN = Path(__file__).parent / "data" / "minimize_golden.json"
+DESCENT = Path(__file__).parent / "data" / "descent_golden.json"
 
 
 class TestEnergyGradient:
@@ -351,3 +352,50 @@ class TestGoldenMinimizers:
         assert w.n_solves == case["n_solves"]
         for key in ("a_star", "W_value"):
             _assert_golden_scalar(getattr(w, key), case[key], key)
+
+
+class TestGoldenDescent:
+    """Descent reports against tests/data/descent_golden.json.
+
+    The data were recorded with the solver that evaluated the energy and
+    the gradient of each iterate by separate transforms.  They pin the
+    line search: iteration counts, the final step, the projected-gradient
+    norm and the whole energy history (Armijo and gradient-norm phase
+    entries alike), also for a solve stopped by its iteration budget.
+    """
+
+    @staticmethod
+    def _assert_report(rep, want):
+        assert rep.iterations == want["iterations"]
+        assert rep.stages == want["stages"]
+        assert rep.termination == want["termination"]
+        assert len(rep.energy_history) == want["history_len"]
+        for key in ("final_step", "pg_norm"):
+            _assert_golden_scalar(getattr(rep, key), want[key], key)
+        got = np.array(rep.energy_history)
+        hist = np.array(want["energy_history"])
+        assert np.all(np.abs(got - hist) <= 1e-14 * np.abs(hist))
+
+    @pytest.mark.parametrize("name", ["coupled-1-1", "p7_5-q5_2",
+                                      "t0-branch", "t0-branch-warm"])
+    def test_minimize_I(self, name):
+        gold = json.loads(DESCENT.read_text())
+        case = gold["cases"][name]
+        grid = nk.make_grid(gold["L"], gold["n"])
+        warm = None
+        if case["warm_gauss"]:
+            warm = (np.exp(-grid.x ** 2 / 8.0), np.zeros(grid.n))
+        _, rep = nk.minimize_I(case["s"], case["t"],
+                               nk.PhysParams(**case["params"]), grid,
+                               warm_start=warm)
+        self._assert_report(rep, case)
+
+    def test_budget_report(self):
+        gold = json.loads(DESCENT.read_text())
+        case = gold["max_iter_3"]
+        with pytest.raises(nk.ConvergenceError) as err:
+            nk.minimize_I(case["s"], case["t"],
+                          nk.PhysParams(**case["params"]),
+                          nk.make_grid(gold["L"], gold["n"]),
+                          MinimizeOptions(max_iter=case["max_iter"]))
+        self._assert_report(err.value.report, case)
