@@ -49,6 +49,20 @@ def _pos_float(raw: str) -> float:
     return val
 
 
+def _pos_int(raw: str) -> int:
+    val = int(raw)
+    if val <= 0:
+        raise ValueError(f"must be a positive integer, got {val}")
+    return val
+
+
+def _nonneg_int(raw: str) -> int:
+    val = int(raw)
+    if val < 0:
+        raise ValueError(f"must be a non-negative integer, got {val}")
+    return val
+
+
 def _wavespeed(raw: str) -> Optional[float]:
     raw = raw.strip().lower()
     return None if raw == "auto" else float(raw)
@@ -65,7 +79,7 @@ _SCHEMA = [
     ("grid", "half_length", "half_length", float, "40.0"),
     ("grid", "points", "points", int, "1024"),
     ("solver", "tol", "tol", _pos_float, "1e-8"),
-    ("solver", "max_iter", "max_iter", int, "200000"),
+    ("solver", "max_iter", "max_iter", _pos_int, "200000"),
     ("solver", "continuation_step", "continuation_step", _pos_float, "0.25"),
     ("solver", "stabilize_iters", "stabilize_iters", int, "300"),
     ("solver", "max_boundary_leak", "max_boundary_leak", _pos_float, "1e-6"),
@@ -77,11 +91,11 @@ _SCHEMA = [
     ("evolve", "dt", "dt", _pos_float, "0.001"),
     ("evolve", "duration", "duration", _nonneg_float, "20.0"),
     ("evolve", "sample_every", "sample_every", int, "100"),
-    ("evolve", "seed", "seed", int, "1234"),
+    ("evolve", "seed", "seed", _nonneg_int, "1234"),
     ("evolve", "epsilon", "epsilon", _nonneg_float, "0.0"),
     ("evolve", "wavespeed", "wavespeed", _wavespeed, "auto"),
     ("verify", "subadd_count", "subadd_count", int, "2"),
-    ("verify", "seed", "verify_seed", int, "7"),
+    ("verify", "seed", "verify_seed", _nonneg_int, "7"),
     ("verify", "pairs", "verify_pairs", int, "20"),
     ("verify", "garrisi_cases", "garrisi_cases", int, "5"),
     ("output", "directory", "directory", str, "runs"),

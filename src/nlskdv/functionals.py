@@ -201,7 +201,7 @@ def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:
                  - prm.beta1 * au ** (prm.q + 2.0)
                  - prm.beta2 * prm.pow_p2(v)
                  - prm.alpha * au ** 2 * v)
-    return float(grid.dx * np.sum(integrand))
+    return float(grid.dx * integrand.sum())
 
 
 def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,

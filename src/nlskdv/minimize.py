@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
@@ -35,7 +36,6 @@ from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
                    boundary_leak, same_grid, shift_values)
 from .rearrange import rearrange_values
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # fixed constants of the descent and the W search
 _ARMIJO = 1e-4                    # sufficient-decrease fraction
 _BACKTRACK = 0.5
@@ -46,7 +46,6 @@ _STABILIZE_EVERY = 25             # rearrangement swap period
 _CONTINUATION_TOL = 1e-6          # exit tolerance of the ramp stages
 _PRECOND_SHIFT = 1.0              # H1 preconditioner 1/(2 (k^2 + shift))
 _W_SCAN_NODES = 33
-_W_REFINE_WIDTH = 1e-6
 
 
 @dataclass
@@ -106,7 +105,8 @@ class WSolution:
     a_star is the optimal long-wave mass, b the phase-twist slope
     (t - a_star)/s, and Phi the twisted short-wave profile.  omega and c
     are the multipliers of the twisted stationarity system; pair is the
-    underlying mass-constrained minimizer.
+    underlying mass-constrained minimizer.  twist_gap = |c + 2b| = |W'|
+    is the residual of the root-find in a (NaN when c is undefined).
     """
 
     a_star: float
@@ -126,7 +126,7 @@ class WSolution:
 def _project(X, masses, dx):
     """Rescale each row of the stack X to its mass; zero-mass rows to +0."""
     live = masses > 0.0
-    scale = np.divide(masses, dx * np.sum(X * X, axis=1),
+    scale = np.divide(masses, dx * (X * X).sum(axis=1),
                       out=np.zeros(2), where=live)
     out = X * np.sqrt(scale)[:, None]
     out[~live] = 0.0
@@ -155,11 +155,11 @@ def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
     def evaluate(X):
         e, G = energy_gradient_values(*X, prm, grid)
         G = np.array(G)
-        coef = np.divide(dx * np.sum(G * X, axis=1), masses,
+        coef = np.divide(dx * (G * X).sum(axis=1), masses,
                          out=np.zeros(2), where=live)
         P = G - coef[:, None] * X
         P[~live] = 0.0
-        return e, P, math.sqrt((dx * np.sum(P * P, axis=1)).sum())
+        return e, P, math.sqrt((dx * (P * P).sum(axis=1)).sum())
 
     X = _project(X, masses, dx)
     e_cur, P, pgnorm = evaluate(X)
@@ -412,9 +412,10 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     """Minimize the energy at fixed mass s and momentum t.
 
     Reduces to a one-dimensional search over the long-wave mass a of
-    I(s, a) + b(a)^2 s with b(a) = (t - a)/s: an adaptive scan locates
-    the minimum, golden-section refines it, and the short-wave profile
-    is reconstructed by the phase twist exp(-i b x).
+    W(a) = I(s, a) + b(a)^2 s, b(a) = (t - a)/s: an adaptive scan locates
+    the minimum and Brent's method finds the root of W' = -(c + 2b) next
+    to it (dI/da = -c along minimizers).  The short-wave profile is
+    reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced
     objective is unbounded below and the problem has no minimizer.
@@ -483,28 +484,26 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                 "the scan minimum abuts long-wave masses whose profiles do "
                 "not fit the box; enlarge the box")
 
-    lo = float(nodes[max(best - 1, 0)])
-    hi = float(nodes[min(best + 1, len(nodes) - 1)])
-    width = _W_REFINE_WIDTH * (1.0 + abs(t))
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = solve_at(x1)[0]
-    f2 = solve_at(x2)[0]
-    while hi - lo > width:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = solve_at(x1)[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = solve_at(x2)[0]
-
-    a_star, (w_value, pair) = min(cache.items(), key=lambda kv: kv[1][0])
-    if pair is None:
-        if math.isinf(w_value):
+    def slope(a: float) -> float:
+        # -W'(a) = c + 2b; a = 0 has no long-wave multiplier, take a -> 0+
+        if a == 0.0:
+            return math.inf if prm.alpha > 0.0 else 2.0 * t / s
+        pair = solve_at(a)[1]
+        if pair is None:
             raise DomainTooSmallError(
-                "every scan node produced a profile too wide for the box")
+                f"no profile at long-wave mass a = {a:.6g}; enlarge the box")
+        return pair.c + 2.0 * (t - a) / s
+
+    # root of W' between the scan's argmin and its downhill neighbour,
+    # to rounding in a (xtol ~ 0 leaves brentq's 4 eps relative floor)
+    j = best + 1 if best == 0 or slope(float(nodes[best])) > 0.0 else best - 1
+    lo, hi = sorted((float(nodes[best]), float(nodes[j])))
+    a_star = float(nodes[best])
+    if slope(lo) > 0.0 > slope(hi):
+        a_star = brentq(slope, lo, hi, xtol=1e-15)
+    w_value, pair = solve_at(a_star)
+    cache.clear()  # brentq wraps slope in a reference cycle; free the pairs
+    if pair is None:
         raise UnattainedInfimumError(
             "the search settled on zero long-wave mass with no short-wave "
             "self-interaction; no minimizer exists there")

@@ -105,11 +105,15 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["solver.tol=0"]),
     (None, ["solver.tol=nan"]),
     (None, ["solver.max_boundary_leak=-1"]),
+    (None, ["solver.max_iter=0"]),
+    (None, ["verify.seed=-1"]),
+    (None, ["evolve.seed=-1"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
         "negative-epsilon", "negative-duration", "negative-dt",
         "zero-continuation-step", "nonpositive-tol", "nan-tol",
-        "negative-leak"])
+        "negative-leak", "zero-max-iter", "negative-verify-seed",
+        "negative-evolve-seed"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:

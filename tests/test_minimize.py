@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nlskdv as nk
+from nlskdv import minimize as minimize_mod
 from nlskdv.grid import shift_values
 from nlskdv.minimize import MinimizeOptions
 
@@ -276,15 +277,71 @@ class TestMinimizeW:
         assert sol.W_value == pytest.approx(e, abs=1e-8)
         assert sol.omega == pytest.approx(sol.pair.sigma + sol.b ** 2,
                                           rel=1e-12)
+        assert sol.twist_gap <= 1e-12
 
     def test_negative_momentum(self, prm_coupled):
         grid = nk.make_grid(30.0, 768)
-        sol = nk.minimize_W(1.0, -0.3, prm_coupled, grid)
-        assert sol.a_star >= 0.0
-        assert nk.momentum(sol.Phi, sol.psi) == pytest.approx(-0.3,
-                                                              abs=1e-8)
+        # at t = -1.5 the optimum sits at a ~ 0.004, in the scan's first
+        # cell, so the root-find's bracket ends at a = 0 (slope +inf)
+        for t in (-0.3, -1.5):
+            sol = nk.minimize_W(1.0, t, prm_coupled, grid)
+            assert sol.a_star >= 0.0
+            assert nk.momentum(sol.Phi, sol.psi) == pytest.approx(t,
+                                                                  abs=1e-8)
+            e = nk.energy(sol.Phi, sol.psi, prm_coupled)
+            assert e == pytest.approx(sol.i_value + sol.b ** 2, abs=1e-8)
+            assert sol.twist_gap <= 1e-12, t
+
+    # alpha = 0: the sech^2 KdV wave of mass a (beta2 = 2) has
+    # c = (3a/2)^(2/3), so c + 2b = 0 puts the optimum at a = 9/32 for
+    # t = 0; for t < 0, W'(0+) = -2t/s > 0 and the optimum is a = 0
+    @pytest.mark.parametrize("t,a_star", [(0.0, 9.0 / 32.0), (-0.3, 0.0)])
+    def test_decoupled(self, t, a_star):
+        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
+        sol = nk.minimize_W(1.0, t, prm, nk.make_grid(40.0, 512))
+        assert sol.a_star == pytest.approx(a_star, abs=1e-7)
+        if a_star > 0.0:
+            assert sol.twist_gap <= 1e-12
+        else:  # no long-wave multiplier at a = 0
+            assert math.isnan(sol.twist_gap)
+
+    def test_unavailable_scan_node(self, prm_coupled):
+        # the a = 0 node's uncoupled short wave is too wide for the box
+        sol = nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(28.0, 512))
+        assert sol.n_unavailable == 1
+        assert sol.twist_gap <= 1e-12
         e = nk.energy(sol.Phi, sol.psi, prm_coupled)
-        assert e == pytest.approx(sol.i_value + sol.b ** 2, abs=1e-8)
+        assert abs(e - (sol.i_value + sol.b ** 2)) <= 1e-8
+        assert abs(nk.charge(sol.Phi) - 1.0) <= 1e-10
+        assert abs(nk.momentum(sol.Phi, sol.psi) - 0.5) <= 1e-8
+
+    def test_minimum_abuts_unavailable_nodes(self, prm_coupled):
+        with pytest.raises(nk.DomainTooSmallError, match="abuts"):
+            nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(26.0, 512))
+
+    def test_every_node_unavailable(self, grid_small, prm_coupled):
+        # no profile has a boundary leak this small
+        with pytest.raises(nk.DomainTooSmallError):
+            nk.minimize_W(1.0, 0.5, prm_coupled, grid_small,
+                          MinimizeOptions(max_boundary_leak=1e-300))
+
+    def test_unavailable_trial_point(self, grid_small, prm_coupled,
+                                     monkeypatch):
+        # inner solves past the scan's 33 nodes (the root-find's trial
+        # points) fail as a profile too wide for the box would
+        calls = []
+        solve = minimize_mod.minimize_I
+
+        def failing_after_scan(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) > 33:
+                raise nk.DomainTooSmallError("too wide")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(minimize_mod, "minimize_I", failing_after_scan)
+        with pytest.raises(nk.DomainTooSmallError, match="enlarge the box"):
+            nk.minimize_W(1.0, 0.5, prm_coupled, grid_small)
+        assert len(calls) == 34
 
     def test_rejects_unstable_power(self, grid30):
         prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=2, q=1.0)
@@ -345,13 +402,18 @@ class TestGoldenMinimizers:
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, key
 
     def test_minimize_W(self):
+        # the recorded a_star and n_solves come from a golden-section
+        # search stopped at a width of 1e-6 (1 + |t|): a_star is pinned to
+        # that width, and the root-find of W' = -(c + 2b) must use fewer
+        # inner solves and leave |c + 2b| at rounding
         case = json.loads(GOLDEN.read_text())["w_solve"]
         w = nk.minimize_W(case["s"], case["t"],
                           nk.PhysParams(**case["params"]),
                           nk.make_grid(case["L"], case["n"]))
-        assert w.n_solves == case["n_solves"]
-        for key in ("a_star", "W_value"):
-            _assert_golden_scalar(getattr(w, key), case[key], key)
+        _assert_golden_scalar(w.W_value, case["W_value"], "W_value")
+        assert w.twist_gap <= 1e-12
+        assert abs(w.a_star - case["a_star"]) <= 1.5e-6
+        assert w.n_solves < case["n_solves"]
 
 
 class TestGoldenDescent:
