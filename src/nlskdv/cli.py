@@ -81,23 +81,23 @@ _SCHEMA = [
     ("solver", "tol", "tol", _pos_float, "1e-8"),
     ("solver", "max_iter", "max_iter", _pos_int, "200000"),
     ("solver", "continuation_step", "continuation_step", _pos_float, "0.25"),
-    ("solver", "stabilize_iters", "stabilize_iters", int, "300"),
+    ("solver", "stabilize_iters", "stabilize_iters", _nonneg_int, "300"),
     ("solver", "max_boundary_leak", "max_boundary_leak", _pos_float, "1e-6"),
     ("problem", "s", "s", float, "1.0"),
     ("problem", "t", "t", float, "1.0"),
     ("sweep", "s_values", "s_values", _float_list, "1.0"),
     ("sweep", "t_values", "t_values", _float_list, "1.0"),
-    ("sweep", "workers", "workers", int, "2"),
+    ("sweep", "workers", "workers", _pos_int, "2"),
     ("evolve", "dt", "dt", _pos_float, "0.001"),
     ("evolve", "duration", "duration", _nonneg_float, "20.0"),
     ("evolve", "sample_every", "sample_every", int, "100"),
     ("evolve", "seed", "seed", _nonneg_int, "1234"),
     ("evolve", "epsilon", "epsilon", _nonneg_float, "0.0"),
     ("evolve", "wavespeed", "wavespeed", _wavespeed, "auto"),
-    ("verify", "subadd_count", "subadd_count", int, "2"),
+    ("verify", "subadd_count", "subadd_count", _nonneg_int, "2"),
     ("verify", "seed", "verify_seed", _nonneg_int, "7"),
-    ("verify", "pairs", "verify_pairs", int, "20"),
-    ("verify", "garrisi_cases", "garrisi_cases", int, "5"),
+    ("verify", "pairs", "verify_pairs", _pos_int, "20"),
+    ("verify", "garrisi_cases", "garrisi_cases", _pos_int, "5"),
     ("output", "directory", "directory", str, "runs"),
 ]
 

@@ -183,16 +183,14 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
 def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
     """Spectral derivatives of both fields, one (u, v) pair per order.
 
-    A real pair is one (2, n) stack: one forward transform for it and one
-    inverse for all orders.  A complex u takes the full transform and v
-    keeps its real one; in a complex stack v would move a solve's stored
-    residuals at rounding.
+    The pair is one (2, n) stack: one forward transform for it and one
+    inverse for all orders.  A complex u makes the stack complex, so it
+    takes the full transform and v's rows come back as their real part.
     """
-    real = np.array([grid.deriv_symbol(k, True) for k in orders])
-    if np.isrealobj(u):
-        return apply_symbol(np.array([u, v]), grid, real[:, None])
-    full = np.array([grid.deriv_symbol(k, False) for k in orders])
-    return list(zip(apply_symbol(u, grid, full), apply_symbol(v, grid, real)))
+    real = np.isrealobj(u)
+    sym = np.array([grid.deriv_symbol(k, real) for k in orders])
+    out = apply_symbol(np.array([u, v]), grid, sym[:, None])
+    return out if real else [(du, dv.real) for du, dv in out]
 
 
 def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:

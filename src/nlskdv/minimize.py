@@ -235,10 +235,25 @@ def _pairing(a, b, dx) -> float:
     return float(dx * np.sum(np.real(a * np.conj(b))))
 
 
-def _multipliers_arrays(gphi, gpsi, phi, psi, s, t, dx):
-    sigma = -0.5 * _pairing(gphi, phi, dx) / s if s > 0.0 else math.nan
-    c = -0.5 * _pairing(gpsi, psi, dx) / t if t > 0.0 else math.nan
-    return sigma, c
+def _stationarity(grads, fields, masses, dx, mults=None):
+    """Multipliers and stationarity residual norms from one gradient.
+
+    grads is the energy gradient at fields = (phi, psi) of masses (s, t);
+    no transform is taken here.  Unless mults = (sigma, c) is given, the
+    multipliers come from the integral identities sigma = -<dE/dphi, phi>/2s
+    and c = -<dE/dpsi, psi>/2t (NaN at zero mass).  Returns the
+    multipliers and the L2 norms of the residuals dE/2 + multiplier *
+    profile (NaN where the multiplier is).
+    """
+    if mults is None:
+        mults = tuple(-0.5 * _pairing(g, f, dx) / m if m > 0.0 else math.nan
+                      for g, f, m in zip(grads, fields, masses))
+
+    def norm(r):
+        return math.sqrt(_pairing(r, r, dx))
+    # a NaN multiplier makes its residual, and so its norm, NaN
+    return mults, tuple(norm(0.5 * g + lam * f)
+                        for g, f, lam in zip(grads, fields, mults))
 
 
 def multipliers(pair: SolitaryWavePair, prm: PhysParams):
@@ -249,26 +264,20 @@ def multipliers(pair: SolitaryWavePair, prm: PhysParams):
     t = 0, and sigma is NaN when s = 0.
     """
     grid = same_grid(pair.phi, pair.psi)
-    phi, psi = pair.phi.values, pair.psi.values
-    return _multipliers_arrays(*gradient_values(phi, psi, prm, grid),
-                               phi, psi, pair.s, pair.t, grid.dx)
-
-
-def _residual_fields(phi, psi, sigma, c, prm, grid):
-    """Stationarity residuals dE/2 + multiplier * profile (None if NaN)."""
-    gphi, gpsi = gradient_values(phi, psi, prm, grid)
-    rphi = 0.5 * gphi + sigma * phi if np.isfinite(sigma) else None
-    rpsi = 0.5 * gpsi + c * psi if np.isfinite(c) else None
-    return rphi, rpsi
+    fields = (pair.phi.values, pair.psi.values)
+    return _stationarity(gradient_values(*fields, prm, grid), fields,
+                         (pair.s, pair.t), grid.dx)[0]
 
 
 def el_residual(pair: SolitaryWavePair, prm: PhysParams):
-    """L2 norms of the two stationarity residuals (NaN where undefined)."""
+    """L2 norms of the two stationarity residuals (NaN where undefined).
+
+    The residuals use the pair's stored multipliers.
+    """
     grid = same_grid(pair.phi, pair.psi)
-    return tuple(
-        math.nan if r is None else math.sqrt(_pairing(r, r, grid.dx))
-        for r in _residual_fields(pair.phi.values, pair.psi.values,
-                                  pair.sigma, pair.c, prm, grid))
+    fields = (pair.phi.values, pair.psi.values)
+    return _stationarity(gradient_values(*fields, prm, grid), fields,
+                         (pair.s, pair.t), grid.dx, (pair.sigma, pair.c))[1]
 
 
 def convolution_fixed_point_gap(pair: SolitaryWavePair,
@@ -294,28 +303,44 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
                warm_start=None, recenter: bool = True):
     """Minimize the energy subject to |phi|^2 mass s and psi^2 mass t.
 
-    Either mass may be zero (the corresponding component is frozen at
-    zero); both zero is rejected.  A zero long-wave mass additionally
-    requires beta1 > 0, otherwise the infimum is zero and unattained.
-    Cold coupled solves ramp the coupling up from zero in steps of
-    opts.continuation_step, each stage warm-starting the next.
+    The masses must be finite.  Either may be zero (the corresponding
+    component is frozen at zero); both zero is rejected.  A zero
+    long-wave mass additionally requires beta1 > 0, otherwise the
+    infimum is zero and unattained (UnattainedInfimumError).  A
+    warm_start is a pair of finite real arrays on the grid, nonzero
+    where the mass is positive.  Cold coupled solves ramp the coupling
+    up from zero in steps of opts.continuation_step, each stage
+    warm-starting the next.
 
     Returns (SolitaryWavePair, MinimizeReport).  The pair is recentred
     so the psi mass centroid sits at x = 0 and the global phase of phi
-    is removed.
+    is removed.  Its energy, multipliers and residual norms all come
+    from one evaluation of the energy and gradient on the final real
+    profiles.
     """
     opts = opts or MinimizeOptions()
-    if s < 0 or t < 0 or s + t <= 0:
+    if not (math.isfinite(s) and math.isfinite(t)
+            and s >= 0 and t >= 0 and s + t > 0):
         raise ValidationError(
-            f"need s >= 0, t >= 0, s + t > 0; got s={s}, t={t}")
+            f"need finite s >= 0, t >= 0, s + t > 0; got s={s}, t={t}")
     if t == 0.0 and prm.beta1 == 0.0:
         raise UnattainedInfimumError(
             "with zero long-wave mass and no short-wave self-interaction "
             "the constrained infimum is 0 and is not attained")
 
+    masses = np.array([s, t], dtype=np.float64)
     stages = [prm]
     if warm_start is not None:
-        X = np.array(warm_start, dtype=np.float64)
+        try:
+            X = np.array(warm_start, dtype=np.float64)
+        except ValueError as exc:
+            raise ValidationError(f"malformed warm_start: {exc}") from exc
+        if X.shape != (2, grid.n) or not np.all(np.isfinite(X)):
+            raise ValidationError(
+                f"warm_start needs two finite rows of {grid.n} samples")
+        if np.any((masses > 0.0) & ~X.any(axis=1)):
+            raise ValidationError(
+                "warm_start has an all-zero row where the mass is positive")
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
         if prm.alpha > 0.0 and s > 0.0 and t > 0.0 \
@@ -325,7 +350,6 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             stages = [dataclasses.replace(prm, alpha=float(a))
                       for a in ramp] + [prm]
 
-    masses = np.array([s, t], dtype=np.float64)
     total_iters = 0
     history = []
     final_step = _STEP0
@@ -369,14 +393,15 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"boundary leak {leak:.3e} exceeds {opts.max_boundary_leak:.1e}; "
             "enlarge the box")
 
+    # one evaluation certifies the solve: energy, multipliers, residuals
     e_val, grads = energy_gradient_values(phi, psi, prm, grid)
-    sigma, c = _multipliers_arrays(*grads, phi, psi, s, t, grid.dx)
+    (sigma, c), (res_phi, res_psi) = _stationarity(
+        grads, (phi, psi), (s, t), grid.dx)
     pair = SolitaryWavePair(
         phi=ComplexField(grid, phi), psi=RealField(grid, psi),
         sigma=sigma, c=c, s=s, t=t, energy_value=e_val,
-        el_residual_phi=math.nan, el_residual_psi=math.nan,
+        el_residual_phi=res_phi, el_residual_psi=res_psi,
         boundary_leak=leak)
-    pair.el_residual_phi, pair.el_residual_psi = el_residual(pair, prm)
     report.I_value = e_val
     return pair, report
 
@@ -390,17 +415,19 @@ def subadditivity_probe(s1: float, t1: float, s2: float, t2: float,
     guaranteed: s1+s2 > 0, t1+t2 > 0, s1+t1 > 0, s2+t2 > 0.
     """
     for name, val in (("s1", s1), ("t1", t1), ("s2", s2), ("t2", t2)):
-        if val < 0:
-            raise ValidationError(f"{name} must be >= 0, got {val}")
+        if not 0 <= val < math.inf:
+            raise ValidationError(f"{name} must be finite and >= 0, "
+                                  f"got {val}")
     if not (s1 + s2 > 0 and t1 + t2 > 0 and s1 + t1 > 0 and s2 + t2 > 0):
         raise ValidationError(
             "subadditivity probe needs s1+s2 > 0, t1+t2 > 0, "
             "s1+t1 > 0, s2+t2 > 0")
 
     def ivalue(s_, t_):
-        if t_ == 0.0 and prm.beta1 == 0.0:
+        try:
+            pair, _ = minimize_I(s_, t_, prm, grid, opts)
+        except UnattainedInfimumError:
             return 0.0  # infimum value on this branch, not attained
-        pair, _ = minimize_I(s_, t_, prm, grid, opts)
         return pair.energy_value
 
     return (ivalue(s1, t1) + ivalue(s2, t2)
@@ -421,8 +448,9 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     objective is unbounded below and the problem has no minimizer.
     """
     opts = opts or MinimizeOptions()
-    if s <= 0:
-        raise ValidationError(f"s must be positive, got {s}")
+    if not (0 < s < math.inf and math.isfinite(t)):
+        raise ValidationError(
+            f"need finite s > 0 and t; got s={s}, t={t}")
     if not prm.stability_regime():
         raise ValidationError(
             f"momentum-constrained problem needs p < 4/3, got p={prm.p}")
@@ -436,10 +464,6 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         key = round(a, 15)
         if key in cache:
             return cache[key]
-        if a == 0.0 and prm.beta1 == 0.0:
-            entry = (t * t / s, None)      # I(s,0) = 0, unattained
-            cache[key] = entry
-            return entry
         warm = None
         done = [k for k, v in cache.items() if v[1] is not None]
         if done:
@@ -453,15 +477,16 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
             warm = (np.real(ref.phi.values), psi_w)
         try:
             pair, _ = minimize_I(s, a, prm, grid, opts, warm_start=warm)
-        except (DomainTooSmallError, ConvergenceError):
-            # profile too wide for the box (or no convergence) at this
-            # node; record it as unavailable and keep scanning
+        except UnattainedInfimumError:
+            entry = (t * t / s, None)      # I(s,0) = 0, unattained
+        except DomainTooSmallError:
+            # profile too wide for the box at this node; record it as
+            # unavailable and keep scanning
             unavailable += 1
             entry = (math.inf, None)
-            cache[key] = entry
-            return entry
-        solves += 1
-        entry = (pair.energy_value + (t - a) ** 2 / s, pair)
+        else:
+            solves += 1
+            entry = (pair.energy_value + (t - a) ** 2 / s, pair)
         cache[key] = entry
         return entry
 

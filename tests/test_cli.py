@@ -108,12 +108,21 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["solver.max_iter=0"]),
     (None, ["verify.seed=-1"]),
     (None, ["evolve.seed=-1"]),
+    (None, ["problem.s=nan"]),
+    (None, ["problem.t=nan"]),
+    (None, ["verify.pairs=-1"]),
+    (None, ["verify.garrisi_cases=-2"]),
+    (None, ["verify.subadd_count=-1"]),
+    (None, ["sweep.workers=-3"]),
+    (None, ["solver.stabilize_iters=-1"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
         "negative-epsilon", "negative-duration", "negative-dt",
         "zero-continuation-step", "nonpositive-tol", "nan-tol",
         "negative-leak", "zero-max-iter", "negative-verify-seed",
-        "negative-evolve-seed"])
+        "negative-evolve-seed", "nan-s", "nan-t", "negative-pairs",
+        "negative-garrisi-cases", "negative-subadd-count",
+        "negative-workers", "negative-stabilize-iters"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:

@@ -134,12 +134,24 @@ class TestStackedTransforms:
                                 counting(name, getattr(scipy.fft, name)))
         return calls
 
-    @pytest.mark.parametrize("fn", [energy_values, gradient_values,
-                                    energy_gradient_values])
-    def test_one_transform_pair(self, grid30, prm_coupled, fft_calls, fn):
-        u = np.exp(-grid30.x ** 2 / 4)
-        fn(u, 0.5 * u, prm_coupled, grid30)
-        assert fft_calls == ["rfft", "irfft"]
+    # a complex u makes the stack complex: one full transform pair
+    @pytest.mark.parametrize("fn,phase,calls", [
+        pytest.param(energy_values, 1.0, ["rfft", "irfft"],
+                     id="energy_values"),
+        pytest.param(gradient_values, 1.0, ["rfft", "irfft"],
+                     id="gradient_values"),
+        pytest.param(energy_gradient_values, 1.0, ["rfft", "irfft"],
+                     id="energy_gradient_values"),
+        pytest.param(energy_values, 1.0 + 0.5j, ["fft", "ifft"],
+                     id="energy_values-complex"),
+        pytest.param(energy_gradient_values, 1.0 + 0.5j, ["fft", "ifft"],
+                     id="energy_gradient_values-complex"),
+    ])
+    def test_one_transform_pair(self, grid30, prm_coupled, fft_calls, fn,
+                                phase, calls):
+        v = np.exp(-grid30.x ** 2 / 4)
+        fn(phase * v, 0.5 * v, prm_coupled, grid30)
+        assert fft_calls == calls
 
     def test_descent_calls_per_iteration(self, grid40, prm_coupled,
                                          fft_calls):
@@ -148,6 +160,14 @@ class TestStackedTransforms:
         # and gradient transforms would cost 7.4 calls per iteration
         _, rep = nk.minimize_I(1.0, 1.0, prm_coupled, grid40)
         assert len(fft_calls) <= 6 * rep.iterations
+
+    def test_solve_certified_by_real_transforms(self, grid30, prm_coupled,
+                                                fft_calls):
+        # energy, multipliers and residuals come from the descent's own
+        # real evaluation of the final profiles, not a full transform of
+        # the stored complex phi
+        nk.minimize_I(1.0, 1.0, prm_coupled, grid30)
+        assert not {"fft", "ifft"} & set(fft_calls)
 
 
 class TestEnergy:
