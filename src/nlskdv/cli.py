@@ -32,13 +32,16 @@ OUTPUT_ROOT_ENV = "NLSKDV_OUTPUT_ROOT"
 
 
 def _float_list(raw: str) -> list:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    vals = [float(tok) for tok in raw.replace(",", " ").split()]
+    if not vals:
+        raise ValueError("must list at least one value")
+    return vals
 
 
 def _nonneg_float(raw: str) -> float:
     val = float(raw)
-    if not val >= 0.0:
-        raise ValueError(f"must be >= 0, got {val}")
+    if not 0.0 <= val < float("inf"):
+        raise ValueError(f"must be finite and >= 0, got {val}")
     return val
 
 
@@ -65,7 +68,12 @@ def _nonneg_int(raw: str) -> int:
 
 def _wavespeed(raw: str) -> Optional[float]:
     raw = raw.strip().lower()
-    return None if raw == "auto" else float(raw)
+    if raw == "auto":
+        return None
+    val = float(raw)
+    if not np.isfinite(val):
+        raise ValueError(f"must be a finite number or 'auto', got {val}")
+    return val
 
 
 # (section, key, RunConfig attribute, parser, default text); every config

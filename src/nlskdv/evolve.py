@@ -90,17 +90,19 @@ class _Stepper:
     """Precomputed propagators and dealiased nonlinearity for one dt.
 
     Every array is a (2, n) stack over the short and long wave in full
-    FFT ordering.  The stage slopes and arguments live in buffers owned
-    by the stepper, so a step allocates only the state it returns; the
-    state passed in is never modified.
+    FFT ordering.  The propagators are built from Grid1D.deriv_symbol,
+    whose odd-order symbols zero the Nyquist mode, so the real long wave
+    keeps a real spectrum there.  The stage slopes and arguments live in
+    buffers owned by the stepper, so a step allocates only the state it
+    returns; the state passed in is never modified.
     """
 
     def __init__(self, grid: Grid1D, prm: PhysParams, dt: float):
         self.prm = prm
         self.dt = dt
-        k = grid.wavenumbers
+        d2, d3 = grid.deriv_symbol(2, False), grid.deriv_symbol(3, False)
         # exact flows of i u_t + u_xx = 0 and v_t + v_xxx = 0 over dt/2
-        self.e_h = np.exp(np.stack([-1j * k ** 2, 1j * k ** 3]) * (dt / 2.0))
+        self.e_h = np.exp(np.stack([1j * d2, -d3]) * (dt / 2.0))
         self.e_f = self.e_h ** 2
         self.two_e_h = 2.0 * self.e_h
         self.dt_e_h = dt * self.e_h
@@ -194,6 +196,8 @@ def evolve(state: EvolveState, T: float, dt: float,
     attached to the raised error.
     """
     _check_dt(state, dt)
+    if not np.isfinite(T):
+        raise ValidationError(f"duration T must be finite, got {T}")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
     nsteps = int(round(abs(T) / abs(dt)))
@@ -264,36 +268,31 @@ def traveling_wavespeed(pair: SolitaryWavePair,
     return pair.c if np.isfinite(pair.c) else 0.0
 
 
-def _h1_sq(uh: np.ndarray, vh: np.ndarray, grid: Grid1D) -> float:
-    """Squared product H1 norm from the full spectra of the two fields."""
-    w = grid.h1_weights
-    return (grid.dx / grid.n) * (np.sum(w * np.abs(uh) ** 2)
-                                 + np.sum(w * np.abs(vh) ** 2))
+def _h1_sq(S: np.ndarray, grid: Grid1D) -> float:
+    """Squared product H1 norm from the (2, n) full spectrum of a pair."""
+    return (grid.dx / grid.n) * np.sum(grid.h1_weights * np.abs(S) ** 2)
 
 
 def y_norm(uvals: np.ndarray, vvals: np.ndarray, grid: Grid1D) -> float:
     """Product H1 norm of a pair of sample arrays."""
-    return float(np.sqrt(_h1_sq(scipy.fft.fft(uvals), scipy.fft.fft(vvals),
+    return float(np.sqrt(_h1_sq(scipy.fft.fft(np.stack([uvals, vvals])),
                                 grid)))
 
 
 @dataclass(frozen=True)
 class _Orbit:
-    """orbital_distance's reference: spectra Phih, psih and H1 norm^2."""
+    """orbital_distance's reference: its (2, n) spectrum S and H1 norm^2."""
 
     grid: Grid1D
-    Phih: np.ndarray
-    psih: np.ndarray
+    S: np.ndarray
     h1_sq: float
 
     @classmethod
     def of(cls, reference: SolitaryWavePair, wavespeed: Optional[float],
            prm: PhysParams) -> "_Orbit":
         c = traveling_wavespeed(reference, wavespeed)
-        ref = solitary_initial(reference, c, prm=prm)
-        Phih, psih = scipy.fft.fft(ref.u.values), scipy.fft.fft(ref.v.values)
-        return cls(reference.grid, Phih, psih,
-                   _h1_sq(Phih, psih, reference.grid))
+        S = _spectral(solitary_initial(reference, c, prm=prm))
+        return cls(reference.grid, S, _h1_sq(S, reference.grid))
 
 
 def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
@@ -313,17 +312,12 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
         raise GridMismatchError("reference lives on a different grid")
     orbit = reference if isinstance(reference, _Orbit) \
         else _Orbit.of(reference, wavespeed, state.prm)
-    Phih, psih = orbit.Phih, orbit.psih
 
-    w = grid.h1_weights
-    scale = grid.dx / grid.n
-    uh, vh = scipy.fft.fft(state.u.values), scipy.fft.fft(state.v.values)
-    c0 = float(orbit.h1_sq + _h1_sq(uh, vh, grid))
-
-    zu = w * Phih * np.conj(uh)
-    zv = w * psih * np.conj(vh)
+    S = _spectral(state)
+    c0 = float(orbit.h1_sq + _h1_sq(S, grid))
+    Z = grid.h1_weights * orbit.S * np.conj(S)
     # correlation against all grid shifts at once locates the candidate
-    cu, cv = scipy.fft.fft(np.array([zu, zv])) * scale
+    cu, cv = scipy.fft.fft(Z) * (grid.dx / grid.n)
     d2 = c0 - 2.0 * np.abs(cu) - 2.0 * np.real(cv)
     m = int(np.argmin(d2))
     y0 = grid.x[m] + grid.half_length  # shift y_m = m * dx
@@ -332,10 +326,11 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
         # spectral difference at the phase-optimal theta; no large-term
         # cancellation, so the floor is machine precision
         ph = np.exp(-1j * grid.wavenumbers * y)
-        cc = np.sum(zu * ph)
-        rot = np.conj(cc) / abs(cc) if cc != 0 else 1.0
-        val = _h1_sq(rot * (Phih * ph) - uh, psih * ph - vh, grid)
-        return max(float(val), 0.0)
+        cc = np.sum(Z[0] * ph)
+        D = orbit.S * ph
+        D[0] *= np.conj(cc) / abs(cc) if cc != 0 else 1.0
+        D -= S
+        return max(float(_h1_sq(D, grid)), 0.0)
 
     # optimize the offset from the coarse candidate; the bounded scalar
     # solver resolves an argument only to sqrt(eps) times its magnitude

@@ -112,12 +112,15 @@ class PhysParams:
     def __post_init__(self):
         p = parse_odd_denominator(self.p)
         object.__setattr__(self, "p", p)
-        if not (self.alpha >= 0):
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
-        if not (self.tau1 >= 0):
-            raise ValidationError(f"tau1 must be >= 0, got {self.tau1}")
-        if not (self.tau2 > 0):
-            raise ValidationError(f"tau2 must be > 0, got {self.tau2}")
+        if not (0 <= self.alpha < np.inf):
+            raise ValidationError(
+                f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (0 <= self.tau1 < np.inf):
+            raise ValidationError(
+                f"tau1 must be finite and >= 0, got {self.tau1}")
+        if not (0 < self.tau2 < np.inf):
+            raise ValidationError(
+                f"tau2 must be finite and > 0, got {self.tau2}")
         if not (1 <= self.q < 4):
             raise ValidationError(f"q must lie in [1, 4), got {self.q}")
         if not (Fraction(1) <= p < Fraction(4)):
@@ -245,12 +248,15 @@ def charge(u: ComplexField) -> float:
     return float(u.grid.dx * np.sum(np.abs(u.values) ** 2))
 
 
+def _momentum(u: np.ndarray, v: np.ndarray, ux: np.ndarray, dx) -> float:
+    im_part = float(np.imag(dx * np.sum(u * np.conj(ux))))
+    return float(dx * np.sum(v ** 2)) + im_part
+
+
 def momentum(u: ComplexField, v: RealField) -> float:
     """G(u, v) = int v^2 dx + Im int u conj(u_x) dx."""
     g = same_grid(u, v)
-    ux = deriv_values(u.values, g)
-    im_part = float(np.imag(g.dx * np.sum(u.values * np.conj(ux))))
-    return float(g.dx * np.sum(v.values ** 2)) + im_part
+    return _momentum(u.values, v.values, deriv_values(u.values, g), g.dx)
 
 
 def kdv_action(gfield: RealField, prm: PhysParams) -> float:
@@ -267,5 +273,9 @@ def nls_action(f: ComplexField, prm: PhysParams) -> float:
 
 def conserved_triple(u: ComplexField, v: RealField,
                      prm: PhysParams) -> ConservedTriple:
-    return ConservedTriple(E=energy(u, v, prm), G=momentum(u, v),
+    """E, G and H of a pair; E and G share u_x from one transform pair."""
+    g = same_grid(u, v)
+    ux, vx = _derivs(u.values, v.values, g, 1)[0]
+    return ConservedTriple(E=_energy(u.values, v.values, ux, vx, prm, g),
+                           G=_momentum(u.values, v.values, ux, g.dx),
                            H=charge(u))

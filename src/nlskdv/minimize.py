@@ -150,7 +150,7 @@ def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
     """
     dx = grid.dx
     live = masses > 0.0
-    precond = 1.0 / (2.0 * (grid.rwavenumbers ** 2 + _PRECOND_SHIFT))
+    precond = 1.0 / (2.0 * (_PRECOND_SHIFT - grid.deriv_symbol(2, True)))
 
     def evaluate(X):
         e, G = energy_gradient_values(*X, prm, grid)

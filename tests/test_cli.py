@@ -115,6 +115,11 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["verify.subadd_count=-1"]),
     (None, ["sweep.workers=-3"]),
     (None, ["solver.stabilize_iters=-1"]),
+    (None, ["physics.alpha=inf"]),
+    (None, ["physics.tau2=inf"]),
+    (None, ["evolve.duration=inf"]),
+    (None, ["evolve.wavespeed=nan"]),
+    (None, ["sweep.s_values="]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
         "negative-epsilon", "negative-duration", "negative-dt",
@@ -122,7 +127,8 @@ def test_invalid_p_exit_2(tmp_path, capsys):
         "negative-leak", "zero-max-iter", "negative-verify-seed",
         "negative-evolve-seed", "nan-s", "nan-t", "negative-pairs",
         "negative-garrisi-cases", "negative-subadd-count",
-        "negative-workers", "negative-stabilize-iters"])
+        "negative-workers", "negative-stabilize-iters", "inf-alpha",
+        "inf-tau2", "inf-duration", "nan-wavespeed", "empty-s-values"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,13 @@ class TestEvolveTrace:
         with pytest.raises(nk.ValidationError):
             nk.evolve(st, 1.0, 1e-3, sample_every=0)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_duration_must_be_finite(self, coupled_pair_30, prm_coupled, T):
+        pair, _, _ = coupled_pair_30
+        st = nk.solitary_initial(pair, 0.0, prm=prm_coupled)
+        with pytest.raises(nk.ValidationError, match="finite"):
+            nk.evolve(st, T, 1e-3)
+
 
 class TestOrbitalDistance:
     def test_zero_at_reference(self, coupled_pair_30, prm_coupled):
@@ -295,8 +303,10 @@ class TestGoldenTrajectory:
 
     tests/data/evolve_golden.json was recorded with the earlier stepper,
     which transformed u and v in separate calls (a real transform for
-    v).  The stacked stepper changes only the rounding, so every series
-    and the final samples agree to 1e-12 of their size.
+    v) and kept the Nyquist entry of the k^3 symbol.  The stacked
+    stepper changes only the rounding, so every series and the final
+    samples agree to 1e-12 of their size, once the recorded v is
+    cleared of the Nyquist rotation (see test_matches_golden).
     """
 
     @pytest.mark.parametrize("name", ["p1-q1", "p7_5-q5_2"])
@@ -304,34 +314,54 @@ class TestGoldenTrajectory:
         gold = json.loads(GOLDEN.read_text())
         case = gold["cases"][name]
         st, pair = _golden_start(gold, case)
-        tr = nk.evolve(st, gold["steps"] * gold["dt"], gold["dt"],
+        T = gold["steps"] * gold["dt"]
+        tr = nk.evolve(st, T, gold["dt"],
                        sample_every=gold["sample_every"], reference=pair)
         stride = gold["state_stride"]
         got = {"times": tr.times, "E": tr.E, "G": tr.G, "H": tr.H,
                "distance": tr.distance,
                "u": tr.final_state.u.values[::stride],
                "v": tr.final_state.v.values[::stride]}
+        # The recording stepper turned v's Nyquist coefficient N0 (real
+        # at the start, untouched by the dealiased nonlinearity) by
+        # exp(i k_N^3 T), and the real field kept Re(N0 exp(i k_N^3 T));
+        # the stepper built on Grid1D.deriv_symbol leaves N0 in place.
+        # At an even stride the mode (-1)^j / n is a constant, so the
+        # recorded v carries (Re(N0 exp(i k_N^3 T)) - N0) / n on top.
+        n = st.grid.n
+        assert stride % 2 == 0
+        n0 = np.fft.fft(st.v.values)[n // 2].real
+        k_nyq = st.grid.wavenumbers[n // 2]
+        turned = (n0 * np.exp(1j * k_nyq ** 3 * T)).real
         wants = dict(case, u=np.array(case["u_re"])
-                     + 1j * np.array(case["u_im"]))
+                     + 1j * np.array(case["u_im"]),
+                     v=np.array(case["v"]) - (turned - n0) / n)
         for key, series in got.items():
             want = np.asarray(wants[key])
             assert series.shape == want.shape, key
             scale = float(np.max(np.abs(want)))
             assert np.max(np.abs(series - want)) <= 1e-12 * scale, key
 
-    @pytest.mark.parametrize("name", ["p1-q1", "p7_5-q5_2"])
-    def test_backward_then_forward_step(self, name):
+    @pytest.mark.parametrize("name,zero_nyquist", [
+        pytest.param("p1-q1", True, id="p1-q1"),
+        pytest.param("p7_5-q5_2", True, id="p7_5-q5_2"),
+        pytest.param("p1-q1", False, id="p1-q1-nyquist"),
+        pytest.param("p7_5-q5_2", False, id="p7_5-q5_2-nyquist"),
+    ])
+    def test_backward_then_forward_step(self, name, zero_nyquist):
         # at dt=1e-4 the O(dt^5) defect of RK4 is below rounding.  The
-        # Nyquist mode of v is zeroed first: odd dispersion turns it
-        # complex, which a real field cannot hold, so it would not return
+        # zeroed Nyquist entry of the k^3 symbol keeps v's Nyquist mode
+        # real, so v returns whether or not that mode is zeroed first
         gold = json.loads(GOLDEN.read_text())
         st, _ = _golden_start(gold, gold["cases"][name])
-        vh = np.fft.rfft(st.v.values)
-        vh[-1] = 0.0
-        st = nk.EvolveState(u=st.u,
-                            v=nk.RealField(st.grid,
-                                           np.fft.irfft(vh, st.grid.n)),
-                            time=0.0, prm=st.prm)
+        if zero_nyquist:
+            vh = np.fft.rfft(st.v.values)
+            vh[-1] = 0.0
+            st = nk.EvolveState(
+                u=st.u, v=nk.RealField(st.grid, np.fft.irfft(vh, st.grid.n)),
+                time=0.0, prm=st.prm)
+        else:
+            assert abs(np.fft.rfft(st.v.values)[-1]) > 1e-9
         back = nk.step(nk.step(st, -1e-4), 1e-4)
         for a, b in ((back.u.values, st.u.values),
                      (back.v.values, st.v.values)):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
+from nlskdv.evolve import _Orbit, y_norm
 from nlskdv.functionals import (energy_gradient_values, energy_values,
                                 gradient_values, nonlinearity,
                                 parse_odd_denominator)
@@ -44,6 +45,13 @@ class TestPhysParams:
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(nk.ValidationError):
+            nk.PhysParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["alpha", "tau1", "tau2"])
+    def test_rejects_infinite(self, name):
+        kwargs = dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
+        kwargs[name] = float("inf")
+        with pytest.raises(nk.ValidationError, match=name):
             nk.PhysParams(**kwargs)
 
     def test_to_dict(self):
@@ -168,6 +176,32 @@ class TestStackedTransforms:
         # the stored complex phi
         nk.minimize_I(1.0, 1.0, prm_coupled, grid30)
         assert not {"fft", "ifft"} & set(fft_calls)
+
+    # the integrator's diagnostics transform each (u, v) pair as one
+    # (2, n) stack, not one field at a time
+    def test_conserved_triple_one_transform_pair(self, grid30, prm_coupled,
+                                                 fft_calls):
+        # E and G share u_x
+        v = np.exp(-grid30.x ** 2 / 4)
+        nk.conserved_triple(nk.ComplexField(grid30, (1.0 + 0.5j) * v),
+                            nk.RealField(grid30, 0.5 * v), prm_coupled)
+        assert fft_calls == ["fft", "ifft"]
+
+    def test_y_norm_one_transform(self, grid30, fft_calls):
+        v = np.exp(-grid30.x ** 2 / 4)
+        y_norm((1.0 + 0.5j) * v, 0.5 * v, grid30)
+        assert fft_calls == ["fft"]
+
+    def test_orbital_distance_two_transforms(self, coupled_pair_30,
+                                             prm_coupled, fft_calls):
+        # the state's spectrum and the correlation over all shifts; the
+        # reference's spectrum is built once, outside the call
+        pair, _, _ = coupled_pair_30
+        orbit = _Orbit.of(pair, None, prm_coupled)
+        st = nk.solitary_initial(pair, 0.3, prm=prm_coupled)
+        fft_calls.clear()
+        nk.orbital_distance(st, orbit)
+        assert fft_calls == ["fft", "fft"]
 
 
 class TestEnergy:

@@ -150,6 +150,19 @@ def test_one_fft_library():
     assert hits == []
 
 
+def test_one_set_of_spectral_symbols():
+    # Grid1D is the one place that raises wavenumbers to a power (its
+    # deriv_symbol and h1_weights); every other module takes its symbols
+    # from there
+    src = Path(__file__).resolve().parents[1] / "src" / "nlskdv"
+    power = re.compile(r"(wavenumbers|\bk)\s*\*\*")
+    hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+            if path.name != "grid.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if power.search(line)]
+    assert hits == []
+
+
 def test_integral_of_derivative_vanishes(grid30):
     f = real_field(grid30, lambda x: np.exp(-x ** 2 / 4) * (1 + 0.3 * x))
     assert abs(nk.integrate(nk.deriv(f))) <= 1e-13
