@@ -181,7 +181,12 @@ def _check_dt(state: EvolveState, dt: float) -> None:
 
 def step(state: EvolveState, dt: float) -> EvolveState:
     """Advance one step; negative dt integrates backward."""
-    return evolve(state, dt, dt).final_state
+    _check_dt(state, dt)
+    S = _Stepper(state.grid, state.prm, dt).step_spectral(_spectral(state))
+    if not np.all(np.isfinite(S)):
+        raise BlowUpError(f"blow-up at step 1 (t={state.time + dt:.6g})",
+                          last_state=state)
+    return _state(S, state.time + dt, state.prm, state.grid)
 
 
 def evolve(state: EvolveState, T: float, dt: float,
@@ -191,16 +196,22 @@ def evolve(state: EvolveState, T: float, dt: float,
            seed: Optional[int] = None) -> EvolveTrace:
     """Integrate for duration T, sampling conserved quantities.
 
-    When a reference pair is given, the distance to its symmetry orbit
-    is recorded at each sample.  On blow-up the partial trace is
-    attached to the raised error.
+    T must be a whole number of steps dt (to 1e-9 relative), so the run
+    ends at T.  When a reference pair is given, the distance to its
+    symmetry orbit is recorded at each sample.  On blow-up the partial
+    trace is attached to the raised error.
     """
     _check_dt(state, dt)
     if not np.isfinite(T):
         raise ValidationError(f"duration T must be finite, got {T}")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
-    nsteps = int(round(abs(T) / abs(dt)))
+    ratio = abs(T) / abs(dt)
+    nsteps = int(round(ratio))
+    if abs(ratio - nsteps) > 1e-9 * ratio:
+        raise ValidationError(
+            f"duration T={T} is not a whole number of steps dt={dt} "
+            f"(T/dt = {ratio:.12g})")
     stepper = _Stepper(state.grid, state.prm, dt)
     grid = state.grid
     S = _spectral(state)

@@ -191,7 +191,7 @@ def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
     takes the full transform and v's rows come back as their real part.
     """
     real = np.isrealobj(u)
-    sym = np.array([grid.deriv_symbol(k, real) for k in orders])
+    sym = grid.deriv_symbol(orders, real)
     out = apply_symbol(np.array([u, v]), grid, sym[:, None])
     return out if real else [(du, dv.real) for du, dv in out]
 

@@ -53,20 +53,25 @@ class Grid1D:
         object.__setattr__(self, "rwavenumbers", kr)
         object.__setattr__(self, "h1_weights", w)
 
-    def deriv_symbol(self, order: int, real: bool) -> np.ndarray:
+    def deriv_symbol(self, order: int | tuple, real: bool) -> np.ndarray:
         """Multiplier (i k)^order of the spectral derivative, built once.
 
         real selects rfft ordering.  The Nyquist mode is zeroed for odd
-        orders so real input stays real; even-order symbols are real.
+        orders so real input stays real; even-order symbols are real.  A
+        tuple of orders gives the stack of their symbols, one row each,
+        also built once.
         """
         sym = self._symbols.get((order, real))
         if sym is None:
-            k = self.rwavenumbers if real else self.wavenumbers
-            sym = (1j * k) ** order
-            if order % 2 == 0:
-                sym = sym.real.copy()
+            if isinstance(order, tuple):
+                sym = np.array([self.deriv_symbol(m, real) for m in order])
             else:
-                sym[-1 if real else self.n // 2] = 0.0
+                k = self.rwavenumbers if real else self.wavenumbers
+                sym = (1j * k) ** order
+                if order % 2 == 0:
+                    sym = sym.real.copy()
+                else:
+                    sym[-1 if real else self.n // 2] = 0.0
             sym.flags.writeable = False
             self._symbols[(order, real)] = sym
         return sym

@@ -45,7 +45,9 @@ _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
 _STABILIZE_EVERY = 25             # rearrangement swap period
 _CONTINUATION_TOL = 1e-6          # exit tolerance of the ramp stages
 _PRECOND_SHIFT = 1.0              # H1 preconditioner 1/(2 (k^2 + shift))
-_W_SCAN_NODES = 33
+_MAX_RAMP_STAGES = 10_000         # coupling-ramp stages of a cold solve
+_W_SCAN_NODES = 17
+_W_ROUNDING = 1e-12               # relative W difference below rounding
 
 
 @dataclass
@@ -345,6 +347,11 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         X = np.array(_initial_fields(s, t, prm, grid))
         if prm.alpha > 0.0 and s > 0.0 and t > 0.0 \
                 and prm.alpha > opts.continuation_step:
+            if prm.alpha / opts.continuation_step > _MAX_RAMP_STAGES:
+                raise ValidationError(
+                    f"coupling ramp alpha / continuation_step = "
+                    f"{prm.alpha / opts.continuation_step:.3g} exceeds "
+                    f"{_MAX_RAMP_STAGES} stages")
             ramp = np.arange(opts.continuation_step, prm.alpha,
                              opts.continuation_step)
             stages = [dataclasses.replace(prm, alpha=float(a))
@@ -434,15 +441,81 @@ def subadditivity_probe(s1: float, t1: float, s2: float, t2: float,
             - ivalue(s1 + s2, t1 + t2))
 
 
+def _warm_start(a: float, known: dict, grid: Grid1D):
+    """Starting [phi; psi] stack at a parameter value a from solved ones.
+
+    known maps solved parameter values to their pairs.  Between two
+    solved values the start interpolates their profiles linearly; on one
+    side only it extrapolates along the secant of the two nearest (the
+    predictor of natural-parameter continuation); next to a single one
+    it is that pair's profiles.  A psi row left all zero (the only
+    neighbour has no long wave) becomes a sech^2 bump.  None when known
+    is empty.
+    """
+    def stack(k):
+        return np.array([np.real(known[k].phi.values), known[k].psi.values])
+
+    below = sorted((k for k in known if k < a), reverse=True)
+    above = sorted(k for k in known if k > a)
+    if below and above:
+        lo, hi = below[0], above[0]
+        w = (a - lo) / (hi - lo)
+        X = (1.0 - w) * stack(lo) + w * stack(hi)
+    elif below or above:
+        near = below or above
+        X = stack(near[0])
+        if len(near) > 1:
+            X = X + (a - near[0]) / (near[0] - near[1]) * (X - stack(near[1]))
+    else:
+        return None
+    if not X[1].any():
+        X[1] = 1.0 / np.cosh(grid.x / 2.0) ** 2
+    return X
+
+
+def _hermite_min(a0: float, a1: float, w0: float, w1: float,
+                 d0: float, d1: float):
+    """Interior minimum (a, value) of the cubic Hermite model, or None.
+
+    The model matches values w0, w1 and derivatives d0, d1 at a0 < a1.
+    In x = (a - a0)/h it is w0 + d0 h x + c2 x^2 + c3 x^3; the minimizing
+    root of its derivative is taken in the form free of cancellation.
+    """
+    h = a1 - a0
+    c2 = 3.0 * (w1 - w0) - (2.0 * d0 + d1) * h
+    c3 = -2.0 * (w1 - w0) + (d0 + d1) * h
+    disc = c2 * c2 - 3.0 * c3 * d0 * h
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    if c2 > 0.0:
+        x = -d0 * h / (c2 + root)
+    elif c3 != 0.0:
+        x = (root - c2) / (3.0 * c3)
+    else:
+        return None
+    if not 0.0 < x < 1.0:
+        return None
+    return a0 + x * h, w0 + x * (d0 * h + x * (c2 + x * c3))
+
+
 def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                opts: Optional[MinimizeOptions] = None) -> WSolution:
     """Minimize the energy at fixed mass s and momentum t.
 
     Reduces to a one-dimensional search over the long-wave mass a of
-    W(a) = I(s, a) + b(a)^2 s, b(a) = (t - a)/s: an adaptive scan locates
-    the minimum and Brent's method finds the root of W' = -(c + 2b) next
-    to it (dI/da = -c along minimizers).  The short-wave profile is
-    reconstructed by the phase twist exp(-i b x).
+    W(a) = I(s, a) + b(a)^2 s, b(a) = (t - a)/s.  Along minimizers
+    dI/da = -c, so each inner solve also gives the slope W' = -(c + 2b).
+    A 17-node scan keeps W and W' per node.  Its brackets are the cells
+    where W' turns from negative to positive, plus the halves of a cell
+    split at the minimum of its cubic Hermite model of (W, W') when that
+    model undercuts the best W found (at most one split per scan cell
+    in all).  Brent's method finds the root of W' in each bracket, and
+    the lowest W among the roots and the best node wins.  An inner solve
+    at a > 0 starts from the profiles of the solved masses around a
+    (interpolated, or extrapolated along the secant of the two nearest);
+    a = 0 is solved cold from its decoupled start.  The short-wave
+    profile is reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced
     objective is unbounded below and the problem has no minimizer.
@@ -464,17 +537,11 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         key = round(a, 15)
         if key in cache:
             return cache[key]
-        warm = None
-        done = [k for k, v in cache.items() if v[1] is not None]
-        if done:
-            nearest = min(done, key=lambda k: abs(k - a))
-            ref = cache[nearest][1]
-            psi_w = ref.psi.values
-            if a > 0.0 and nearest > 0.0:
-                psi_w = psi_w * math.sqrt(a / nearest)
-            elif a > 0.0:
-                psi_w = 1.0 / np.cosh(grid.x / 2.0) ** 2
-            warm = (np.real(ref.phi.values), psi_w)
+        # a = 0 starts cold from its closed-form decoupled profile, which
+        # converges in a few iterations
+        warm = None if a == 0.0 else _warm_start(
+            a, {k: v[1] for k, v in cache.items() if v[1] is not None},
+            grid)
         try:
             pair, _ = minimize_I(s, a, prm, grid, opts, warm_start=warm)
         except UnattainedInfimumError:
@@ -490,6 +557,16 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         cache[key] = entry
         return entry
 
+    def slope(a: float) -> float:
+        # -W'(a) = c + 2b; a = 0 has no long-wave multiplier, take a -> 0+
+        if a == 0.0:
+            return math.inf if prm.alpha > 0.0 else 2.0 * t / s
+        pair = solve_at(a)[1]
+        if pair is None:
+            raise DomainTooSmallError(
+                f"no profile at long-wave mass a = {a:.6g}; enlarge the box")
+        return pair.c + 2.0 * (t - a) / s
+
     a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
     for _ in range(9):
         nodes = np.linspace(0.0, a_max, _W_SCAN_NODES)
@@ -503,29 +580,71 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     else:
         raise BoundaryMinimumError(
             f"scan minimum stuck at the upper endpoint a = {a_max}")
-    for j in (best - 1, best + 1):
-        if 0 <= j < len(nodes) and math.isinf(vals[j]):
-            raise DomainTooSmallError(
-                "the scan minimum abuts long-wave masses whose profiles do "
-                "not fit the box; enlarge the box")
+    nodes = [float(a) for a in nodes]
 
-    def slope(a: float) -> float:
-        # -W'(a) = c + 2b; a = 0 has no long-wave multiplier, take a -> 0+
-        if a == 0.0:
-            return math.inf if prm.alpha > 0.0 else 2.0 * t / s
-        pair = solve_at(a)[1]
-        if pair is None:
-            raise DomainTooSmallError(
-                f"no profile at long-wave mass a = {a:.6g}; enlarge the box")
-        return pair.c + 2.0 * (t - a) / s
+    def abuts(j):
+        # node j next to the best one has no profile, and the minimum is
+        # not in the cell on the other side: W falls toward j there, or
+        # there is no such cell
+        k = 2 * best - j
+        return 0 <= j < len(nodes) and math.isinf(vals[j]) and (
+            not 0 <= k < len(nodes) or math.isinf(vals[best])
+            or (j - best) * slope(nodes[best]) >= 0.0)
 
-    # root of W' between the scan's argmin and its downhill neighbour,
-    # to rounding in a (xtol ~ 0 leaves brentq's 4 eps relative floor)
-    j = best + 1 if best == 0 or slope(float(nodes[best])) > 0.0 else best - 1
-    lo, hi = sorted((float(nodes[best]), float(nodes[j])))
-    a_star = float(nodes[best])
-    if slope(lo) > 0.0 > slope(hi):
-        a_star = brentq(slope, lo, hi, xtol=1e-15)
+    for side in (-1, 1):
+        if abuts(best + side):
+            # halve the gap to that node before giving up
+            j = max(best, best + side)
+            mid = 0.5 * (nodes[j - 1] + nodes[j])
+            nodes.insert(j, mid)
+            vals.insert(j, solve_at(mid)[0])
+            best += side < 0
+            if vals[j] < vals[best]:
+                best = j
+            if abuts(best + side):
+                raise DomainTooSmallError(
+                    "the scan minimum abuts long-wave masses whose profiles "
+                    "do not fit the box; enlarge the box")
+
+    # cells between available nodes; a cell whose slope turns from > 0 to
+    # < 0 brackets a root of W'.  Any other cell whose cubic Hermite model
+    # of (W, W') has an interior minimum below the best W by more than
+    # rounding is solved there once and replaced by its two halves.
+    # a = 0's infinite slope has no cubic model.
+    a_best, w_best = nodes[best], vals[best]
+    cells = [(a0, a1) for a0, a1, w0, w1
+             in zip(nodes, nodes[1:], vals, vals[1:])
+             if math.isfinite(w0) and math.isfinite(w1)]
+    brackets = []
+    refinements = len(cells)       # at most one model solve per scan cell
+    while cells:
+        a0, a1 = cells.pop()
+        s0, s1 = slope(a0), slope(a1)
+        if s0 > 0.0 > s1:
+            brackets.append((a0, a1))
+            continue
+        model = _hermite_min(a0, a1, solve_at(a0)[0], solve_at(a1)[0],
+                             -s0, -s1) if math.isfinite(s0) else None
+        if model is None or refinements == 0 or \
+                model[1] >= w_best - _W_ROUNDING * (1.0 + abs(w_best)):
+            continue
+        refinements -= 1
+        # kept in the middle half of the cell, so a model biased to one
+        # side still shrinks the cell by a quarter
+        am = min(max(model[0], 0.75 * a0 + 0.25 * a1),
+                 0.25 * a0 + 0.75 * a1)
+        slope(am)  # raises when the model point has no profile
+        w_m = solve_at(am)[0]
+        if w_m < w_best:
+            a_best, w_best = am, w_m
+        cells += [(a0, am), (am, a1)]
+
+    # each root of W' to rounding in a (xtol ~ 0 leaves brentq's 4 eps
+    # relative floor); the best node wins only by more than rounding
+    roots = [brentq(slope, lo, hi, xtol=1e-15) for lo, hi in brackets]
+    a_star = min(roots, key=lambda a: solve_at(a)[0], default=a_best)
+    if solve_at(a_star)[0] > w_best + _W_ROUNDING * (1.0 + abs(w_best)):
+        a_star = a_best
     w_value, pair = solve_at(a_star)
     cache.clear()  # brentq wraps slope in a reference cycle; free the pairs
     if pair is None:

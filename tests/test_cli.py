@@ -120,6 +120,7 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["evolve.duration=inf"]),
     (None, ["evolve.wavespeed=nan"]),
     (None, ["sweep.s_values="]),
+    (None, ["physics.alpha=1e300"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
         "negative-epsilon", "negative-duration", "negative-dt",
@@ -128,7 +129,8 @@ def test_invalid_p_exit_2(tmp_path, capsys):
         "negative-evolve-seed", "nan-s", "nan-t", "negative-pairs",
         "negative-garrisi-cases", "negative-subadd-count",
         "negative-workers", "negative-stabilize-iters", "inf-alpha",
-        "inf-tau2", "inf-duration", "nan-wavespeed", "empty-s-values"])
+        "inf-tau2", "inf-duration", "nan-wavespeed", "empty-s-values",
+        "huge-alpha"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:
@@ -173,6 +175,15 @@ def test_evolve_roundtrip(cfgfile, tmp_path):
     # distances stay near the perturbation size on this short run
     dist = [float(ln.split(",")[4]) for ln in lines[1:]]
     assert max(dist) <= 10 * man["epsilon_abs"]
+
+
+def test_evolve_partial_step_exit_2(cfgfile, tmp_path, capsys):
+    # 0.5 / 0.003 is not a whole number of steps: refused, not cut short
+    assert main(["solve", "--config", cfgfile]) == 0
+    assert main(["evolve", "--config", cfgfile, "--set", "evolve.dt=0.003",
+                 "--init", str(tmp_path / "out" / "solve")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 2 and "whole number" in err["error"]
 
 
 def test_sweep_rows(tmp_path):

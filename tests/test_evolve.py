@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from pathlib import Path
@@ -76,6 +77,24 @@ class TestStep:
         m1 = np.abs(np.fft.fft(st.u.values))
         assert np.max(np.abs(m1 - m0)) <= 1e-13
         assert abs(nk.charge(st.u) - nk.charge(u0)) <= 1e-14
+
+    def test_one_stepper_step(self, coupled_pair_30, prm_coupled,
+                              monkeypatch):
+        # step takes no samples, and equals a one-step evolve bit for bit
+        pair, _, _ = coupled_pair_30
+        st, _, _ = nk.perturbed_solitary_initial(pair, 0.02, seed=3,
+                                                 prm=prm_coupled)
+        want = nk.evolve(st, 1e-2, 1e-2).final_state
+        calls = []
+        evolve_mod = importlib.import_module("nlskdv.evolve")
+        triple = evolve_mod.conserved_triple
+        monkeypatch.setattr(evolve_mod, "conserved_triple",
+                            lambda *a: calls.append(a) or triple(*a))
+        got = nk.step(st, 1e-2)
+        assert calls == []
+        assert np.array_equal(got.u.values, want.u.values)
+        assert np.array_equal(got.v.values, want.v.values)
+        assert got.time == want.time
 
     def test_blowup_detection(self):
         g = nk.make_grid(40.0, 256)
@@ -175,6 +194,16 @@ class TestEvolveTrace:
         st = nk.solitary_initial(pair, 0.0, prm=prm_coupled)
         with pytest.raises(nk.ValidationError):
             nk.evolve(st, 1.0, 1e-3, sample_every=0)
+
+    @pytest.mark.parametrize("T,dt", [(1.0, 0.064), (0.5, 3e-3)])
+    def test_duration_whole_steps(self, coupled_pair_30, prm_coupled, T,
+                                  dt):
+        # a run ends at T or is refused; round(T/dt) steps would end at
+        # 1.024 and 0.501
+        pair, _, _ = coupled_pair_30
+        st = nk.solitary_initial(pair, 0.0, prm=prm_coupled)
+        with pytest.raises(nk.ValidationError, match="whole number"):
+            nk.evolve(st, T, dt)
 
     @pytest.mark.parametrize("T", [math.inf, math.nan])
     def test_duration_must_be_finite(self, coupled_pair_30, prm_coupled, T):

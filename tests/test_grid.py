@@ -140,6 +140,16 @@ def test_stacked_rows_match_single_rows(half, order, seed):
         assert np.array_equal(smoothed[i], apply_symbol(X[i], g, symbol))
 
 
+def test_symbol_stack_cached(grid30):
+    # a tuple of orders gives the stacked symbols, built once and frozen
+    for real in (True, False):
+        stack = grid30.deriv_symbol((1, 2), real)
+        assert grid30.deriv_symbol((1, 2), real) is stack
+        assert not stack.flags.writeable
+        assert np.array_equal(stack, [grid30.deriv_symbol(1, real),
+                                      grid30.deriv_symbol(2, real)])
+
+
 def test_one_fft_library():
     # every transform in the package goes through scipy.fft
     src = Path(__file__).resolve().parents[1] / "src" / "nlskdv"

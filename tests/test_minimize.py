@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,6 +288,17 @@ def test_non_finite_mass_rejected(entry, grid_small, prm_coupled):
             entry(s, t, prm_coupled, grid_small)
 
 
+@pytest.mark.parametrize("alpha,step", [(1e300, 0.25), (3.0, 1e-4)],
+                         ids=["huge-alpha", "tiny-step"])
+def test_coupling_ramp_bounded(grid_small, alpha, step):
+    # a cold coupled solve ramps alpha in continuation_step stages; past
+    # the stage cap it is rejected before any work
+    prm = nk.PhysParams(alpha=alpha, tau1=1.0, tau2=1.0, p=1, q=1.0)
+    with pytest.raises(nk.ValidationError, match="stages"):
+        nk.minimize_I(1.0, 1.0, prm, grid_small,
+                      MinimizeOptions(continuation_step=step))
+
+
 class TestMinimizeW:
     def test_consistency(self, prm_coupled):
         grid = nk.make_grid(30.0, 768)
@@ -351,21 +363,89 @@ class TestMinimizeW:
 
     def test_unavailable_trial_point(self, grid_small, prm_coupled,
                                      monkeypatch):
-        # inner solves past the scan's 33 nodes (the root-find's trial
+        # inner solves past the scan's nodes (the root-find's trial
         # points) fail as a profile too wide for the box would
         calls = []
         solve = minimize_mod.minimize_I
+        nodes = minimize_mod._W_SCAN_NODES
 
         def failing_after_scan(*args, **kwargs):
             calls.append(args[1])
-            if len(calls) > 33:
+            if len(calls) > nodes:
                 raise nk.DomainTooSmallError("too wide")
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(minimize_mod, "minimize_I", failing_after_scan)
         with pytest.raises(nk.DomainTooSmallError, match="enlarge the box"):
             nk.minimize_W(1.0, 0.5, prm_coupled, grid_small)
-        assert len(calls) == 34
+        assert len(calls) == nodes + 1
+
+    def test_inner_solve_count(self, prm_coupled):
+        # the slope-aware scan and two-neighbour warm starts need about
+        # half the inner solves of a 33-node value scan (38 here)
+        sol = nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
+        assert sol.n_solves <= 24
+
+    def test_cold_solves(self, grid_small, prm_coupled, monkeypatch):
+        # only the first scan node (the top of the range) and a = 0 start
+        # cold; a = 0's closed-form decoupled start needs a few iterations
+        calls = []
+        solve = minimize_mod.minimize_I
+
+        def recorder(*args, **kwargs):
+            calls.append((args[1], kwargs.get("warm_start") is None))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(minimize_mod, "minimize_I", recorder)
+        nk.minimize_W(1.0, 0.5, prm_coupled, grid_small)
+        cold = [a for a, is_cold in calls if is_cold]
+        assert cold == [calls[0][0], 0.0]
+
+    def test_minimum_between_hermite_nodes(self):
+        # alpha = 0, t = 0: a* = (9/32) s^3 = 0.144 lies in the first scan
+        # cell, whose end a = 0 has slope 2t/s = 0, so no slope sign change
+        # brackets it; only the cubic Hermite model of (W, W') finds it
+        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
+        sol = nk.minimize_W(0.8, 0.0, prm, nk.make_grid(40.0, 512))
+        assert abs(sol.a_star - 0.144) <= 1e-7
+        assert sol.twist_gap <= 1e-12
+
+    def test_hermite_model_minimum(self):
+        # the model reproduces a cubic, so its minimum is the cubic's
+        def f(a):
+            return (a - 0.3) ** 3 - 0.5 * (a - 0.3)
+
+        def df(a):
+            return 3.0 * (a - 0.3) ** 2 - 0.5
+
+        a_min = 0.3 + math.sqrt(0.5 / 3.0)
+        a, w = minimize_mod._hermite_min(0.0, 1.0, f(0.0), f(1.0),
+                                         df(0.0), df(1.0))
+        assert a == pytest.approx(a_min, abs=1e-15)
+        assert w == pytest.approx(f(a_min), abs=1e-15)
+        # W' > 0 at both ends of a convex cell: no interior minimum
+        assert minimize_mod._hermite_min(0.0, 1.0, 0.0, 2.0, 1.0, 3.0) \
+            is None
+
+    def test_warm_start_predictor(self, grid_small):
+        # profiles linear in a: interpolation between two solved masses
+        # and the secant extrapolation beyond them reproduce them exactly
+        def pair(a):
+            return SimpleNamespace(
+                phi=nk.ComplexField(grid_small, 1.0 + a * phi),
+                psi=nk.RealField(grid_small, a * psi))
+
+        phi = np.exp(-grid_small.x ** 2)
+        psi = np.exp(-grid_small.x ** 2 / 4.0)
+        known = {0.5: pair(0.5), 1.0: pair(1.0)}
+        for a in (0.75, 1.5, 0.25):
+            X = minimize_mod._warm_start(a, known, grid_small)
+            assert np.allclose(X, [1.0 + a * phi, a * psi], atol=1e-14)
+        # one neighbour: its profiles, with a sech^2 long wave if it has none
+        X = minimize_mod._warm_start(0.3, {0.0: pair(0.0)}, grid_small)
+        assert np.array_equal(X[0], np.ones(grid_small.n))
+        assert np.all(X[1] > 0.0)
+        assert minimize_mod._warm_start(0.3, {}, grid_small) is None
 
     def test_inner_budget_exhausted(self, grid_small, prm_coupled):
         # an inner solve out of iterations is no convergence, not a
