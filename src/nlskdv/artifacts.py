@@ -100,16 +100,22 @@ def save_wsolution(sol: WSolution, dirpath: str) -> None:
     write_json(os.path.join(dirpath, "wsolution.json"), doc)
 
 
-def trace_to_csv(trace: EvolveTrace) -> str:
+def _csv(header: list, rows) -> str:
+    """CSV text of a header and rows; ints and strings are written as
+    they are, every other value as repr(float(value))."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["time", "E", "G", "H", "distance"])
-    for i, t in enumerate(trace.times):
-        dist = "" if trace.distance is None else repr(float(trace.distance[i]))
-        writer.writerow([repr(float(t)), repr(float(trace.E[i])),
-                         repr(float(trace.G[i])), repr(float(trace.H[i])),
-                         dist])
+    writer.writerow(header)
+    writer.writerows([x if isinstance(x, (int, str)) else repr(float(x))
+                      for x in row] for row in rows)
     return buf.getvalue()
+
+
+def trace_to_csv(trace: EvolveTrace) -> str:
+    dist = [""] * len(trace.times) if trace.distance is None \
+        else trace.distance
+    return _csv(["time", "E", "G", "H", "distance"],
+                zip(trace.times, trace.E, trace.G, trace.H, dist))
 
 
 def save_trace(trace: EvolveTrace, dirpath: str, manifest: dict) -> None:
@@ -127,28 +133,11 @@ def save_trace(trace: EvolveTrace, dirpath: str, manifest: dict) -> None:
 
 def profile_csv(grid, columns: dict) -> str:
     """CSV of sampled profiles for offline plotting, one x column first."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    names = list(columns)
-    writer.writerow(["x"] + names)
-    for i in range(grid.n):
-        row = [repr(float(grid.x[i]))]
-        for name in names:
-            row.append(repr(float(columns[name][i])))
-        writer.writerow(row)
-    return buf.getvalue()
+    return _csv(["x"] + list(columns), zip(grid.x, *columns.values()))
 
 
 def sweep_rows_csv(rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s", "t", "I", "sigma", "c",
-                     "residual_phi", "residual_psi", "iterations"])
-    for row in rows:
-        writer.writerow([repr(float(row["s"])), repr(float(row["t"])),
-                         repr(float(row["I"])),
-                         repr(float(row["sigma"])), repr(float(row["c"])),
-                         repr(float(row["residual_phi"])),
-                         repr(float(row["residual_psi"])),
-                         int(row["iterations"])])
-    return buf.getvalue()
+    names = ["s", "t", "I", "sigma", "c", "residual_phi", "residual_psi"]
+    return _csv(names + ["iterations"],
+                ([float(row[k]) for k in names] + [int(row["iterations"])]
+                 for row in rows))

@@ -38,32 +38,22 @@ def _float_list(raw: str) -> list:
     return vals
 
 
-def _nonneg_float(raw: str) -> float:
-    val = float(raw)
-    if not 0.0 <= val < float("inf"):
-        raise ValueError(f"must be finite and >= 0, got {val}")
-    return val
+def _bounded(kind, positive: bool):
+    """Parser of finite values of kind (float or int), > 0 or >= 0."""
+    bound = "> 0" if positive else ">= 0"
+
+    def parse(raw: str):
+        val = kind(raw)
+        if not ((val > 0 if positive else val >= 0) and val < np.inf):
+            raise ValueError(f"must be finite and {bound}, got {val}")
+        return val
+    return parse
 
 
-def _pos_float(raw: str) -> float:
-    val = float(raw)
-    if not 0.0 < val < float("inf"):
-        raise ValueError(f"must be positive and finite, got {val}")
-    return val
-
-
-def _pos_int(raw: str) -> int:
-    val = int(raw)
-    if val <= 0:
-        raise ValueError(f"must be a positive integer, got {val}")
-    return val
-
-
-def _nonneg_int(raw: str) -> int:
-    val = int(raw)
-    if val < 0:
-        raise ValueError(f"must be a non-negative integer, got {val}")
-    return val
+_nonneg_float = _bounded(float, positive=False)
+_pos_float = _bounded(float, positive=True)
+_pos_int = _bounded(int, positive=True)
+_nonneg_int = _bounded(int, positive=False)
 
 
 def _wavespeed(raw: str) -> Optional[float]:
@@ -98,7 +88,7 @@ _SCHEMA = [
     ("sweep", "workers", "workers", _pos_int, "2"),
     ("evolve", "dt", "dt", _pos_float, "0.001"),
     ("evolve", "duration", "duration", _nonneg_float, "20.0"),
-    ("evolve", "sample_every", "sample_every", int, "100"),
+    ("evolve", "sample_every", "sample_every", _pos_int, "100"),
     ("evolve", "seed", "seed", _nonneg_int, "1234"),
     ("evolve", "epsilon", "epsilon", _nonneg_float, "0.0"),
     ("evolve", "wavespeed", "wavespeed", _wavespeed, "auto"),
@@ -201,6 +191,12 @@ class RunConfig:
         return doc
 
 
+def _error(message: str, code: int, **extra) -> int:
+    """Print the one-line JSON error record and return its exit code."""
+    print(json.dumps({"error": message, "code": code, **extra}))
+    return code
+
+
 def _pair_row(s, t, pair, report):
     return {
         "s": s, "t": t, "I": pair.energy_value,
@@ -294,13 +290,22 @@ def cmd_evolve(cfg: RunConfig, init_path: str) -> int:
     except BlowUpError as exc:
         if exc.trace is not None:
             artifacts.save_trace(exc.trace, out, manifest)
-        print(json.dumps({"error": str(exc), "partial_trace": out}))
-        return 4
+        return _error(str(exc), 4, partial_trace=out)
     artifacts.save_trace(trace, out, manifest)
     print(f"evolved T={cfg.duration} dt={cfg.dt}: "
           f"|dE|={trace.drift('E'):.3e} |dG|={trace.drift('G'):.3e} "
           f"|dH|={trace.drift('H'):.3e} -> {out}")
     return 0
+
+
+def _report_rows(cfg: RunConfig, name: str, rows: list) -> list:
+    """Write <name>.json and the manifest, print the table; failed names."""
+    out = cfg.outdir(name)
+    artifacts.write_json(os.path.join(out, f"{name}.json"),
+                         [r.to_dict() for r in rows])
+    artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
+    sys.stdout.write(rows_to_table(rows))
+    return [r.name for r in rows if r.status == "fail"]
 
 
 def cmd_rearrange(cfg: RunConfig) -> int:
@@ -309,12 +314,7 @@ def cmd_rearrange(cfg: RunConfig) -> int:
     rows = run_rearrange_suite(grid, prm, seed=cfg.verify_seed,
                                n_pairs=cfg.verify_pairs,
                                n_garrisi=cfg.garrisi_cases)
-    out = cfg.outdir("rearrange")
-    artifacts.write_json(os.path.join(out, "rearrange.json"),
-                         [r.to_dict() for r in rows])
-    artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
-    sys.stdout.write(rows_to_table(rows))
-    return 0 if all(r.status != "fail" for r in rows) else 4
+    return 4 if _report_rows(cfg, "rearrange", rows) else 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -328,12 +328,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                                 n_garrisi=cfg.garrisi_cases)
     rows += run_subadd_probes(prm, grid, cfg.solver_opts(),
                               count=cfg.subadd_count, seed=cfg.verify_seed)
-    out = cfg.outdir("verify")
-    artifacts.write_json(os.path.join(out, "verify.json"),
-                         [r.to_dict() for r in rows])
-    artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
-    sys.stdout.write(rows_to_table(rows))
-    failures = [r.name for r in rows if r.status == "fail"]
+    failures = _report_rows(cfg, "verify", rows)
     if failures:
         print(json.dumps({"failed": failures}))
         return 4
@@ -382,14 +377,11 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         raise ValidationError(f"unknown command {args.command}")
     except (ValidationError, configparser.Error) as exc:
-        print(json.dumps({"error": str(exc), "code": 2}))
-        return 2
+        return _error(str(exc), 2)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "code": 3}))
-        return 3
+        return _error(f"{type(exc).__name__}: {exc}", 3)
     except NlskdvError as exc:
-        print(json.dumps({"error": str(exc), "code": 4}))
-        return 4
+        return _error(str(exc), 4)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,12 @@ import scipy.fft
 from scipy.optimize import minimize_scalar
 
 from .errors import BlowUpError, GridMismatchError, ValidationError
-from .functionals import PhysParams, conserved_triple, nonlinearity
+from .functionals import (PhysParams, charge, conserved_triple,
+                          nonlinearity)
 from .grid import ComplexField, Grid1D, RealField, same_grid
 from .minimize import SolitaryWavePair
+
+_PERTURB_MODES = 10               # Fourier modes of the seeded perturbation
 
 
 @dataclass
@@ -196,14 +199,20 @@ def evolve(state: EvolveState, T: float, dt: float,
            seed: Optional[int] = None) -> EvolveTrace:
     """Integrate for duration T, sampling conserved quantities.
 
-    T must be a whole number of steps dt (to 1e-9 relative), so the run
-    ends at T.  When a reference pair is given, the distance to its
-    symmetry orbit is recorded at each sample.  On blow-up the partial
-    trace is attached to the raised error.
+    T must be a whole number of steps dt (to 1e-9 relative).  The run
+    covers |T| in the direction of dt, so a negative dt integrates
+    backward and a negative T is refused unless dt is negative too.
+    When a reference pair is given, the distance to its symmetry orbit
+    is recorded at each sample.  On blow-up the partial trace is
+    attached to the raised error.
     """
     _check_dt(state, dt)
     if not np.isfinite(T):
         raise ValidationError(f"duration T must be finite, got {T}")
+    if T < 0.0 < dt:
+        raise ValidationError(
+            f"duration T={T} and step dt={dt} differ in sign; a negative "
+            "T needs a negative dt")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
     ratio = abs(T) / abs(dt)
@@ -353,18 +362,21 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
 
 def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,
                                seed: int, prm: PhysParams,
-                               wavespeed: Optional[float] = None,
-                               n_modes: int = 10):
+                               wavespeed: Optional[float] = None):
     """Reference traveling-wave state plus a smooth seeded perturbation.
 
-    The perturbation is a random low-mode field under a Gaussian
-    envelope, scaled so its product H1 norm is rel_eps times the
-    reference's, then the short wave is rescaled so its mass is exactly
-    preserved (the experiment stays on the same mass sphere).
+    The perturbation is a random field of the lowest _PERTURB_MODES
+    modes under a Gaussian envelope, scaled so its product H1 norm is
+    rel_eps (finite, >= 0) times the reference's, then the short wave
+    is rescaled so its mass is exactly preserved (the experiment stays
+    on the same mass sphere).
 
     Returns (state, eps_abs, reference_state) with eps_abs the realized
     perturbation norm after the projection.
     """
+    if not 0.0 <= rel_eps < math.inf:
+        raise ValidationError(
+            f"rel_eps must be finite and >= 0, got {rel_eps}")
     grid = pair.grid
     c = traveling_wavespeed(pair, wavespeed)
     ref = solitary_initial(pair, c, prm=prm)
@@ -375,7 +387,7 @@ def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,
     base_k = np.pi / grid.half_length
     eta_u = np.zeros(grid.n, dtype=np.complex128)
     eta_v = np.zeros(grid.n)
-    for mmode in range(1, n_modes + 1):
+    for mmode in range(1, _PERTURB_MODES + 1):
         amp = math.exp(-((mmode / 6.0) ** 2))
         au = (rng.standard_normal() + 1j * rng.standard_normal()) * amp
         av = rng.standard_normal() * amp
@@ -396,10 +408,9 @@ def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,
         eta_v *= 0.0
 
     u0 = Phi + eta_u
-    h_ref = grid.dx * float(np.sum(np.abs(Phi) ** 2))
-    h_new = grid.dx * float(np.sum(np.abs(u0) ** 2))
+    h_new = charge(ComplexField(grid, u0))
     if h_new > 0:
-        u0 = u0 * math.sqrt(h_ref / h_new)
+        u0 = u0 * math.sqrt(charge(ref.u) / h_new)
     v0 = psi + eta_v
     eps_abs = y_norm(u0 - Phi, v0 - psi, grid)
     state = EvolveState(u=ComplexField(grid, u0), v=RealField(grid, v0),

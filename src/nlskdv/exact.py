@@ -99,12 +99,17 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
     return float(np.exp(loglam))
 
 
+def _ground_profile(mass: float, power: float, beta: float,
+                    grid: Grid1D) -> SechProfile:
+    """Sech profile of the given power and beta with grid mass mass."""
+    lam = lambda_for_mass(mass, power, beta, grid)
+    return SechProfile(amplitude=(lam / beta) ** (1.0 / power),
+                       exponent=2.0 / power, lam=lam)
+
+
 def kdv_profile(t_mass: float, prm: PhysParams, grid: Grid1D) -> SechProfile:
     """Ground-state profile of the decoupled long-wave action at mass t."""
-    p = prm.p_float
-    lam = lambda_for_mass(t_mass, p, prm.beta2, grid)
-    return SechProfile(amplitude=(lam / prm.beta2) ** (1.0 / p),
-                       exponent=2.0 / p, lam=lam)
+    return _ground_profile(t_mass, prm.p_float, prm.beta2, grid)
 
 
 def kdv_ground(t_mass: float, prm: PhysParams, grid: Grid1D) -> RealField:
@@ -122,10 +127,7 @@ def nls_profile(s_mass: float, prm: PhysParams, grid: Grid1D) -> SechProfile:
         raise UnattainedInfimumError(
             "decoupled short-wave ground state needs a focusing "
             "self-interaction (beta1 > 0); the infimum is 0 and unattained")
-    q = prm.q
-    lam = lambda_for_mass(s_mass, q, prm.beta1, grid)
-    return SechProfile(amplitude=(lam / prm.beta1) ** (1.0 / q),
-                       exponent=2.0 / q, lam=lam)
+    return _ground_profile(s_mass, prm.q, prm.beta1, grid)
 
 
 def nls_ground(s_mass: float, prm: PhysParams, grid: Grid1D) -> RealField:

@@ -95,41 +95,37 @@ def make_grid(L: float, n: int) -> Grid1D:
 
 
 @dataclass(frozen=True, eq=False)
-class RealField:
+class _Samples:
+    """Samples of a function on a Grid1D: checked, copied and frozen.
+
+    The subclasses differ only in the dtype the samples are stored as.
+    """
+
+    grid: Grid1D
+    values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=self._dtype)
+        if vals.shape != (self.grid.n,):
+            raise ValidationError(
+                f"expected {self.grid.n} samples, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("field contains non-finite samples")
+        vals = vals.copy()
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+
+class RealField(_Samples):
     """Real samples of a function on a Grid1D."""
 
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.n,):
-            raise ValidationError(
-                f"expected {self.grid.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("field contains non-finite samples")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+    _dtype = np.float64
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexField:
+class ComplexField(_Samples):
     """Complex samples of a function on a Grid1D."""
 
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise ValidationError(
-                f"expected {self.grid.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("field contains non-finite samples")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+    _dtype = np.complex128
 
 
 Field = RealField | ComplexField
@@ -144,10 +140,7 @@ def same_grid(*fields: Field) -> Grid1D:
 
 
 def sample(grid: Grid1D, fn, kind: str = "real") -> Field:
-    vals = fn(grid.x)
-    if kind == "real":
-        return RealField(grid, np.asarray(vals, dtype=np.float64))
-    return ComplexField(grid, np.asarray(vals, dtype=np.complex128))
+    return (RealField if kind == "real" else ComplexField)(grid, fn(grid.x))
 
 
 def apply_symbol(values: np.ndarray, grid: Grid1D,
@@ -180,10 +173,7 @@ def deriv_values(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray
 
 def deriv(f: Field, order: int = 1) -> Field:
     """Spectral derivative of a field, same type as the input."""
-    vals = deriv_values(f.values, f.grid, order)
-    if isinstance(f, RealField):
-        return RealField(f.grid, vals)
-    return ComplexField(f.grid, vals)
+    return type(f)(f.grid, deriv_values(f.values, f.grid, order))
 
 
 def integrate(f: Field):

@@ -302,7 +302,7 @@ def convolution_fixed_point_gap(pair: SolitaryWavePair,
 
 def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
                opts: Optional[MinimizeOptions] = None, *,
-               warm_start=None, recenter: bool = True):
+               warm_start=None):
     """Minimize the energy subject to |phi|^2 mass s and psi^2 mass t.
 
     The masses must be finite.  Either may be zero (the corresponding
@@ -311,8 +311,8 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     infimum is zero and unattained (UnattainedInfimumError).  A
     warm_start is a pair of finite real arrays on the grid, nonzero
     where the mass is positive.  Cold coupled solves ramp the coupling
-    up from zero in steps of opts.continuation_step, each stage
-    warm-starting the next.
+    up from zero in steps of opts.continuation_step (finite and > 0),
+    each stage warm-starting the next.
 
     Returns (SolitaryWavePair, MinimizeReport).  The pair is recentred
     so the psi mass centroid sits at x = 0 and the global phase of phi
@@ -325,6 +325,9 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             and s >= 0 and t >= 0 and s + t > 0):
         raise ValidationError(
             f"need finite s >= 0, t >= 0, s + t > 0; got s={s}, t={t}")
+    if not 0.0 < opts.continuation_step < math.inf:
+        raise ValidationError(f"continuation_step must be finite and > 0, "
+                              f"got {opts.continuation_step}")
     if t == 0.0 and prm.beta1 == 0.0:
         raise UnattainedInfimumError(
             "with zero long-wave mass and no short-wave self-interaction "
@@ -384,11 +387,10 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"(projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
             report=report)
 
-    if recenter:
-        weights = X[1] * X[1] if t > 0.0 else X[0] * X[0]
-        y = _circular_centroid(weights, grid)
-        if y != 0.0:
-            X = _project(shift_values(X, grid, y), masses, grid.dx)
+    weights = X[1] * X[1] if t > 0.0 else X[0] * X[0]
+    y = _circular_centroid(weights, grid)
+    if y != 0.0:
+        X = _project(shift_values(X, grid, y), masses, grid.dx)
     phi, psi = X
     if s > 0.0 and float(np.sum(phi)) < 0.0:
         phi = -phi

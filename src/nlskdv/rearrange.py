@@ -52,15 +52,9 @@ class RearrangeReport:
 def placement_order(n: int) -> np.ndarray:
     """Index order: center n//2 first, then alternating right, left."""
     c = n // 2
-    idx = [c]
-    step = 1
-    while len(idx) < n:
-        if c + step < n:
-            idx.append(c + step)
-        if c - step >= 0:
-            idx.append(c - step)
-        step += 1
-    return np.array(idx)
+    step = np.arange(1, c + 1)
+    idx = np.concatenate(([c], np.column_stack((c + step, c - step)).ravel()))
+    return idx[idx < n]
 
 
 def rearrange_values(values: np.ndarray) -> np.ndarray:
@@ -103,6 +97,14 @@ def _lp_sum_sorted(values: np.ndarray, power: float, dx: float) -> float:
     return float(dx * np.sum(np.sort(values) ** power))
 
 
+def _lp_preserved(pairs, dx: float) -> dict:
+    """{power: every (original, rearranged) pair has equal Lp sums}."""
+    return {power: all(_lp_sum_sorted(orig, power, dx)
+                       == _lp_sum_sorted(star, power, dx)
+                       for orig, star in pairs)
+            for power in (1.0, 2.0, 3.0, 4.0)}
+
+
 def verify_rearrangement_inequalities(f: RealField,
                                       g: RealField) -> RearrangeReport:
     """Check Lp preservation, Hardy-Littlewood, and Polya-Szego for a pair.
@@ -118,13 +120,7 @@ def verify_rearrangement_inequalities(f: RealField,
     fstar = rearrange_values(f.values)
     gstar = rearrange_values(g.values)
 
-    lp = {}
-    for power in (1.0, 2.0, 3.0, 4.0):
-        for orig, star in ((f.values, fstar), (g.values, gstar)):
-            a = _lp_sum_sorted(orig, power, grid.dx)
-            b = _lp_sum_sorted(star, power, grid.dx)
-            lp[power] = lp.get(power, True) and (a == b)
-
+    lp = _lp_preserved(((f.values, fstar), (g.values, gstar)), grid.dx)
     hl = float(grid.dx * (np.dot(fstar, gstar) - np.dot(f.values, g.values)))
 
     kin_f, kin_fs = kinetic(f.values, grid), kinetic(fstar, grid)
@@ -185,11 +181,6 @@ def garrisi_check(u: RealField, v: RealField,
         raise InvariantViolationError(
             f"two-bump kinetic drop failed: {lhs} > {rhs} + {tol}")
 
-    lp = {}
-    for power in (1.0, 2.0, 3.0, 4.0):
-        a = _lp_sum_sorted(w, power, grid.dx)
-        b = _lp_sum_sorted(wstar, power, grid.dx)
-        lp[power] = a == b
-
-    return RearrangeReport(lp_preserved=lp, garrisi_lhs=lhs, garrisi_rhs=rhs,
+    return RearrangeReport(lp_preserved=_lp_preserved(((w, wstar),), grid.dx),
+                           garrisi_lhs=lhs, garrisi_rhs=rhs,
                            polya_szego_gap=kin_w - lhs, tol_ps=tol)

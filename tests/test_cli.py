@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nlskdv as nk
-from nlskdv import artifacts
+from nlskdv import artifacts, cli
 from nlskdv.cli import _SCHEMA, OUTPUT_ROOT_ENV, RunConfig, main
 
 SMALL = """
@@ -121,6 +121,7 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["evolve.wavespeed=nan"]),
     (None, ["sweep.s_values="]),
     (None, ["physics.alpha=1e300"]),
+    (None, ["evolve.sample_every=0"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
         "negative-epsilon", "negative-duration", "negative-dt",
@@ -130,7 +131,7 @@ def test_invalid_p_exit_2(tmp_path, capsys):
         "negative-garrisi-cases", "negative-subadd-count",
         "negative-workers", "negative-stabilize-iters", "inf-alpha",
         "inf-tau2", "inf-duration", "nan-wavespeed", "empty-s-values",
-        "huge-alpha"])
+        "huge-alpha", "zero-sample-every"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:
@@ -184,6 +185,21 @@ def test_evolve_partial_step_exit_2(cfgfile, tmp_path, capsys):
                  "--init", str(tmp_path / "out" / "solve")]) == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["code"] == 2 and "whole number" in err["error"]
+
+
+def test_evolve_blowup_exit_4(cfgfile, tmp_path, capsys, monkeypatch):
+    # a blow-up prints the JSON error line every failure prints, code too
+    assert main(["solve", "--config", cfgfile]) == 0
+
+    def blow_up(*args, **kwargs):
+        raise nk.BlowUpError("blow-up at step 1 (t=0.001)")
+
+    monkeypatch.setattr(cli, "evolve", blow_up)
+    assert main(["evolve", "--config", cfgfile,
+                 "--init", str(tmp_path / "out" / "solve")]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 4 and "blow-up" in err["error"]
+    assert err["partial_trace"] == str(tmp_path / "out" / "evolve")
 
 
 def test_sweep_rows(tmp_path):

@@ -9,6 +9,8 @@ import pytest
 import nlskdv as nk
 from nlskdv.grid import shift_values
 
+from conftest import sech
+
 GOLDEN = Path(__file__).parent / "data" / "evolve_golden.json"
 
 
@@ -212,6 +214,19 @@ class TestEvolveTrace:
         with pytest.raises(nk.ValidationError, match="finite"):
             nk.evolve(st, T, 1e-3)
 
+    def test_negative_duration_needs_negative_dt(self, grid_small,
+                                                 prm_coupled):
+        # |T|/|dt| steps of a positive dt would end at -T
+        g = grid_small
+        st = nk.EvolveState(u=nk.ComplexField(g, sech(g.x).astype(complex)),
+                            v=nk.RealField(g, 0.5 * sech(g.x) ** 2),
+                            time=0.0, prm=prm_coupled)
+        with pytest.raises(nk.ValidationError, match="sign"):
+            nk.evolve(st, -0.1, 0.01)
+        for T in (-0.1, 0.1):  # both run backward to t = -0.1
+            tr = nk.evolve(st, T, -0.01)
+            assert tr.final_state.time == pytest.approx(-0.1, abs=1e-15)
+
 
 class TestOrbitalDistance:
     def test_zero_at_reference(self, coupled_pair_30, prm_coupled):
@@ -297,6 +312,14 @@ class TestPerturbedInitial:
         # realized size stays close to the requested relative size
         ref_norm = nk.y_norm(ref.u.values, ref.v.values, grid)
         assert eps_abs == pytest.approx(0.03 * ref_norm, rel=0.5)
+
+    @pytest.mark.parametrize("rel_eps", [-0.02, math.nan, math.inf])
+    def test_rel_eps_validated(self, coupled_pair_30, prm_coupled, rel_eps):
+        # a negative or NaN size used to return the unperturbed wave
+        pair, _, _ = coupled_pair_30
+        with pytest.raises(nk.ValidationError, match="rel_eps"):
+            nk.perturbed_solitary_initial(pair, rel_eps, seed=1,
+                                          prm=prm_coupled)
 
     def test_seed_reproducible(self, coupled_pair_30, prm_coupled):
         pair, _, _ = coupled_pair_30

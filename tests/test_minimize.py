@@ -288,13 +288,17 @@ def test_non_finite_mass_rejected(entry, grid_small, prm_coupled):
             entry(s, t, prm_coupled, grid_small)
 
 
-@pytest.mark.parametrize("alpha,step", [(1e300, 0.25), (3.0, 1e-4)],
-                         ids=["huge-alpha", "tiny-step"])
-def test_coupling_ramp_bounded(grid_small, alpha, step):
+@pytest.mark.parametrize("alpha,step,match", [
+    (1e300, 0.25, "stages"), (3.0, 1e-4, "stages"),
+    (1.0, 0.0, "continuation_step"), (1.0, -0.25, "continuation_step"),
+    (1.0, math.nan, "continuation_step"),
+], ids=["huge-alpha", "tiny-step", "zero-step", "negative-step", "nan-step"])
+def test_coupling_ramp_bounded(grid_small, alpha, step, match):
     # a cold coupled solve ramps alpha in continuation_step stages; past
-    # the stage cap it is rejected before any work
+    # the stage cap, or with a step that is not finite and > 0, it is
+    # rejected before any work
     prm = nk.PhysParams(alpha=alpha, tau1=1.0, tau2=1.0, p=1, q=1.0)
-    with pytest.raises(nk.ValidationError, match="stages"):
+    with pytest.raises(nk.ValidationError, match=match):
         nk.minimize_I(1.0, 1.0, prm, grid_small,
                       MinimizeOptions(continuation_step=step))
 
@@ -329,12 +333,15 @@ class TestMinimizeW:
             assert sol.twist_gap <= 1e-12, t
 
     # alpha = 0: the sech^2 KdV wave of mass a (beta2 = 2) has
-    # c = (3a/2)^(2/3), so c + 2b = 0 puts the optimum at a = 9/32 for
-    # t = 0; for t < 0, W'(0+) = -2t/s > 0 and the optimum is a = 0
-    @pytest.mark.parametrize("t,a_star", [(0.0, 9.0 / 32.0), (-0.3, 0.0)])
-    def test_decoupled(self, t, a_star):
+    # c = (3a/2)^(2/3), so c + 2b = 0 puts the optimum at a = 9 s^3/32
+    # for t = 0; for t < 0, W'(0+) = -2t/s > 0 and the optimum is a = 0.
+    # At s = 3, a* = 7.59375 lies above the first scan range's top, 4 sqrt(3)
+    @pytest.mark.parametrize("s,t,a_star", [(1.0, 0.0, 9.0 / 32.0),
+                                            (1.0, -0.3, 0.0),
+                                            (3.0, 0.0, 9.0 * 27.0 / 32.0)])
+    def test_decoupled(self, s, t, a_star):
         prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
-        sol = nk.minimize_W(1.0, t, prm, nk.make_grid(40.0, 512))
+        sol = nk.minimize_W(s, t, prm, nk.make_grid(40.0, 512))
         assert sol.a_star == pytest.approx(a_star, abs=1e-7)
         if a_star > 0.0:
             assert sol.twist_gap <= 1e-12

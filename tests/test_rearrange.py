@@ -27,6 +27,14 @@ def test_placement_order_covers_all():
         assert sorted(order) == list(range(n))
         assert order[0] == n // 2
         assert order[1] == n // 2 + 1  # right-first convention
+    assert list(placement_order(8)) == [4, 5, 3, 6, 2, 7, 1, 0]
+    assert list(placement_order(9)) == [4, 5, 3, 6, 2, 7, 1, 8, 0]
+    for n in range(1, 40):
+        # reference: the centre, then alternately right and left of it
+        c, ref = n // 2, [n // 2]
+        for step in range(1, n):
+            ref += [j for j in (c + step, c - step) if 0 <= j < n]
+        assert list(placement_order(n)) == ref
 
 
 def test_fixed_point_on_symmetric_bump(grid40):
