@@ -298,14 +298,22 @@ def cmd_evolve(cfg: RunConfig, init_path: str) -> int:
     return 0
 
 
-def _report_rows(cfg: RunConfig, name: str, rows: list) -> list:
-    """Write <name>.json and the manifest, print the table; failed names."""
+def _report_rows(cfg: RunConfig, name: str, rows: list) -> int:
+    """Write <name>.json and the manifest, print the table; exit code.
+
+    A failed check ends stdout with the JSON error record, code 4, that
+    names the failed rows.
+    """
     out = cfg.outdir(name)
     artifacts.write_json(os.path.join(out, f"{name}.json"),
                          [r.to_dict() for r in rows])
     artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
     sys.stdout.write(rows_to_table(rows))
-    return [r.name for r in rows if r.status == "fail"]
+    failed = [r.name for r in rows if r.status == "fail"]
+    if failed:
+        return _error(f"{name}: {len(failed)} check(s) failed", 4,
+                      failed=failed)
+    return 0
 
 
 def cmd_rearrange(cfg: RunConfig) -> int:
@@ -314,7 +322,7 @@ def cmd_rearrange(cfg: RunConfig) -> int:
     rows = run_rearrange_suite(grid, prm, seed=cfg.verify_seed,
                                n_pairs=cfg.verify_pairs,
                                n_garrisi=cfg.garrisi_cases)
-    return 4 if _report_rows(cfg, "rearrange", rows) else 0
+    return _report_rows(cfg, "rearrange", rows)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -328,11 +336,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                                 n_garrisi=cfg.garrisi_cases)
     rows += run_subadd_probes(prm, grid, cfg.solver_opts(),
                               count=cfg.subadd_count, seed=cfg.verify_seed)
-    failures = _report_rows(cfg, "verify", rows)
-    if failures:
-        print(json.dumps({"failed": failures}))
-        return 4
-    return 0
+    return _report_rows(cfg, "verify", rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -443,31 +443,35 @@ def subadditivity_probe(s1: float, t1: float, s2: float, t2: float,
             - ivalue(s1 + s2, t1 + t2))
 
 
+def _stack(pair: SolitaryWavePair):
+    """The real [phi; psi] stack of a solved pair."""
+    return np.array([np.real(pair.phi.values), pair.psi.values])
+
+
 def _warm_start(a: float, known: dict, grid: Grid1D):
     """Starting [phi; psi] stack at a parameter value a from solved ones.
 
-    known maps solved parameter values to their pairs.  Between two
-    solved values the start interpolates their profiles linearly; on one
-    side only it extrapolates along the secant of the two nearest (the
-    predictor of natural-parameter continuation); next to a single one
-    it is that pair's profiles.  A psi row left all zero (the only
-    neighbour has no long wave) becomes a sech^2 bump.  None when known
-    is empty.
+    known maps solved parameter values to their pairs (solved to any
+    tolerance).  Between two solved values the start interpolates their
+    profiles linearly; above or below them all it extrapolates along the
+    secant of the two nearest (the predictor of natural-parameter
+    continuation); next to a single one it is that pair's profiles.  A
+    psi row left all zero (the only neighbour is a = 0, with no long
+    wave) becomes a sech^2 bump.  None when known is empty, as at the
+    first available node of minimize_W's scan when a = 0 has no pair.
     """
-    def stack(k):
-        return np.array([np.real(known[k].phi.values), known[k].psi.values])
-
     below = sorted((k for k in known if k < a), reverse=True)
     above = sorted(k for k in known if k > a)
     if below and above:
         lo, hi = below[0], above[0]
         w = (a - lo) / (hi - lo)
-        X = (1.0 - w) * stack(lo) + w * stack(hi)
+        X = (1.0 - w) * _stack(known[lo]) + w * _stack(known[hi])
     elif below or above:
         near = below or above
-        X = stack(near[0])
+        X = _stack(known[near[0]])
         if len(near) > 1:
-            X = X + (a - near[0]) / (near[0] - near[1]) * (X - stack(near[1]))
+            X = X + (a - near[0]) / (near[0] - near[1]) \
+                * (X - _stack(known[near[1]]))
     else:
         return None
     if not X[1].any():
@@ -513,11 +517,20 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     split at the minimum of its cubic Hermite model of (W, W') when that
     model undercuts the best W found (at most one split per scan cell
     in all).  Brent's method finds the root of W' in each bracket, and
-    the lowest W among the roots and the best node wins.  An inner solve
-    at a > 0 starts from the profiles of the solved masses around a
-    (interpolated, or extrapolated along the secant of the two nearest);
-    a = 0 is solved cold from its decoupled start.  The short-wave
-    profile is reconstructed by the phase twist exp(-i b x).
+    the lowest W among the roots and the best node wins.
+
+    The search is a natural-parameter continuation in a.  The scan
+    ascends from a = 0, which starts cold from its closed-form decoupled
+    profile; every later solve starts from the profiles of the solved
+    masses around it (interpolated, or extrapolated along the secant of
+    the two nearest), so no solve needs the coupling ramp.  Only when
+    a = 0 has no pair is the first available node solved cold.  Scan
+    nodes, Hermite model points and the doubling of the range only
+    place brackets and warm starts, so they are solved to the
+    continuation tolerance max(opts.tol, 1e-6); the root-find's slope
+    evaluations and the returned pair are solved to opts.tol, a coarse
+    node warm from its own profiles.  The short-wave profile is
+    reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced
     objective is unbounded below and the problem has no minimizer.
@@ -530,40 +543,51 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         raise ValidationError(
             f"momentum-constrained problem needs p < 4/3, got p={prm.p}")
 
+    # key -> (W, pair, final): final entries are solved to opts.tol, the
+    # others to the continuation tolerance
     cache: dict = {}
+    scan_opts = dataclasses.replace(opts,
+                                    tol=max(opts.tol, _CONTINUATION_TOL))
     solves = 0
     unavailable = 0
 
-    def solve_at(a: float):
+    def solve_at(a: float, final: bool = False):
         nonlocal solves, unavailable
         key = round(a, 15)
-        if key in cache:
-            return cache[key]
-        # a = 0 starts cold from its closed-form decoupled profile, which
-        # converges in a few iterations
-        warm = None if a == 0.0 else _warm_start(
-            a, {k: v[1] for k, v in cache.items() if v[1] is not None},
-            grid)
+        entry = cache.get(key)
+        if entry is not None and (entry[2] or not final):
+            return entry[:2]
+        if entry is not None:      # a coarse node, refined from itself
+            warm = _stack(entry[1])
+        else:
+            # a = 0 starts cold from its closed-form decoupled profile,
+            # which converges in a few iterations
+            warm = None if a == 0.0 else _warm_start(
+                a, {k: v[1] for k, v in cache.items() if v[1] is not None},
+                grid)
         try:
-            pair, _ = minimize_I(s, a, prm, grid, opts, warm_start=warm)
+            pair, _ = minimize_I(s, a, prm, grid,
+                                 opts if final else scan_opts,
+                                 warm_start=warm)
         except UnattainedInfimumError:
-            entry = (t * t / s, None)      # I(s,0) = 0, unattained
+            entry = (t * t / s, None, True)    # I(s,0) = 0, unattained
         except DomainTooSmallError:
             # profile too wide for the box at this node; record it as
             # unavailable and keep scanning
             unavailable += 1
-            entry = (math.inf, None)
+            entry = (math.inf, None, True)
         else:
             solves += 1
-            entry = (pair.energy_value + (t - a) ** 2 / s, pair)
+            entry = (pair.energy_value + (t - a) ** 2 / s, pair,
+                     final or scan_opts.tol == opts.tol)
         cache[key] = entry
-        return entry
+        return entry[:2]
 
-    def slope(a: float) -> float:
+    def slope(a: float, final: bool = False) -> float:
         # -W'(a) = c + 2b; a = 0 has no long-wave multiplier, take a -> 0+
         if a == 0.0:
             return math.inf if prm.alpha > 0.0 else 2.0 * t / s
-        pair = solve_at(a)[1]
+        pair = solve_at(a, final)[1]
         if pair is None:
             raise DomainTooSmallError(
                 f"no profile at long-wave mass a = {a:.6g}; enlarge the box")
@@ -572,8 +596,6 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
     for _ in range(9):
         nodes = np.linspace(0.0, a_max, _W_SCAN_NODES)
-        for a in nodes[::-1]:
-            solve_at(float(a))
         vals = [solve_at(float(a))[0] for a in nodes]
         best = int(np.argmin(vals))
         if best < len(nodes) - 1:
@@ -641,13 +663,23 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
             a_best, w_best = am, w_m
         cells += [(a0, am), (am, a1)]
 
-    # each root of W' to rounding in a (xtol ~ 0 leaves brentq's 4 eps
-    # relative floor); the best node wins only by more than rounding
-    roots = [brentq(slope, lo, hi, xtol=1e-15) for lo, hi in brackets]
-    a_star = min(roots, key=lambda a: solve_at(a)[0], default=a_best)
-    if solve_at(a_star)[0] > w_best + _W_ROUNDING * (1.0 + abs(w_best)):
+    def root(lo, hi):
+        # each root of W' to rounding in a (xtol ~ 0 leaves brentq's 4 eps
+        # relative floor).  The bracket comes from coarse slopes; a root
+        # within their error of one end may lie just past it, in the cell
+        # of the same width on that side.
+        if slope(lo, True) < 0.0:
+            lo, hi = max(2.0 * lo - hi, 0.0), lo
+        elif slope(hi, True) > 0.0:
+            lo, hi = hi, 2.0 * hi - lo
+        return brentq(slope, lo, hi, args=(True,), xtol=1e-15)
+
+    # the best node wins only by more than rounding
+    roots = [root(lo, hi) for lo, hi in brackets]
+    a_star = min(roots, key=lambda a: solve_at(a, True)[0], default=a_best)
+    if solve_at(a_star, True)[0] > w_best + _W_ROUNDING * (1.0 + abs(w_best)):
         a_star = a_best
-    w_value, pair = solve_at(a_star)
+    w_value, pair = solve_at(a_star, True)
     cache.clear()  # brentq wraps slope in a reference cycle; free the pairs
     if pair is None:
         raise UnattainedInfimumError(

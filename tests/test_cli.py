@@ -7,6 +7,7 @@ import pytest
 import nlskdv as nk
 from nlskdv import artifacts, cli
 from nlskdv.cli import _SCHEMA, OUTPUT_ROOT_ENV, RunConfig, main
+from nlskdv.verify import CheckRow
 
 SMALL = """
 [grid]
@@ -240,6 +241,19 @@ def test_verify_command(cfgfile, tmp_path, capsys):
     names = {r["name"] for r in rows}
     assert any(n.startswith("subadd/") for n in names)
     assert all(r["status"] != "fail" for r in rows)
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("verify", "run_grid_checks"), ("rearrange", "run_rearrange_suite")])
+def test_failed_check_exit_4(command, runner, cfgfile, capsys, monkeypatch):
+    # a failed check row ends stdout with the JSON error record every
+    # exit-4 path prints, naming the failed rows
+    monkeypatch.setattr(cli, runner, lambda *args, **kwargs: [
+        CheckRow("forced", "fail", "monkeypatched")])
+    assert main([command, "--config", cfgfile]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 4 and command in err["error"]
+    assert err["failed"] == ["forced"]
 
 
 def test_verify_coarse_grid_tolerance_limited(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -393,20 +394,104 @@ class TestMinimizeW:
         sol = nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
         assert sol.n_solves <= 24
 
-    def test_cold_solves(self, grid_small, prm_coupled, monkeypatch):
-        # only the first scan node (the top of the range) and a = 0 start
-        # cold; a = 0's closed-form decoupled start needs a few iterations
+    @staticmethod
+    def _record_inner_solves(monkeypatch):
+        # [a, cold start, tolerance, iterations] of every inner solve of
+        # minimize_W; iterations stay None when the solve raises
         calls = []
         solve = minimize_mod.minimize_I
 
         def recorder(*args, **kwargs):
-            calls.append((args[1], kwargs.get("warm_start") is None))
-            return solve(*args, **kwargs)
+            call = [args[1], kwargs.get("warm_start") is None, args[4].tol,
+                    None]
+            calls.append(call)
+            pair, report = solve(*args, **kwargs)
+            call[3] = report.iterations
+            return pair, report
 
         monkeypatch.setattr(minimize_mod, "minimize_I", recorder)
+        return calls
+
+    def test_cold_solves(self, grid_small, prm_coupled, monkeypatch):
+        # the scan ascends from a = 0, whose closed-form decoupled start
+        # needs a few iterations; every later solve starts warm, so none
+        # runs the coupling ramp
+        calls = self._record_inner_solves(monkeypatch)
         nk.minimize_W(1.0, 0.5, prm_coupled, grid_small)
-        cold = [a for a, is_cold in calls if is_cold]
-        assert cold == [calls[0][0], 0.0]
+        cold = [a for a, is_cold, _, _ in calls if is_cold]
+        assert cold == [0.0]
+
+    def test_descent_iteration_budget(self, prm_coupled, monkeypatch):
+        # warm scan nodes at the continuation tolerance: 248 descent
+        # iterations in all (392 with a cold top node and every node
+        # solved to the final tolerance)
+        calls = self._record_inner_solves(monkeypatch)
+        nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
+        assert sum(it for _, _, _, it in calls) <= 300
+
+    def test_minimum_at_zero_refined(self, monkeypatch):
+        # alpha = 0, t < 0: W' > 0 on (0, a_max), so a* = 0, the scan's
+        # first node; its coarse solve is re-solved to the final tolerance
+        calls = self._record_inner_solves(monkeypatch)
+        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
+        sol = nk.minimize_W(0.8, -0.5, prm, nk.make_grid(40.0, 512))
+        assert sol.a_star == 0.0
+        assert sol.W_value == pytest.approx(0.18722423548259634, rel=1e-13)
+        assert sol.pair.el_residual_phi <= 1e-8
+        tols = [tol for a, _, tol, _ in calls if a == 0.0]
+        assert tols == [minimize_mod._CONTINUATION_TOL,
+                        MinimizeOptions().tol]
+
+    def test_zero_mass_unattained(self, monkeypatch):
+        # tau1 = 0: a = 0 has no pair, so the first available node is the
+        # one cold solve past it
+        calls = self._record_inner_solves(monkeypatch)
+        prm = nk.PhysParams(alpha=1.0, tau1=0.0, tau2=1.0, p=1, q=1.0)
+        sol = nk.minimize_W(1.0, 0.5, prm, nk.make_grid(40.0, 512))
+        assert sol.W_value == pytest.approx(-0.23512694761131447, rel=1e-13)
+        assert sol.twist_gap <= 1e-12
+        cold = [a for a, is_cold, _, _ in calls if is_cold]
+        assert cold == [0.0, calls[1][0]] and calls[1][0] > 0.0
+        assert calls[0][3] is None      # UnattainedInfimumError at a = 0
+
+    def test_loose_tolerance_solves_once(self, grid_small, prm_coupled,
+                                         monkeypatch):
+        # a tolerance looser than the continuation tolerance makes every
+        # scan node final: no mass is solved twice
+        calls = self._record_inner_solves(monkeypatch)
+        opts = MinimizeOptions(tol=1e-5)
+        nk.minimize_W(1.0, 0.5, prm_coupled, grid_small, opts)
+        masses = [a for a, _, _, _ in calls]
+        assert len(set(masses)) == len(masses)
+        assert {tol for _, _, tol, _ in calls} == {1e-5}
+
+    @pytest.mark.parametrize("side,bias", [(0, 1.0), (-1, -1.0)])
+    def test_root_past_coarse_bracket(self, side, bias, prm_coupled,
+                                      monkeypatch):
+        # a coarse slope of the wrong sign at a node next to the root
+        # moves the scan's bracket one cell away from it; the final slopes
+        # put the root back in the neighbouring cell, where Brent's method
+        # finds it
+        grid = nk.make_grid(30.0, 768)
+        want = nk.minimize_W(1.0, 0.5, prm_coupled, grid)
+        nodes = np.linspace(0.0, 0.5 + 4.0 * math.sqrt(1.5),
+                            minimize_mod._W_SCAN_NODES)
+        node = float(nodes[np.searchsorted(nodes, want.a_star) + side])
+        solve = minimize_mod.minimize_I
+
+        def biased(*args, **kwargs):
+            pair, report = solve(*args, **kwargs)
+            if args[1] == node and args[4].tol > MinimizeOptions().tol:
+                pair = dataclasses.replace(pair, c=pair.c + bias)
+            return pair, report
+
+        monkeypatch.setattr(minimize_mod, "minimize_I", biased)
+        sol = nk.minimize_W(1.0, 0.5, prm_coupled, grid)
+        # other warm starts move the inner solves' c, and so the root, by
+        # up to ~1e-9 (the final tolerance); W is flat there
+        assert abs(sol.a_star - want.a_star) <= 1e-8
+        assert sol.W_value == pytest.approx(want.W_value, rel=1e-13)
+        assert sol.twist_gap <= 1e-12
 
     def test_minimum_between_hermite_nodes(self):
         # alpha = 0, t = 0: a* = (9/32) s^3 = 0.144 lies in the first scan
