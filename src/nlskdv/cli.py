@@ -339,8 +339,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return _report_rows(cfg, "verify", rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError: exit 2 with the JSON record."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlskdv",
         description="solitary-wave laboratory for the coupled NLS-KdV system")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,22 +371,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = RunConfig.from_file(args.config, args.overrides)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "w-solve":
-            return cmd_wsolve(cfg)
         if args.command == "evolve":
             return cmd_evolve(cfg, args.init)
-        if args.command == "rearrange":
-            return cmd_rearrange(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ValidationError(f"unknown command {args.command}")
+        return {"solve": cmd_solve, "sweep": cmd_sweep, "w-solve": cmd_wsolve,
+                "rearrange": cmd_rearrange,
+                "verify": cmd_verify}[args.command](cfg)
     except (ValidationError, configparser.Error) as exc:
         return _error(str(exc), 2)
     except (OSError, json.JSONDecodeError, KeyError) as exc:

@@ -47,7 +47,6 @@ _CONTINUATION_TOL = 1e-6          # exit tolerance of the ramp stages
 _PRECOND_SHIFT = 1.0              # H1 preconditioner 1/(2 (k^2 + shift))
 _MAX_RAMP_STAGES = 10_000         # coupling-ramp stages of a cold solve
 _W_SCAN_NODES = 17
-_W_ROUNDING = 1e-12               # relative W difference below rounding
 
 
 @dataclass
@@ -369,7 +368,8 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         last = idx == len(stages) - 1
         tol = opts.tol if last else max(opts.tol, _CONTINUATION_TOL)
         budget = opts.max_iter - total_iters
-        if budget <= 0:
+        if budget <= 0:            # a stage before the last used it up
+            converged = False
             break
         X, iters, final_step, history, pgnorm, converged = _descend(
             X, masses, stage_prm, grid, tol, budget,
@@ -512,12 +512,15 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     Reduces to a one-dimensional search over the long-wave mass a of
     W(a) = I(s, a) + b(a)^2 s, b(a) = (t - a)/s.  Along minimizers
     dI/da = -c, so each inner solve also gives the slope W' = -(c + 2b).
-    A 17-node scan keeps W and W' per node.  Its brackets are the cells
-    where W' turns from negative to positive, plus the halves of a cell
-    split at the minimum of its cubic Hermite model of (W, W') when that
-    model undercuts the best W found (at most one split per scan cell
-    in all).  Brent's method finds the root of W' in each bracket, and
-    the lowest W among the roots and the best node wins.
+    A 17-node scan keeps W and W' per node.  The zoom step of a
+    bracketing line search then refines the cell between the lowest node
+    and its downhill neighbour: when W' turns from negative to positive
+    across it, Brent's method finds the root of W' there; otherwise the
+    cell is split at the minimum of its cubic Hermite model of (W, W')
+    and the zoom repeats from the lowest node, at most once per scan
+    node, after which the lowest node wins.  When W rises from a = 0,
+    a* = 0.  A downhill neighbour with no profile in the box gets one
+    midpoint solve before the search gives up.
 
     The search is a natural-parameter continuation in a.  The scan
     ascends from a = 0, which starts cold from its closed-form decoupled
@@ -525,9 +528,9 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     masses around it (interpolated, or extrapolated along the secant of
     the two nearest), so no solve needs the coupling ramp.  Only when
     a = 0 has no pair is the first available node solved cold.  Scan
-    nodes, Hermite model points and the doubling of the range only
-    place brackets and warm starts, so they are solved to the
-    continuation tolerance max(opts.tol, 1e-6); the root-find's slope
+    nodes, split points and the doubling of the range only place
+    brackets and warm starts, so they are solved to the continuation
+    tolerance max(opts.tol, 1e-6); the root-find's slope
     evaluations and the returned pair are solved to opts.tol, a coarse
     node warm from its own profiles.  The short-wave profile is
     reconstructed by the phase twist exp(-i b x).
@@ -595,76 +598,17 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
 
     a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
     for _ in range(9):
-        nodes = np.linspace(0.0, a_max, _W_SCAN_NODES)
-        vals = [solve_at(float(a))[0] for a in nodes]
-        best = int(np.argmin(vals))
-        if best < len(nodes) - 1:
+        nodes = [float(a) for a in np.linspace(0.0, a_max, _W_SCAN_NODES)]
+        vals = [solve_at(a)[0] for a in nodes]
+        if np.argmin(vals) < len(nodes) - 1:
             break
         a_max *= 2.0
     else:
         raise BoundaryMinimumError(
             f"scan minimum stuck at the upper endpoint a = {a_max}")
-    nodes = [float(a) for a in nodes]
-
-    def abuts(j):
-        # node j next to the best one has no profile, and the minimum is
-        # not in the cell on the other side: W falls toward j there, or
-        # there is no such cell
-        k = 2 * best - j
-        return 0 <= j < len(nodes) and math.isinf(vals[j]) and (
-            not 0 <= k < len(nodes) or math.isinf(vals[best])
-            or (j - best) * slope(nodes[best]) >= 0.0)
-
-    for side in (-1, 1):
-        if abuts(best + side):
-            # halve the gap to that node before giving up
-            j = max(best, best + side)
-            mid = 0.5 * (nodes[j - 1] + nodes[j])
-            nodes.insert(j, mid)
-            vals.insert(j, solve_at(mid)[0])
-            best += side < 0
-            if vals[j] < vals[best]:
-                best = j
-            if abuts(best + side):
-                raise DomainTooSmallError(
-                    "the scan minimum abuts long-wave masses whose profiles "
-                    "do not fit the box; enlarge the box")
-
-    # cells between available nodes; a cell whose slope turns from > 0 to
-    # < 0 brackets a root of W'.  Any other cell whose cubic Hermite model
-    # of (W, W') has an interior minimum below the best W by more than
-    # rounding is solved there once and replaced by its two halves.
-    # a = 0's infinite slope has no cubic model.
-    a_best, w_best = nodes[best], vals[best]
-    cells = [(a0, a1) for a0, a1, w0, w1
-             in zip(nodes, nodes[1:], vals, vals[1:])
-             if math.isfinite(w0) and math.isfinite(w1)]
-    brackets = []
-    refinements = len(cells)       # at most one model solve per scan cell
-    while cells:
-        a0, a1 = cells.pop()
-        s0, s1 = slope(a0), slope(a1)
-        if s0 > 0.0 > s1:
-            brackets.append((a0, a1))
-            continue
-        model = _hermite_min(a0, a1, solve_at(a0)[0], solve_at(a1)[0],
-                             -s0, -s1) if math.isfinite(s0) else None
-        if model is None or refinements == 0 or \
-                model[1] >= w_best - _W_ROUNDING * (1.0 + abs(w_best)):
-            continue
-        refinements -= 1
-        # kept in the middle half of the cell, so a model biased to one
-        # side still shrinks the cell by a quarter
-        am = min(max(model[0], 0.75 * a0 + 0.25 * a1),
-                 0.25 * a0 + 0.75 * a1)
-        slope(am)  # raises when the model point has no profile
-        w_m = solve_at(am)[0]
-        if w_m < w_best:
-            a_best, w_best = am, w_m
-        cells += [(a0, am), (am, a1)]
 
     def root(lo, hi):
-        # each root of W' to rounding in a (xtol ~ 0 leaves brentq's 4 eps
+        # the root of W' to rounding in a (xtol ~ 0 leaves brentq's 4 eps
         # relative floor).  The bracket comes from coarse slopes; a root
         # within their error of one end may lie just past it, in the cell
         # of the same width on that side.
@@ -674,11 +618,46 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
             lo, hi = hi, 2.0 * hi - lo
         return brentq(slope, lo, hi, args=(True,), xtol=1e-15)
 
-    # the best node wins only by more than rounding
-    roots = [root(lo, hi) for lo, hi in brackets]
-    a_star = min(roots, key=lambda a: solve_at(a, True)[0], default=a_best)
-    if solve_at(a_star, True)[0] > w_best + _W_ROUNDING * (1.0 + abs(w_best)):
-        a_star = a_best
+    # the zoom step of a bracketing line search (Nocedal & Wright, §3.5):
+    # refine the cell between the best node and its downhill neighbour
+    # until its slopes bracket a root of W'
+    widened = False
+    for _ in range(len(nodes)):
+        best = int(np.argmin(vals))
+        j = best + (1 if slope(nodes[best]) >= 0.0 else -1)
+        if j < 0:                  # W rises from a = 0
+            if math.isfinite(vals[1]):
+                a_star = 0.0
+                break
+            j = 1
+        lo = min(best, j)
+        a0, a1 = nodes[lo], nodes[lo + 1]
+        if math.isinf(vals[j]):
+            # halve the gap to a node with no profile before giving up
+            if widened:
+                raise DomainTooSmallError(
+                    "the scan minimum abuts long-wave masses whose profiles "
+                    "do not fit the box; enlarge the box")
+            widened = True
+            am = 0.5 * (a0 + a1)
+        else:
+            s0, s1 = slope(a0), slope(a1)
+            if s0 > 0.0 > s1:
+                a_star = root(a0, a1)
+                break
+            # split at the minimum of the cubic Hermite model of (W, W'),
+            # kept in the middle half of the cell so that a model biased
+            # to one side still shrinks it by a quarter; a = 0's infinite
+            # slope has no model
+            model = _hermite_min(a0, a1, vals[lo], vals[lo + 1], -s0, -s1) \
+                if math.isfinite(s0) else None
+            am = 0.5 * (a0 + a1) if model is None else min(
+                max(model[0], 0.75 * a0 + 0.25 * a1), 0.25 * a0 + 0.75 * a1)
+            slope(am)  # raises when the split point has no profile
+        nodes.insert(lo + 1, am)
+        vals.insert(lo + 1, solve_at(am)[0])
+    else:
+        a_star = nodes[int(np.argmin(vals))]
     w_value, pair = solve_at(a_star, True)
     cache.clear()  # brentq wraps slope in a reference cycle; free the pairs
     if pair is None:

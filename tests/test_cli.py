@@ -203,6 +203,59 @@ def test_evolve_blowup_exit_4(cfgfile, tmp_path, capsys, monkeypatch):
     assert err["partial_trace"] == str(tmp_path / "out" / "evolve")
 
 
+def test_evolve_grid_mismatch_exit_2(cfgfile, tmp_path, capsys):
+    # the saved pair lives on the 512-point grid, the run asks for 256
+    assert main(["solve", "--config", cfgfile]) == 0
+    assert main(["evolve", "--config", cfgfile, "--set", "grid.points=256",
+                 "--init", str(tmp_path / "out" / "solve")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 2 and "grid" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["evolve"], ["solve", "--bogus"]],
+                         ids=["unknown-command", "evolve-without-init",
+                              "unknown-flag"])
+def test_usage_error_exit_2(argv, capsys):
+    # usage errors print the JSON error record too, not argparse's usage
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    err = json.loads(out.out.strip().splitlines()[-1])
+    assert err["code"] == 2 and err["error"].startswith("nlskdv")
+    assert out.err == ""
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-h"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_solver_failure_exit_4(tmp_path, capsys):
+    # the coupled pair does not fit a box of half-length 8
+    assert main(["solve", "--set", f"output.directory={tmp_path / 'out'}",
+                 "--set", "grid.half_length=8",
+                 "--set", "grid.points=128"]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 4 and err["error"].startswith("boundary leak")
+
+
+def test_wsolve_writes_artifacts(cfgfile, tmp_path):
+    assert main(["w-solve", "--config", cfgfile]) == 0
+    out = tmp_path / "out" / "wsolve"
+    doc = artifacts.read_json(str(out / "wsolution.json"))
+    assert doc["twist_gap"] <= 1e-12
+    Phi = nk.load_field(str(out / "Phi"))
+    psi = nk.load_field(str(out / "psi"))
+    pair = artifacts.load_pair(str(out / "pair"))
+    assert pair.energy_value == doc["i_value"]
+    # mass and momentum within the criterion-07 gates (s = t = 1)
+    assert abs(nk.charge(Phi) - 1.0) <= 1e-10
+    assert abs(nk.momentum(Phi, psi) - 1.0) <= 1e-8
+    man = artifacts.read_json(str(out / "manifest.json"))
+    assert man["grid"] == {"L": 30.0, "n": 512}
+
+
 def test_sweep_rows(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("""

@@ -191,6 +191,29 @@ class TestMinimizeICoupled:
         assert sigma == pytest.approx(pair.sigma, rel=1e-12)
         assert c == pytest.approx(pair.c, rel=1e-12)
 
+    def test_budget_spent_before_last_stage(self, prm_coupled,
+                                            monkeypatch):
+        # a budget the first ramp stage uses up exactly leaves the pair
+        # at partial coupling: no convergence, not a converged full-alpha
+        # pair
+        grid = nk.make_grid(40.0, 512)
+        iters = []
+        descend = minimize_mod._descend
+
+        def recorder(*args):
+            out = descend(*args)
+            iters.append(out[1])
+            return out
+
+        monkeypatch.setattr(minimize_mod, "_descend", recorder)
+        nk.minimize_I(1.0, 1.0, prm_coupled, grid)
+        assert len(iters) > 1
+        with pytest.raises(nk.ConvergenceError) as err:
+            nk.minimize_I(1.0, 1.0, prm_coupled, grid,
+                          MinimizeOptions(max_iter=iters[0]))
+        assert err.value.report.iterations == iters[0]
+        assert err.value.report.termination == "max_iter"
+
     def test_small_box_rejected(self, prm_coupled):
         grid = nk.make_grid(8.0, 64)
         with pytest.raises((nk.DomainTooSmallError, nk.ConvergenceError)):
@@ -362,6 +385,17 @@ class TestMinimizeW:
     def test_minimum_abuts_unavailable_nodes(self, prm_coupled):
         with pytest.raises(nk.DomainTooSmallError, match="abuts"):
             nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(26.0, 512))
+
+    def test_zero_minimum_abuts_unavailable_node(self, monkeypatch):
+        # alpha = 0, t < 0: a = 0 is the lowest node and W rises from it,
+        # but node 1 has no profile in the box, so the search cannot tell
+        # whether W falls again before it: one midpoint, then "abuts"
+        calls = self._record_inner_solves(monkeypatch)
+        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=1.5, p=1, q=1.0)
+        with pytest.raises(nk.DomainTooSmallError, match="abuts"):
+            nk.minimize_W(0.9, -0.9, prm, nk.make_grid(40.0, 512))
+        assert calls[1][3] is None      # node 1 has no profile
+        assert len(calls) == minimize_mod._W_SCAN_NODES + 1
 
     def test_every_node_unavailable(self, grid_small, prm_coupled):
         # no profile has a boundary leak this small
