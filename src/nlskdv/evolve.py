@@ -103,7 +103,7 @@ class _Stepper:
     def __init__(self, grid: Grid1D, prm: PhysParams, dt: float):
         self.prm = prm
         self.dt = dt
-        d2, d3 = grid.deriv_symbol(2, False), grid.deriv_symbol(3, False)
+        d2, d3 = grid.deriv_symbol(2), grid.deriv_symbol(3)
         # exact flows of i u_t + u_xx = 0 and v_t + v_xxx = 0 over dt/2
         self.e_h = np.exp(np.stack([1j * d2, -d3]) * (dt / 2.0))
         self.e_f = self.e_h ** 2
@@ -115,7 +115,7 @@ class _Stepper:
         self.mask = np.stack([keep, keep]).astype(np.complex128)
         # 2/3 mask, the i of i u_t = ..., and the -d/dx of the KdV flux
         self.out_symbol = np.stack(
-            [1j * keep, -grid.deriv_symbol(1, False) * keep])
+            [1j * keep, -grid.deriv_symbol(1) * keep])
         self._slopes = np.empty((4, 2, grid.n), dtype=np.complex128)
         self._arg = np.empty((2, grid.n), dtype=np.complex128)
         self._lin = np.empty_like(self._arg)

@@ -190,10 +190,9 @@ def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
     inverse for all orders.  A complex u makes the stack complex, so it
     takes the full transform and v's rows come back as their real part.
     """
-    real = np.isrealobj(u)
-    sym = grid.deriv_symbol(orders, real)
-    out = apply_symbol(np.array([u, v]), grid, sym[:, None])
-    return out if real else [(du, dv.real) for du, dv in out]
+    out = apply_symbol(np.array([u, v]), grid,
+                       grid.deriv_symbol(orders)[:, None])
+    return out if np.isrealobj(u) else [(du, dv.real) for du, dv in out]
 
 
 def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:

@@ -24,8 +24,8 @@ from .errors import GridMismatchError, ValidationError
 class Grid1D:
     """Uniform periodic grid with n samples on [-L, L).
 
-    wavenumbers are in full FFT ordering, rwavenumbers in rfft ordering
-    (Nyquist last), and h1_weights = 1 + k^2 weight the product H1 norm.
+    wavenumbers are in full FFT ordering (Nyquist stored as -n/2), and
+    h1_weights = 1 + k^2 weight the product H1 norm.
     """
 
     half_length: float
@@ -33,7 +33,6 @@ class Grid1D:
     dx: float = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
     wavenumbers: np.ndarray = field(init=False, repr=False)
-    rwavenumbers: np.ndarray = field(init=False, repr=False)
     h1_weights: np.ndarray = field(init=False, repr=False)
     _symbols: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -43,37 +42,33 @@ class Grid1D:
         x = -L + dx * np.arange(n)
         # pi*j/L for j in standard FFT ordering (Nyquist stored as -n/2)
         k = 2.0 * np.pi * scipy.fft.fftfreq(n, d=dx)
-        kr = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dx)
         w = 1.0 + k ** 2
-        for arr in (x, k, kr, w):
+        for arr in (x, k, w):
             arr.flags.writeable = False
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "wavenumbers", k)
-        object.__setattr__(self, "rwavenumbers", kr)
         object.__setattr__(self, "h1_weights", w)
 
-    def deriv_symbol(self, order: int | tuple, real: bool) -> np.ndarray:
+    def deriv_symbol(self, order: int | tuple) -> np.ndarray:
         """Multiplier (i k)^order of the spectral derivative, built once.
 
-        real selects rfft ordering.  The Nyquist mode is zeroed for odd
-        orders so real input stays real; even-order symbols are real.  A
-        tuple of orders gives the stack of their symbols, one row each,
-        also built once.
+        The Nyquist mode is zeroed for odd orders so real input stays
+        real; even-order symbols are real.  A tuple of orders gives the
+        stack of their symbols, one row each, also built once.
         """
-        sym = self._symbols.get((order, real))
+        sym = self._symbols.get(order)
         if sym is None:
             if isinstance(order, tuple):
-                sym = np.array([self.deriv_symbol(m, real) for m in order])
+                sym = np.array([self.deriv_symbol(m) for m in order])
             else:
-                k = self.rwavenumbers if real else self.wavenumbers
-                sym = (1j * k) ** order
+                sym = (1j * self.wavenumbers) ** order
                 if order % 2 == 0:
                     sym = sym.real.copy()
                 else:
-                    sym[-1 if real else self.n // 2] = 0.0
+                    sym[self.n // 2] = 0.0
             sym.flags.writeable = False
-            self._symbols[(order, real)] = sym
+            self._symbols[order] = sym
         return sym
 
     def __eq__(self, other):
@@ -147,15 +142,16 @@ def apply_symbol(values: np.ndarray, grid: Grid1D,
                  symbol: np.ndarray) -> np.ndarray:
     """Multiply the spectrum of a sample array by symbol and transform back.
 
-    Real input goes through the real-to-complex transform, so symbol is
-    in rfft ordering (see Grid1D.rwavenumbers) and the output is real;
-    complex input takes the full transform and symbol in full ordering.
-    The transform runs along the last axis and leading axes are
-    transformed row by row, so each row of a stack comes back bit for
-    bit as it would alone.
+    symbol is in full FFT ordering (see Grid1D.wavenumbers).  Real input
+    goes through the real-to-complex transform, which keeps the first
+    n/2 + 1 entries of symbol, and the output is real; complex input
+    takes the full transform.  The transform runs along the last axis
+    and leading axes are transformed row by row, so each row of a stack
+    comes back bit for bit as it would alone.
     """
     if np.isrealobj(values):
-        return scipy.fft.irfft(symbol * scipy.fft.rfft(values), grid.n)
+        return scipy.fft.irfft(symbol[..., :grid.n // 2 + 1]
+                               * scipy.fft.rfft(values), grid.n)
     return scipy.fft.ifft(symbol * scipy.fft.fft(values))
 
 
@@ -167,8 +163,7 @@ def deriv_values(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray
     """
     if order < 1:
         raise ValidationError(f"derivative order must be >= 1, got {order}")
-    return apply_symbol(values, grid,
-                        grid.deriv_symbol(order, np.isrealobj(values)))
+    return apply_symbol(values, grid, grid.deriv_symbol(order))
 
 
 def deriv(f: Field, order: int = 1) -> Field:
@@ -190,8 +185,7 @@ def integrate(f: Field):
 
 def shift_values(values: np.ndarray, grid: Grid1D, y: float) -> np.ndarray:
     """Translate samples so the output is f(x + y), using spectral phases."""
-    k = grid.rwavenumbers if np.isrealobj(values) else grid.wavenumbers
-    return apply_symbol(values, grid, np.exp(1j * k * y))
+    return apply_symbol(values, grid, np.exp(1j * grid.wavenumbers * y))
 
 
 def boundary_leak(values: np.ndarray) -> float:

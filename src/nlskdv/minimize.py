@@ -44,7 +44,6 @@ _STEP_MAX = 4.0
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
 _STABILIZE_EVERY = 25             # rearrangement swap period
 _CONTINUATION_TOL = 1e-6          # exit tolerance of the ramp stages
-_PRECOND_SHIFT = 1.0              # H1 preconditioner 1/(2 (k^2 + shift))
 _MAX_RAMP_STAGES = 10_000         # coupling-ramp stages of a cold solve
 _W_SCAN_NODES = 17
 
@@ -151,7 +150,7 @@ def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
     """
     dx = grid.dx
     live = masses > 0.0
-    precond = 1.0 / (2.0 * (_PRECOND_SHIFT - grid.deriv_symbol(2, True)))
+    precond = 0.5 / grid.h1_weights
 
     def evaluate(X):
         e, G = energy_gradient_values(*X, prm, grid)
@@ -294,7 +293,7 @@ def convolution_fixed_point_gap(pair: SolitaryWavePair,
     phi = pair.phi.values
     rhs, _ = nonlinearity(phi, pair.psi.values, prm)
     conv = apply_symbol(rhs, grid,
-                        1.0 / (pair.sigma - grid.deriv_symbol(2, False)))
+                        1.0 / (pair.sigma - grid.deriv_symbol(2)))
     gap = phi - conv
     return float(np.sqrt(grid.dx * np.sum(np.abs(gap) ** 2)))
 
@@ -479,32 +478,6 @@ def _warm_start(a: float, known: dict, grid: Grid1D):
     return X
 
 
-def _hermite_min(a0: float, a1: float, w0: float, w1: float,
-                 d0: float, d1: float):
-    """Interior minimum (a, value) of the cubic Hermite model, or None.
-
-    The model matches values w0, w1 and derivatives d0, d1 at a0 < a1.
-    In x = (a - a0)/h it is w0 + d0 h x + c2 x^2 + c3 x^3; the minimizing
-    root of its derivative is taken in the form free of cancellation.
-    """
-    h = a1 - a0
-    c2 = 3.0 * (w1 - w0) - (2.0 * d0 + d1) * h
-    c3 = -2.0 * (w1 - w0) + (d0 + d1) * h
-    disc = c2 * c2 - 3.0 * c3 * d0 * h
-    if disc <= 0.0:
-        return None
-    root = math.sqrt(disc)
-    if c2 > 0.0:
-        x = -d0 * h / (c2 + root)
-    elif c3 != 0.0:
-        x = (root - c2) / (3.0 * c3)
-    else:
-        return None
-    if not 0.0 < x < 1.0:
-        return None
-    return a0 + x * h, w0 + x * (d0 * h + x * (c2 + x * c3))
-
-
 def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                opts: Optional[MinimizeOptions] = None) -> WSolution:
     """Minimize the energy at fixed mass s and momentum t.
@@ -516,11 +489,10 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     bracketing line search then refines the cell between the lowest node
     and its downhill neighbour: when W' turns from negative to positive
     across it, Brent's method finds the root of W' there; otherwise the
-    cell is split at the minimum of its cubic Hermite model of (W, W')
-    and the zoom repeats from the lowest node, at most once per scan
-    node, after which the lowest node wins.  When W rises from a = 0,
-    a* = 0.  A downhill neighbour with no profile in the box gets one
-    midpoint solve before the search gives up.
+    cell is halved and the zoom repeats from the lowest node, at most
+    once per scan node, after which the lowest node wins.  When W rises
+    from a = 0, a* = 0.  A downhill neighbour with no profile in the box
+    gets one midpoint solve before the search gives up.
 
     The search is a natural-parameter continuation in a.  The scan
     ascends from a = 0, which starts cold from its closed-form decoupled
@@ -620,7 +592,7 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
 
     # the zoom step of a bracketing line search (Nocedal & Wright, §3.5):
     # refine the cell between the best node and its downhill neighbour
-    # until its slopes bracket a root of W'
+    # by halving it until its slopes bracket a root of W'
     widened = False
     for _ in range(len(nodes)):
         best = int(np.argmin(vals))
@@ -632,6 +604,7 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
             j = 1
         lo = min(best, j)
         a0, a1 = nodes[lo], nodes[lo + 1]
+        am = 0.5 * (a0 + a1)
         if math.isinf(vals[j]):
             # halve the gap to a node with no profile before giving up
             if widened:
@@ -639,20 +612,10 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                     "the scan minimum abuts long-wave masses whose profiles "
                     "do not fit the box; enlarge the box")
             widened = True
-            am = 0.5 * (a0 + a1)
+        elif slope(a0) > 0.0 > slope(a1):
+            a_star = root(a0, a1)
+            break
         else:
-            s0, s1 = slope(a0), slope(a1)
-            if s0 > 0.0 > s1:
-                a_star = root(a0, a1)
-                break
-            # split at the minimum of the cubic Hermite model of (W, W'),
-            # kept in the middle half of the cell so that a model biased
-            # to one side still shrinks it by a quarter; a = 0's infinite
-            # slope has no model
-            model = _hermite_min(a0, a1, vals[lo], vals[lo + 1], -s0, -s1) \
-                if math.isfinite(s0) else None
-            am = 0.5 * (a0 + a1) if model is None else min(
-                max(model[0], 0.75 * a0 + 0.25 * a1), 0.25 * a0 + 0.75 * a1)
             slope(am)  # raises when the split point has no profile
         nodes.insert(lo + 1, am)
         vals.insert(lo + 1, solve_at(am)[0])

@@ -132,7 +132,7 @@ def test_stacked_rows_match_single_rows(half, order, seed):
     # alone; the solver's (2, n) stack of its two fields relies on it
     g = nk.make_grid(10.0, 2 * half)
     X = np.random.default_rng(seed).standard_normal((2, g.n))
-    symbol = 1.0 / (1.0 + g.rwavenumbers ** 2)
+    symbol = 1.0 / g.h1_weights
     stacked = deriv_values(X, g, order)
     smoothed = apply_symbol(X, g, symbol)
     for i in range(2):
@@ -142,12 +142,11 @@ def test_stacked_rows_match_single_rows(half, order, seed):
 
 def test_symbol_stack_cached(grid30):
     # a tuple of orders gives the stacked symbols, built once and frozen
-    for real in (True, False):
-        stack = grid30.deriv_symbol((1, 2), real)
-        assert grid30.deriv_symbol((1, 2), real) is stack
-        assert not stack.flags.writeable
-        assert np.array_equal(stack, [grid30.deriv_symbol(1, real),
-                                      grid30.deriv_symbol(2, real)])
+    stack = grid30.deriv_symbol((1, 2))
+    assert grid30.deriv_symbol((1, 2)) is stack
+    assert not stack.flags.writeable
+    assert np.array_equal(stack, [grid30.deriv_symbol(1),
+                                  grid30.deriv_symbol(2)])
 
 
 def test_one_fft_library():

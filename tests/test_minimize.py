@@ -530,28 +530,38 @@ class TestMinimizeW:
     def test_minimum_between_hermite_nodes(self):
         # alpha = 0, t = 0: a* = (9/32) s^3 = 0.144 lies in the first scan
         # cell, whose end a = 0 has slope 2t/s = 0, so no slope sign change
-        # brackets it; only the cubic Hermite model of (W, W') finds it
+        # brackets it; the zoom finds it by halving that cell
         prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
         sol = nk.minimize_W(0.8, 0.0, prm, nk.make_grid(40.0, 512))
         assert abs(sol.a_star - 0.144) <= 1e-7
         assert sol.twist_gap <= 1e-12
 
-    def test_hermite_model_minimum(self):
-        # the model reproduces a cubic, so its minimum is the cubic's
-        def f(a):
-            return (a - 0.3) ** 3 - 0.5 * (a - 0.3)
+    def test_zoom_halves_cell(self, monkeypatch):
+        # the case above: every split point after the scan's nodes is the
+        # midpoint of two masses solved before it
+        calls = self._record_inner_solves(monkeypatch)
+        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
+        sol = nk.minimize_W(0.8, 0.0, prm, nk.make_grid(40.0, 512))
+        nodes = minimize_mod._W_SCAN_NODES
+        coarse = minimize_mod._CONTINUATION_TOL
+        split = [i for i, (_, _, tol, _) in enumerate(calls)
+                 if i >= nodes and tol == coarse]
+        assert split
+        for i in split:
+            before = {a for a, _, _, _ in calls[:i]}
+            assert any(0.5 * (a0 + a1) == calls[i][0]
+                       for a0 in before for a1 in before if a0 < a1)
+        assert sol.n_solves <= 25
 
-        def df(a):
-            return 3.0 * (a - 0.3) ** 2 - 0.5
-
-        a_min = 0.3 + math.sqrt(0.5 / 3.0)
-        a, w = minimize_mod._hermite_min(0.0, 1.0, f(0.0), f(1.0),
-                                         df(0.0), df(1.0))
-        assert a == pytest.approx(a_min, abs=1e-15)
-        assert w == pytest.approx(f(a_min), abs=1e-15)
-        # W' > 0 at both ends of a convex cell: no interior minimum
-        assert minimize_mod._hermite_min(0.0, 1.0, 0.0, 2.0, 1.0, 3.0) \
-            is None
+    def test_range_doubling(self, monkeypatch):
+        # alpha = 0, t = 0: a* = (9/32) s^3 = 7.59375 lies above the first
+        # scan's a_max = 4 sqrt(3), so the scan doubles its range
+        calls = self._record_inner_solves(monkeypatch)
+        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
+        sol = nk.minimize_W(3.0, 0.0, prm, nk.make_grid(30.0, 256))
+        assert abs(sol.a_star - 9.0 / 32.0 * 27.0) <= 1e-7
+        assert sol.twist_gap <= 1e-12
+        assert max(a for a, _, _, _ in calls) > 4.0 * math.sqrt(3.0)
 
     def test_warm_start_predictor(self, grid_small):
         # profiles linear in a: interpolation between two solved masses
