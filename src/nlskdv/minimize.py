@@ -10,6 +10,13 @@ k^2 stiffness of the raw flow.  During an initial stabilization phase
 iterates may be replaced by the rearrangement of their modulus, which
 never raises the energy beyond discretization noise.
 
+A cold solve is one descent at the full coupling, started from the
+product of the decoupled ground profiles.  In the H1 metric the high
+modes' curvature tends to 1, so a step of 2 leaves them undamped; the
+Armijo fraction 0.2 (any c1 in (0, 1) is allowed, Nocedal & Wright
+§3.1) refuses that step, where the customary 1e-4 accepts it and the
+descent stalls for thousands of iterations.
+
 Lagrange multipliers come from pairing the energy gradient with the
 profiles themselves (sigma = -<dE/dphi, phi>/2s, c = -<dE/dpsi, psi>/2t),
 and the residuals dE/2 + multiplier * profile of the stationarity
@@ -37,25 +44,27 @@ from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
 from .rearrange import rearrange_values
 
 # fixed constants of the descent and the W search
-_ARMIJO = 1e-4                    # sufficient-decrease fraction
+_ARMIJO = 0.2                     # sufficient decrease; refuses step 2
 _BACKTRACK = 0.5
 _STEP0 = 0.25
 _STEP_MAX = 4.0
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
 _STABILIZE_EVERY = 25             # rearrangement swap period
-_CONTINUATION_TOL = 1e-6          # exit tolerance of the ramp stages
-_MAX_RAMP_STAGES = 10_000         # coupling-ramp stages of a cold solve
+_CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
 _W_SCAN_NODES = 17
 
 
 @dataclass
 class MinimizeOptions:
-    """The settable knobs of the descent; the rest are module constants."""
+    """The settable knobs of the descent.
+
+    The line search (Armijo fraction, step ladder, phase switch) and the
+    rearrangement period are module constants.
+    """
 
     tol: float = 1e-8                 # projected-gradient L2 norm at exit
     max_iter: int = 200_000
     stabilize_iters: int = 300        # window for modulus/rearrangement swaps
-    continuation_step: float = 0.25   # coupling ramp for cold coupled solves
     max_boundary_leak: float = 1e-6
 
 
@@ -95,7 +104,7 @@ class MinimizeReport:
     termination: str
     I_value: float
     pg_norm: float
-    stages: int = 1
+    stages: int = 1                   # descents per solve; always one
 
 
 @dataclass
@@ -163,6 +172,10 @@ def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
 
     X = _project(X, masses, dx)
     e_cur, P, pgnorm = evaluate(X)
+    if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
+        raise ValidationError(
+            f"energy {e_cur:.3e} or projected gradient {pgnorm:.3e} is not "
+            "finite at the start; the parameters overflow double precision")
     history = [e_cur]
     eta = _STEP0
     it = 0
@@ -308,9 +321,10 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     long-wave mass additionally requires beta1 > 0, otherwise the
     infimum is zero and unattained (UnattainedInfimumError).  A
     warm_start is a pair of finite real arrays on the grid, nonzero
-    where the mass is positive.  Cold coupled solves ramp the coupling
-    up from zero in steps of opts.continuation_step (finite and > 0),
-    each stage warm-starting the next.
+    where the mass is positive.  Without one the descent starts at the
+    full coupling from the product of the decoupled ground profiles.
+    A start whose energy or projected gradient is not finite (the
+    parameters overflow double precision) raises ValidationError.
 
     Returns (SolitaryWavePair, MinimizeReport).  The pair is recentred
     so the psi mass centroid sits at x = 0 and the global phase of phi
@@ -323,16 +337,12 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             and s >= 0 and t >= 0 and s + t > 0):
         raise ValidationError(
             f"need finite s >= 0, t >= 0, s + t > 0; got s={s}, t={t}")
-    if not 0.0 < opts.continuation_step < math.inf:
-        raise ValidationError(f"continuation_step must be finite and > 0, "
-                              f"got {opts.continuation_step}")
     if t == 0.0 and prm.beta1 == 0.0:
         raise UnattainedInfimumError(
             "with zero long-wave mass and no short-wave self-interaction "
             "the constrained infimum is 0 and is not attained")
 
     masses = np.array([s, t], dtype=np.float64)
-    stages = [prm]
     if warm_start is not None:
         try:
             X = np.array(warm_start, dtype=np.float64)
@@ -346,40 +356,16 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
                 "warm_start has an all-zero row where the mass is positive")
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
-        if prm.alpha > 0.0 and s > 0.0 and t > 0.0 \
-                and prm.alpha > opts.continuation_step:
-            if prm.alpha / opts.continuation_step > _MAX_RAMP_STAGES:
-                raise ValidationError(
-                    f"coupling ramp alpha / continuation_step = "
-                    f"{prm.alpha / opts.continuation_step:.3g} exceeds "
-                    f"{_MAX_RAMP_STAGES} stages")
-            ramp = np.arange(opts.continuation_step, prm.alpha,
-                             opts.continuation_step)
-            stages = [dataclasses.replace(prm, alpha=float(a))
-                      for a in ramp] + [prm]
 
-    total_iters = 0
-    history = []
-    final_step = _STEP0
-    pgnorm = math.nan
-    converged = False
-    for idx, stage_prm in enumerate(stages):
-        last = idx == len(stages) - 1
-        tol = opts.tol if last else max(opts.tol, _CONTINUATION_TOL)
-        budget = opts.max_iter - total_iters
-        if budget <= 0:            # a stage before the last used it up
-            converged = False
-            break
-        X, iters, final_step, history, pgnorm, converged = _descend(
-            X, masses, stage_prm, grid, tol, budget,
-            opts.stabilize_iters if warm_start is None else 0)
-        total_iters += iters
+    X, iters, final_step, history, pgnorm, converged = _descend(
+        X, masses, prm, grid, opts.tol, opts.max_iter,
+        opts.stabilize_iters if warm_start is None else 0)
 
     report = MinimizeReport(
-        iterations=total_iters, final_step=final_step,
+        iterations=iters, final_step=final_step,
         energy_history=history,
         termination="converged" if converged else "max_iter",
-        I_value=math.nan, pg_norm=pgnorm, stages=len(stages))
+        I_value=math.nan, pg_norm=pgnorm)
     if not converged:
         raise ConvergenceError(
             f"no convergence within {opts.max_iter} iterations "
@@ -498,13 +484,12 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     ascends from a = 0, which starts cold from its closed-form decoupled
     profile; every later solve starts from the profiles of the solved
     masses around it (interpolated, or extrapolated along the secant of
-    the two nearest), so no solve needs the coupling ramp.  Only when
-    a = 0 has no pair is the first available node solved cold.  Scan
-    nodes, split points and the doubling of the range only place
-    brackets and warm starts, so they are solved to the continuation
-    tolerance max(opts.tol, 1e-6); the root-find's slope
-    evaluations and the returned pair are solved to opts.tol, a coarse
-    node warm from its own profiles.  The short-wave profile is
+    the two nearest).  Only when a = 0 has no pair is the first
+    available node solved cold.  Scan nodes, split points and the
+    doubling of the range only place brackets and warm starts, so they
+    are solved to the continuation tolerance max(opts.tol, 1e-6); the
+    root-find's slope evaluations and the returned pair are solved to
+    opts.tol, a coarse node warm from its own profiles.  The short-wave profile is
     reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced

@@ -1,0 +1,86 @@
+"""Re-record the solver path goldens from the current code.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/data/record_solver_goldens.py
+
+The cases (masses, parameters, warm start, iteration budget) are read
+from the files themselves; only the recorded results are rewritten:
+every entry of descent_golden.json, and the "cases" of
+minimize_golden.json.  minimize_golden.json's "w_solve" entry and the
+other files in this directory are left as they are.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+
+import nlskdv as nk
+from nlskdv.minimize import MinimizeOptions
+
+DATA = Path(__file__).parent
+
+
+def _num(x):
+    # JSON null stands for NaN (an undefined multiplier or residual)
+    return None if math.isnan(x) else float(x)
+
+
+def _solve(case, grid, opts=None):
+    warm = None
+    if case.get("warm_gauss"):
+        gauss, zero = np.exp(-grid.x ** 2 / 8.0), np.zeros(grid.n)
+        warm = (gauss, zero) if case["s"] > 0 else (zero, gauss)
+    return nk.minimize_I(case["s"], case["t"],
+                         nk.PhysParams(**case["params"]), grid, opts,
+                         warm_start=warm)
+
+
+def _report(case, rep):
+    case.update(
+        energy_history=[float(e) for e in rep.energy_history],
+        history_len=len(rep.energy_history), iterations=rep.iterations,
+        final_step=float(rep.final_step), pg_norm=float(rep.pg_norm),
+        stages=rep.stages, termination=rep.termination)
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def record_descent(path):
+    doc = json.loads(path.read_text())
+    grid = nk.make_grid(doc["L"], doc["n"])
+    for case in doc["cases"].values():
+        _report(case, _solve(case, grid)[1])
+    case = doc["max_iter_3"]
+    try:
+        _solve(case, grid, MinimizeOptions(max_iter=case["max_iter"]))
+    except nk.ConvergenceError as err:
+        _report(case, err.report)
+    else:
+        raise RuntimeError("max_iter_3 converged within its budget")
+    _write(path, doc)
+
+
+def record_minimize(path):
+    doc = json.loads(path.read_text())
+    grid = nk.make_grid(doc["L"], doc["n"])
+    stride = doc["state_stride"]
+    for case in doc["cases"].values():
+        pair, rep = _solve(case, grid)
+        case.update(
+            iterations=rep.iterations, stages=rep.stages,
+            energy=_num(pair.energy_value), sigma=_num(pair.sigma),
+            c=_num(pair.c), el_residual_phi=_num(pair.el_residual_phi),
+            el_residual_psi=_num(pair.el_residual_psi),
+            phi=[float(v) for v in np.real(pair.phi.values[::stride])],
+            psi=[float(v) for v in pair.psi.values[::stride]])
+    _write(path, doc)
+
+
+if __name__ == "__main__":
+    record_descent(DATA / "descent_golden.json")
+    record_minimize(DATA / "minimize_golden.json")

@@ -401,7 +401,6 @@ _NEW_VALUES = {
     "grid.points": ("512", "grid", "n", 512),
     "solver.tol": ("1e-7", "solver", "tol", 1e-7),
     "solver.max_iter": ("1000", "solver", "max_iter", 1000),
-    "solver.continuation_step": ("0.5", "solver", "continuation_step", 0.5),
     "solver.stabilize_iters": ("10", "solver", "stabilize_iters", 10),
     "solver.max_boundary_leak": ("1e-5", "solver", "max_boundary_leak",
                                  1e-5),

@@ -191,29 +191,6 @@ class TestMinimizeICoupled:
         assert sigma == pytest.approx(pair.sigma, rel=1e-12)
         assert c == pytest.approx(pair.c, rel=1e-12)
 
-    def test_budget_spent_before_last_stage(self, prm_coupled,
-                                            monkeypatch):
-        # a budget the first ramp stage uses up exactly leaves the pair
-        # at partial coupling: no convergence, not a converged full-alpha
-        # pair
-        grid = nk.make_grid(40.0, 512)
-        iters = []
-        descend = minimize_mod._descend
-
-        def recorder(*args):
-            out = descend(*args)
-            iters.append(out[1])
-            return out
-
-        monkeypatch.setattr(minimize_mod, "_descend", recorder)
-        nk.minimize_I(1.0, 1.0, prm_coupled, grid)
-        assert len(iters) > 1
-        with pytest.raises(nk.ConvergenceError) as err:
-            nk.minimize_I(1.0, 1.0, prm_coupled, grid,
-                          MinimizeOptions(max_iter=iters[0]))
-        assert err.value.report.iterations == iters[0]
-        assert err.value.report.termination == "max_iter"
-
     def test_small_box_rejected(self, prm_coupled):
         grid = nk.make_grid(8.0, 64)
         with pytest.raises((nk.DomainTooSmallError, nk.ConvergenceError)):
@@ -274,7 +251,7 @@ class TestGeneralPowers:
         grid = nk.make_grid(30.0, 768)
         prm = nk.PhysParams(alpha=2.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
         pair, rep = nk.minimize_I(1.0, 1.0, prm, grid)
-        assert rep.stages == 8          # coupling ramped in steps of 0.25
+        assert rep.stages == 1          # one descent at the full coupling
         assert pair.el_residual_phi <= 1e-8
         assert pair.energy_value < 0.0
 
@@ -312,19 +289,37 @@ def test_non_finite_mass_rejected(entry, grid_small, prm_coupled):
             entry(s, t, prm_coupled, grid_small)
 
 
-@pytest.mark.parametrize("alpha,step,match", [
-    (1e300, 0.25, "stages"), (3.0, 1e-4, "stages"),
-    (1.0, 0.0, "continuation_step"), (1.0, -0.25, "continuation_step"),
-    (1.0, math.nan, "continuation_step"),
-], ids=["huge-alpha", "tiny-step", "zero-step", "negative-step", "nan-step"])
-def test_coupling_ramp_bounded(grid_small, alpha, step, match):
-    # a cold coupled solve ramps alpha in continuation_step stages; past
-    # the stage cap, or with a step that is not finite and > 0, it is
-    # rejected before any work
+@pytest.mark.parametrize("alpha", [1e300], ids=["huge-alpha"])
+def test_overflowing_start_rejected(grid_small, alpha):
+    # a start whose energy or projected gradient overflows is refused
+    # after one evaluation, not descended from
     prm = nk.PhysParams(alpha=alpha, tau1=1.0, tau2=1.0, p=1, q=1.0)
-    with pytest.raises(nk.ValidationError, match=match):
-        nk.minimize_I(1.0, 1.0, prm, grid_small,
-                      MinimizeOptions(continuation_step=step))
+    with pytest.raises(nk.ValidationError, match="not finite at the start"):
+        nk.minimize_I(1.0, 1.0, prm, grid_small)
+
+
+class TestColdDescent:
+    # cold solves are one descent at the full coupling; the Armijo test
+    # must refuse the step 2 on which the high modes do not decay
+    def test_marginal_step_refused(self, grid40, prm_coupled):
+        # with a 1e-4 Armijo fraction this solve takes 24,343 iterations
+        # at step 2; with 0.2 it takes 28
+        pair, rep = nk.minimize_I(0.9, 2.5, prm_coupled, grid40)
+        assert rep.iterations <= 200
+        assert rep.stages == 1
+        assert pair.el_residual_phi <= 1e-8
+        assert pair.el_residual_psi <= 1e-8
+
+    @pytest.mark.parametrize("alpha,energy", [
+        (4.0, -2.1366074775877717), (10.0, -6.109238134124162)],
+        ids=["alpha-4", "alpha-10"])
+    def test_strong_coupling_matches_ramp(self, grid40, alpha, energy):
+        # I(1, 1) as recorded from a solve that ramped the coupling up
+        # from zero in steps of 0.25 (16 and 40 stages)
+        prm = nk.PhysParams(alpha=alpha, tau1=1.0, tau2=1.0, p=1, q=1.0)
+        pair, rep = nk.minimize_I(1.0, 1.0, prm, grid40)
+        assert rep.stages == 1
+        assert pair.energy_value == pytest.approx(energy, rel=1e-13, abs=0.0)
 
 
 class TestMinimizeW:
@@ -611,13 +606,12 @@ def _assert_golden_scalar(got, want, key):
 class TestGoldenMinimizers:
     """Solves against tests/data/minimize_golden.json.
 
-    The data were recorded with the solver that transformed phi and psi
-    in separate calls.  A row of the stacked transforms equals the single
-    call bit for bit, so iterations, stages and the stage count match
-    exactly and every float to 1e-14 of its size (measured: identical),
-    except el_residual_phi, which is checked absolutely (see below).
-    The -warm cases start from a Gaussian, so the descent runs with one
-    field held at zero; the cold ones start from the closed-form profile.
+    The minimize_I cases are written by tests/data/record_solver_goldens.py
+    from the solver itself, so iterations and stages match exactly and
+    every float to 1e-14 of its size, except el_residual_phi, which is
+    checked absolutely (see below).  The -warm cases start from a
+    Gaussian, so the descent runs with one field held at zero; the cold
+    ones start from the closed-form profile.
     """
 
     @pytest.mark.parametrize("name", ["coupled-1-1", "p7_5-q5_2",
@@ -640,9 +634,9 @@ class TestGoldenMinimizers:
                          ("sigma", pair.sigma), ("c", pair.c),
                          ("el_residual_psi", pair.el_residual_psi)):
             _assert_golden_scalar(got, case[key], key)
-        # the recorded phi residual came from a full complex transform of
-        # phi; the solve's own real evaluation moves it by transform
-        # rounding (measured <= 1.2e-14 absolute, on a ~3e-9 norm)
+        # a residual is a ~3e-9 norm of a difference of O(1) terms, so
+        # transform rounding moves it by ~1e-14 absolute (an earlier
+        # recording from a full complex transform of phi was 1.2e-14 off)
         want = case["el_residual_phi"]
         if want is None:
             assert math.isnan(pair.el_residual_phi)
@@ -674,11 +668,11 @@ class TestGoldenMinimizers:
 class TestGoldenDescent:
     """Descent reports against tests/data/descent_golden.json.
 
-    The data were recorded with the solver that evaluated the energy and
-    the gradient of each iterate by separate transforms.  They pin the
-    line search: iteration counts, the final step, the projected-gradient
-    norm and the whole energy history (Armijo and gradient-norm phase
-    entries alike), also for a solve stopped by its iteration budget.
+    The data are written by tests/data/record_solver_goldens.py.  They
+    pin the line search: iteration counts, the final step, the
+    projected-gradient norm and the whole energy history (Armijo and
+    gradient-norm phase entries alike), also for a solve stopped by its
+    iteration budget.
     """
 
     @staticmethod
