@@ -78,7 +78,6 @@ _SCHEMA = [
     ("grid", "points", "points", int, "1024"),
     ("solver", "tol", "tol", _pos_float, "1e-8"),
     ("solver", "max_iter", "max_iter", _pos_int, "200000"),
-    ("solver", "stabilize_iters", "stabilize_iters", _nonneg_int, "300"),
     ("solver", "max_boundary_leak", "max_boundary_leak", _pos_float, "1e-6"),
     ("problem", "s", "s", float, "1.0"),
     ("problem", "t", "t", float, "1.0"),
@@ -163,7 +162,6 @@ class RunConfig:
     def solver_opts(self) -> MinimizeOptions:
         return MinimizeOptions(
             tol=self.tol, max_iter=self.max_iter,
-            stabilize_iters=self.stabilize_iters,
             max_boundary_leak=self.max_boundary_leak)
 
     def outdir(self, sub: str) -> str:

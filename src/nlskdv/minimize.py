@@ -6,9 +6,7 @@ against the energy gradient, rescale each back to its mass sphere, and
 backtrack until the energy decreases.  The descent direction is
 measured in the H1 metric (a spectral preconditioner), which leaves the
 fixed points and the energy-descent structure unchanged but removes the
-k^2 stiffness of the raw flow.  During an initial stabilization phase
-iterates may be replaced by the rearrangement of their modulus, which
-never raises the energy beyond discretization noise.
+k^2 stiffness of the raw flow.
 
 A cold solve is one descent at the full coupling, started from the
 product of the decoupled ground profiles.  In the H1 metric the high
@@ -41,7 +39,6 @@ from .functionals import (PhysParams, energy_gradient_values,
                           gradient_values, nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
                    boundary_leak, same_grid, shift_values)
-from .rearrange import rearrange_values
 
 # fixed constants of the descent and the W search
 _ARMIJO = 0.2                     # sufficient decrease; refuses step 2
@@ -49,7 +46,6 @@ _BACKTRACK = 0.5
 _STEP0 = 0.25
 _STEP_MAX = 4.0
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
-_STABILIZE_EVERY = 25             # rearrangement swap period
 _CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
 _W_SCAN_NODES = 17
 
@@ -58,13 +54,12 @@ _W_SCAN_NODES = 17
 class MinimizeOptions:
     """The settable knobs of the descent.
 
-    The line search (Armijo fraction, step ladder, phase switch) and the
-    rearrangement period are module constants.
+    The line search's constants (Armijo fraction, step ladder, phase
+    switch) are set at module level.
     """
 
     tol: float = 1e-8                 # projected-gradient L2 norm at exit
     max_iter: int = 200_000
-    stabilize_iters: int = 300        # window for modulus/rearrangement swaps
     max_boundary_leak: float = 1e-6
 
 
@@ -142,7 +137,7 @@ def _project(X, masses, dx):
     return out
 
 
-def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
+def _descend(X, masses, prm, grid, tol, budget):
     """Projected, preconditioned descent at fixed parameters.
 
     X is the real (2, n) stack [phi; psi] and masses the pair (s, t).
@@ -171,7 +166,8 @@ def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
         return e, P, math.sqrt((dx * (P * P).sum(axis=1)).sum())
 
     X = _project(X, masses, dx)
-    e_cur, P, pgnorm = evaluate(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_cur, P, pgnorm = evaluate(X)    # overflow is refused below
     if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
         raise ValidationError(
             f"energy {e_cur:.3e} or projected gradient {pgnorm:.3e} is not "
@@ -202,14 +198,6 @@ def _descend(X, masses, prm, grid, tol, budget, stabilize_iters):
             break
         X, e_cur, P, pgnorm, eta = cand, e_new, P_new, pg_new, trial
         history.append(e_cur)
-
-        if armijo and it <= stabilize_iters and it % _STABILIZE_EVERY == 0:
-            R = np.array([rearrange_values(np.abs(row)) if on else row
-                          for row, on in zip(X, live)])
-            e_r, P_r, pg_r = evaluate(R)
-            if e_r <= e_cur + slack:
-                X, e_cur, P, pgnorm = R, e_r, P_r, pg_r
-                history.append(e_cur)
     return X, it, eta, history, pgnorm, pgnorm <= tol
 
 
@@ -358,8 +346,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         X = np.array(_initial_fields(s, t, prm, grid))
 
     X, iters, final_step, history, pgnorm, converged = _descend(
-        X, masses, prm, grid, opts.tol, opts.max_iter,
-        opts.stabilize_iters if warm_start is None else 0)
+        X, masses, prm, grid, opts.tol, opts.max_iter)
 
     report = MinimizeReport(
         iterations=iters, final_step=final_step,

@@ -123,6 +123,8 @@ def test_invalid_p_exit_2(tmp_path, capsys):
     (None, ["sweep.s_values="]),
     (None, ["physics.alpha=1e300"]),
     (None, ["evolve.sample_every=0"]),
+    (None, ["solver.stabilize_iters=300"]),
+    (None, ["solver.continuation_step=0.25"]),
 ], ids=["unknown-key", "bad-float-list", "bad-wavespeed",
         "no-section-header", "duplicate-key", "non-utf8",
         "negative-epsilon", "negative-duration", "negative-dt",
@@ -132,7 +134,8 @@ def test_invalid_p_exit_2(tmp_path, capsys):
         "negative-garrisi-cases", "negative-subadd-count",
         "negative-workers", "negative-stabilize-iters", "inf-alpha",
         "inf-tau2", "inf-duration", "nan-wavespeed", "empty-s-values",
-        "huge-alpha", "zero-sample-every"])
+        "huge-alpha", "zero-sample-every", "retired-stabilize-iters",
+        "retired-continuation-step"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, overrides):
     args = ["solve", "--set", f"output.directory={tmp_path / 'out'}"]
     if text is not None:
@@ -401,7 +404,6 @@ _NEW_VALUES = {
     "grid.points": ("512", "grid", "n", 512),
     "solver.tol": ("1e-7", "solver", "tol", 1e-7),
     "solver.max_iter": ("1000", "solver", "max_iter", 1000),
-    "solver.stabilize_iters": ("10", "solver", "stabilize_iters", 10),
     "solver.max_boundary_leak": ("1e-5", "solver", "max_boundary_leak",
                                  1e-5),
     "problem.s": ("2.0", "problem", "s", 2.0),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -292,10 +293,14 @@ def test_non_finite_mass_rejected(entry, grid_small, prm_coupled):
 @pytest.mark.parametrize("alpha", [1e300], ids=["huge-alpha"])
 def test_overflowing_start_rejected(grid_small, alpha):
     # a start whose energy or projected gradient overflows is refused
-    # after one evaluation, not descended from
+    # after one evaluation, not descended from, and without numpy's
+    # overflow warning (which -W error would turn into a traceback)
     prm = nk.PhysParams(alpha=alpha, tau1=1.0, tau2=1.0, p=1, q=1.0)
-    with pytest.raises(nk.ValidationError, match="not finite at the start"):
-        nk.minimize_I(1.0, 1.0, prm, grid_small)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nk.ValidationError,
+                           match="not finite at the start"):
+            nk.minimize_I(1.0, 1.0, prm, grid_small)
 
 
 class TestColdDescent:
