@@ -10,6 +10,7 @@ every admissible nonlinearity power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .grid import Grid1D, RealField
 
 _LAM_LO = 1e-12
 _LAM_HI = 1e12
+_LOG_BRACKET = 1e-9     # half width in log(lam) of the first bracket
 
 
 def _sech_pow(arg: np.ndarray, r: float) -> np.ndarray:
@@ -73,12 +75,27 @@ def _grid_mass(lam: float, power: float, beta: float, grid: Grid1D) -> float:
     return float(grid.dx * np.sum(vals ** 2))
 
 
+def _line_log_lambda(target: float, power: float, beta: float) -> float:
+    """log lam at which the profile's mass on the whole real line is target.
+
+    That mass is (2/p) beta^(-2/p) B(2/p, 1/2) lam^(2/p - 1/2), with the
+    Beta function B(r, 1/2) = Gamma(r) Gamma(1/2) / Gamma(r + 1/2).
+    """
+    r = 2.0 / power
+    log_unit = (math.log(r) - r * math.log(beta) + math.lgamma(r)
+                + math.lgamma(0.5) - math.lgamma(r + 0.5))
+    return (math.log(target) - log_unit) / (r - 0.5)
+
+
 def lambda_for_mass(target: float, power_p: float, beta: float,
                     grid: Grid1D) -> float:
     """Width parameter lam such that the sampled profile has squared norm target.
 
     The grid mass is strictly increasing in lam for powers below 4, so a
-    bracketed bisection-secant hybrid on log(lam) converges safely.
+    bracketed bisection-secant hybrid on log(lam) converges safely.  It
+    starts from a tight bracket around the real-line width, where a
+    resolved profile that fits the box has its root, and falls back to
+    lam in [1e-12, 1e12] when that bracket misses it.
     """
     if not (target > 0):
         raise ValidationError(f"target mass must be positive, got {target}")
@@ -90,9 +107,13 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
     def f(loglam):
         return _grid_mass(np.exp(loglam), power_p, beta, grid) - target
 
-    lo, hi = np.log(_LAM_LO), np.log(_LAM_HI)
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0 < fhi):
+    full = (math.log(_LAM_LO), math.log(_LAM_HI))
+    guess = _line_log_lambda(target, power_p, beta)
+    for lo, hi in ((max(guess - _LOG_BRACKET, full[0]),
+                    min(guess + _LOG_BRACKET, full[1])), full):
+        if lo < hi and f(lo) < 0 < f(hi):
+            break
+    else:
         raise ValidationError(
             f"target mass {target} not bracketable on [{_LAM_LO}, {_LAM_HI}]")
     loglam = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)

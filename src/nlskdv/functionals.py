@@ -195,12 +195,20 @@ def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
     return out if np.isrealobj(u) else [(du, dv.real) for du, dv in out]
 
 
-def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:
+def _potential(u, v, prm: PhysParams):
+    """The three potential densities of the energy, in subtraction order.
+
+    They are beta1 |u|^(q+2), beta2 v^(p+2) and alpha |u|^2 v; the
+    energy density is the kinetic density minus each in turn.
+    """
     au = np.abs(u)
-    integrand = (np.abs(ux) ** 2 + vx ** 2
-                 - prm.beta1 * au ** (prm.q + 2.0)
-                 - prm.beta2 * prm.pow_p2(v)
-                 - prm.alpha * au ** 2 * v)
+    return (prm.beta1 * au ** (prm.q + 2.0), prm.beta2 * prm.pow_p2(v),
+            prm.alpha * au ** 2 * v)
+
+
+def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:
+    pot1, pot2, pot3 = _potential(u, v, prm)
+    integrand = np.abs(ux) ** 2 + vx ** 2 - pot1 - pot2 - pot3
     return float(grid.dx * integrand.sum())
 
 

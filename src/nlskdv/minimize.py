@@ -6,7 +6,10 @@ against the energy gradient, rescale each back to its mass sphere, and
 backtrack until the energy decreases.  The descent direction is
 measured in the H1 metric (a spectral preconditioner), which leaves the
 fixed points and the energy-descent structure unchanged but removes the
-k^2 stiffness of the raw flow.
+k^2 stiffness of the raw flow.  The iterate is held as the real
+half spectrum of [phi; psi], so the metric, the mass projection and
+every L2 pairing are sums over Fourier modes (Parseval) and a trial
+point costs one transform each way, for the nonlinearity.
 
 A cold solve is one descent at the full coupling, started from the
 product of the decoupled ground profiles.  In the H1 metric the high
@@ -29,13 +32,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import brentq
 
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError)
 from .exact import kdv_profile, nls_ground
-from .functionals import (PhysParams, energy_gradient_values,
+from .functionals import (PhysParams, _potential, energy_gradient_values,
                           gradient_values, nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
                    boundary_leak, same_grid, shift_values)
@@ -137,37 +141,81 @@ def _project(X, masses, dx):
     return out
 
 
+def _half_weights(grid, order=0):
+    """Parseval weights of the rfft half spectrum, for _pairings.
+
+    For real rows a, b of even length n with half spectra A, B,
+    dx sum(a b) = sum(w Re(A conj(B))) with w = dx/n [1, 2, ..., 2, 1].
+    A derivative order > 0 multiplies w by |deriv_symbol(order)|^2, so
+    the sum pairs the rows' spectral derivatives of that order.  Each
+    weight is repeated for the real and the imaginary part.
+    """
+    w = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
+    w[[0, -1]] *= 0.5
+    if order:
+        w *= np.abs(grid.deriv_symbol(order)[:w.size]) ** 2
+    return np.repeat(w, 2)
+
+
+def _pairings(A, B, w):
+    """Row-wise pairings sum(w Re(A conj(B))) of half spectra.
+
+    A and B are C-contiguous along their last axis; w comes from
+    _half_weights.
+    """
+    return (A.view(np.float64) * B.view(np.float64)) @ w
+
+
 def _descend(X, masses, prm, grid, tol, budget):
     """Projected, preconditioned descent at fixed parameters.
 
     X is the real (2, n) stack [phi; psi] and masses the pair (s, t).
-    Each trial point is evaluated once (energy and projected gradient
-    from one spectrum) and an accepted trial's evaluation is the new
-    iterate's.  One backtracking loop takes an Armijo test on the energy
-    far from the minimizer; once the projected gradient is small, energy
-    differences sink below float rounding and a step must instead not
-    raise the projected-gradient norm.
+    The iterate is held as the rfft half spectrum of the stack: the mass
+    projection, the pairings, the kinetic energy and the projected
+    gradient's norm come from Parseval, the gradient is
+    -2 (d^2/dx^2 X + N) with the second derivative a symbol, and the H1
+    preconditioner is a division by 1 + k^2.  Evaluating a trial point
+    takes one inverse transform (for N and the potential energy) and one
+    forward transform (of N).  An accepted trial's evaluation is the
+    new iterate's.  One backtracking loop takes an Armijo test on the
+    energy far from the minimizer; once the projected gradient is small,
+    energy differences sink below float rounding and a step must instead
+    not raise the projected-gradient norm.
 
-    Returns the updated stack plus (iterations, final_step, history,
-    pg_norm, converged flag).  After a failed line search final_step is
-    the step below the floor (Armijo phase) or the last accepted one.
+    Returns the final real stack (zero-mass rows +0) plus (iterations,
+    final_step, history, pg_norm, converged flag).  After a failed line
+    search final_step is the step below the floor (Armijo phase) or the
+    last accepted one.
     """
-    dx = grid.dx
+    n, half = grid.n, grid.n // 2 + 1
     live = masses > 0.0
-    precond = 0.5 / grid.h1_weights
+    w = _half_weights(grid)
+    # the kinetic weight zeroes the Nyquist entry, as the first
+    # derivative does; the gradient's second derivative keeps it
+    kinetic = _half_weights(grid, 1)
+    laplacian = grid.deriv_symbol(2)[:half]
+    precond = 0.5 / grid.h1_weights[:half]
 
-    def evaluate(X):
-        e, G = energy_gradient_values(*X, prm, grid)
-        G = np.array(G)
-        coef = np.divide(dx * (G * X).sum(axis=1), masses,
+    def project(Xh):
+        scale = np.divide(masses, _pairings(Xh, Xh, w),
+                          out=np.zeros(2), where=live)
+        return Xh * np.sqrt(scale)[:, None]
+
+    def evaluate(Xh):
+        X = scipy.fft.irfft(Xh, n)
+        N = scipy.fft.rfft(np.array(nonlinearity(*X, prm)))
+        e = (float(_pairings(Xh, Xh, kinetic).sum())
+             - grid.dx * float(np.sum(_potential(*X, prm))))
+        G = -2.0 * (laplacian * Xh + N)
+        coef = np.divide(_pairings(G, Xh, w), masses,
                          out=np.zeros(2), where=live)
-        P = G - coef[:, None] * X
+        P = G - coef[:, None] * Xh
         P[~live] = 0.0
-        return e, P, math.sqrt((dx * (P * P).sum(axis=1)).sum())
+        return e, P, math.sqrt(_pairings(P, P, w).sum()), X
 
-    X = _project(X, masses, dx)
+    Xh = project(scipy.fft.rfft(X))
     with np.errstate(over="ignore", invalid="ignore"):
-        e_cur, P, pgnorm = evaluate(X)    # overflow is refused below
+        e_cur, P, pgnorm, X = evaluate(Xh)  # overflow is refused below
     if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
         raise ValidationError(
             f"energy {e_cur:.3e} or projected gradient {pgnorm:.3e} is not "
@@ -177,17 +225,17 @@ def _descend(X, masses, prm, grid, tol, budget):
     it = 0
     while it < budget and pgnorm > tol:
         it += 1
-        D = apply_symbol(P, grid, precond)
+        D = precond * P
         armijo = pgnorm > _PG_SWITCH
         if armijo:
-            gtd = dx * float(np.sum(P * D, axis=1).sum())
+            gtd = float(_pairings(P, D, w).sum())
             slack = 1e-13 * (1.0 + abs(e_cur))
             trial = min(eta * 2.0, _STEP_MAX)
         else:
             trial = min(eta * 1.26, _STEP_MAX)
         while trial >= 1e-16:
-            cand = _project(X - trial * D, masses, dx)
-            e_new, P_new, pg_new = evaluate(cand)
+            cand = project(Xh - trial * D)
+            e_new, P_new, pg_new, X_new = evaluate(cand)
             if (e_new <= e_cur - _ARMIJO * trial * gtd + slack if armijo
                     else pg_new <= pgnorm):
                 break
@@ -196,8 +244,10 @@ def _descend(X, masses, prm, grid, tol, budget):
             if armijo:
                 eta = trial
             break
-        X, e_cur, P, pgnorm, eta = cand, e_new, P_new, pg_new, trial
+        Xh, X, e_cur, P, pgnorm = cand, X_new, e_new, P_new, pg_new
+        eta = trial
         history.append(e_cur)
+    X[~live] = 0.0
     return X, it, eta, history, pgnorm, pgnorm <= tol
 
 

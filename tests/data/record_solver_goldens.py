@@ -8,7 +8,10 @@ The cases (masses, parameters, warm start, iteration budget) are read
 from the files themselves; only the recorded results are rewritten:
 every entry of descent_golden.json, and the "cases" of
 minimize_golden.json.  minimize_golden.json's "w_solve" entry and the
-other files in this directory are left as they are.
+other files in this directory are left as they are.  Every recorded key
+whose value changes is printed as old -> new (a list as its length and
+its largest change relative to its largest old entry), so the listing
+can go with the change that moved the solver's path.
 """
 
 import json
@@ -38,12 +41,36 @@ def _solve(case, grid, opts=None):
                          warm_start=warm)
 
 
-def _report(case, rep):
-    case.update(
-        energy_history=[float(e) for e in rep.energy_history],
-        history_len=len(rep.energy_history), iterations=rep.iterations,
-        final_step=float(rep.final_step), pg_norm=float(rep.pg_norm),
-        stages=rep.stages, termination=rep.termination)
+def _change(old, new):
+    """old -> new for one recorded value, or None when it is unchanged."""
+    if old == new:
+        return None
+    if isinstance(new, list):
+        scale = max((abs(v) for v in old), default=0.0) or 1.0
+        worst = (max(abs(a - b) for a, b in zip(old, new)) / scale
+                 if len(old) == len(new) else math.nan)
+        return (f"{len(old)} -> {len(new)} entries, "
+                f"max |diff| / max |old| {worst:.2e}")
+    if isinstance(new, float) and isinstance(old, float) and old != 0.0:
+        return f"{old!r} -> {new!r} (rel {abs(new - old) / abs(old):.2e})"
+    return f"{old!r} -> {new!r}"
+
+
+def _update(label, case, **new):
+    """Write new values into case, printing each one that changes."""
+    for key, val in new.items():
+        change = _change(case.get(key), val)
+        if change is not None:
+            print(f"{label}.{key}: {change}")
+    case.update(new)
+
+
+def _report(label, case, rep):
+    _update(label, case,
+            energy_history=[float(e) for e in rep.energy_history],
+            history_len=len(rep.energy_history), iterations=rep.iterations,
+            final_step=float(rep.final_step), pg_norm=float(rep.pg_norm),
+            stages=rep.stages, termination=rep.termination)
 
 
 def _write(path, doc):
@@ -53,13 +80,13 @@ def _write(path, doc):
 def record_descent(path):
     doc = json.loads(path.read_text())
     grid = nk.make_grid(doc["L"], doc["n"])
-    for case in doc["cases"].values():
-        _report(case, _solve(case, grid)[1])
+    for name, case in doc["cases"].items():
+        _report(f"{path.name} {name}", case, _solve(case, grid)[1])
     case = doc["max_iter_3"]
     try:
         _solve(case, grid, MinimizeOptions(max_iter=case["max_iter"]))
     except nk.ConvergenceError as err:
-        _report(case, err.report)
+        _report(f"{path.name} max_iter_3", case, err.report)
     else:
         raise RuntimeError("max_iter_3 converged within its budget")
     _write(path, doc)
@@ -69,9 +96,10 @@ def record_minimize(path):
     doc = json.loads(path.read_text())
     grid = nk.make_grid(doc["L"], doc["n"])
     stride = doc["state_stride"]
-    for case in doc["cases"].values():
+    for name, case in doc["cases"].items():
         pair, rep = _solve(case, grid)
-        case.update(
+        _update(
+            f"{path.name} {name}", case,
             iterations=rep.iterations, stages=rep.stages,
             energy=_num(pair.energy_value), sigma=_num(pair.sigma),
             c=_num(pair.c), el_residual_phi=_num(pair.el_residual_phi),

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import nlskdv as nk
+from nlskdv import exact
 from nlskdv.grid import deriv
 
 from conftest import sech
@@ -31,6 +35,32 @@ class TestLambdaForMass:
     def test_rejects_nonpositive_target(self, grid40, target):
         with pytest.raises(nk.ValidationError):
             nk.lambda_for_mass(target, 1.0, 1.0, grid40)
+
+    def test_truncated_profile_takes_full_bracket(self, grid40,
+                                                  monkeypatch):
+        # the root-find starts next to the real-line width; a profile
+        # wider than the box has less mass on the grid than on the line,
+        # so that bracket misses and the full one is searched
+        brackets = []
+
+        def recorded(f, lo, hi, **kwargs):
+            brackets.append((lo, hi))
+            return brentq(f, lo, hi, **kwargs)
+        monkeypatch.setattr(exact, "brentq", recorded)
+        nk.lambda_for_mass(8.0 / 3.0, 1.0, 1.0, grid40)
+        assert brackets[0][1] - brackets[0][0] <= 1e-6
+        grid = nk.make_grid(8.0, 128)
+        lam = nk.lambda_for_mass(0.05, 1.0, 1.0, grid)
+        full = (math.log(1e-12), math.log(1e12))
+        assert brackets[1:] == [full]
+        want = math.exp(brentq(
+            lambda ll: exact._grid_mass(math.exp(ll), 1.0, 1.0, grid) - 0.05,
+            *full, xtol=1e-14, rtol=8.9e-16))
+        assert abs(lam - want) <= 1e-14 * want
+        # the profile is cut off well above its tail
+        prof = nk.SechProfile(amplitude=lam, exponent=2.0, lam=lam)
+        assert prof.evaluate(grid.x[:1])[0] >= 0.1 * lam
+        assert grid_mass(prof.sample(grid)) == pytest.approx(0.05, rel=1e-14)
 
     def test_rejects_unbracketable_target(self, grid40):
         with pytest.raises(nk.ValidationError):

@@ -7,10 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nlskdv as nk
+from nlskdv import functionals as functionals_mod
 from nlskdv import minimize as minimize_mod
-from nlskdv.grid import shift_values
+from nlskdv.grid import deriv_values, shift_values
 from nlskdv.minimize import MinimizeOptions
 
 from conftest import sech
@@ -301,6 +305,60 @@ def test_overflowing_start_rejected(grid_small, alpha):
         with pytest.raises(nk.ValidationError,
                            match="not finite at the start"):
             nk.minimize_I(1.0, 1.0, prm, grid_small)
+
+
+class TestSpectralDescent:
+    # the descent holds the rfft half spectrum of [phi; psi]; its
+    # quadratures come from Parseval and a trial costs two transforms
+
+    @given(half=st.integers(4, 512), seed=st.integers(0, 2 ** 32 - 1))
+    def test_parseval_helpers_match_quadrature(self, half, seed):
+        grid = nk.make_grid(10.0 + seed % 31, 2 * half)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((2, grid.n))
+        X[1] += rng.standard_normal() * (-1.0) ** np.arange(grid.n)
+        Xh = scipy.fft.rfft(X)
+        w = minimize_mod._half_weights(grid)
+        dx = grid.dx
+
+        def close(got, want, scale):
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+        mass = dx * np.sum(X * X, axis=1)
+        close(minimize_mod._pairings(Xh, Xh, w), mass, mass)
+        cross = dx * np.sum(X[0] * X[1])
+        close(minimize_mod._pairings(Xh[0], Xh[1], w), cross,
+              math.sqrt(mass[0] * mass[1]))
+        close(math.sqrt(minimize_mod._pairings(Xh, Xh, w).sum()),
+              math.sqrt(mass.sum()), math.sqrt(mass.sum()))
+        DX = deriv_values(X, grid)
+        kinetic = dx * np.sum(DX * DX)
+        close(minimize_mod._pairings(Xh, Xh,
+                                     minimize_mod._half_weights(grid, 1)).sum(),
+              kinetic, kinetic)
+
+    def test_two_transforms_per_trial(self, grid40, prm_coupled,
+                                      monkeypatch):
+        # one inverse transform (N and the potential energy) and one
+        # forward one (of N) per evaluation; the start, the recentring
+        # and the certifying evaluation add a few
+        calls = {"transforms": 0, "evaluations": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name,
+                                counted(getattr(scipy.fft, name),
+                                        "transforms"))
+        for mod in (minimize_mod, functionals_mod):
+            monkeypatch.setattr(mod, "nonlinearity",
+                                counted(mod.nonlinearity, "evaluations"))
+        _, rep = nk.minimize_I(1.0, 1.0, prm_coupled, grid40)
+        assert rep.iterations >= 20
+        assert calls["transforms"] <= 2 * calls["evaluations"] + 6
 
 
 class TestColdDescent:
