@@ -3,12 +3,14 @@
 JSON documents are written in a canonical form (sorted keys, fixed
 separators, trailing newline) so that load followed by re-serialize is
 byte-identical.  All writes are atomic: temp file in the target
-directory, then rename.
+directory, then rename.  Each output record is defined once, next to
+its writer: the pair.json keys, the report.json fields, the sweep columns.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +19,7 @@ from typing import Optional
 
 from .evolve import EvolveTrace
 from .grid import atomic_write, load_field, save_field
-from .minimize import SolitaryWavePair, WSolution
+from .minimize import MinimizeReport, SolitaryWavePair, WSolution
 
 
 def canonical_json(obj) -> str:
@@ -42,22 +44,24 @@ def _nan_to_none(x: float) -> Optional[float]:
     return None if (x is None or not math.isfinite(x)) else float(x)
 
 
+# (pair.json key, SolitaryWavePair attribute, NaN written as null); the
+# other values are written as they are, so an int mass stays an int
+_PAIR_KEYS = (("s", "s", False), ("t", "t", False), ("sigma", "sigma", True),
+              ("c", "c", True), ("energy", "energy_value", False),
+              ("el_residual_phi", "el_residual_phi", True),
+              ("el_residual_psi", "el_residual_psi", True),
+              ("boundary_leak", "boundary_leak", False))
+
+
 def save_pair(pair: SolitaryWavePair, dirpath: str) -> None:
     """Write pair.json plus phi/psi binary field blocks into a directory."""
     os.makedirs(dirpath, exist_ok=True)
     save_field(pair.phi, os.path.join(dirpath, "phi"))
     save_field(pair.psi, os.path.join(dirpath, "psi"))
-    doc = {
-        "kind": "solitary_wave_pair",
-        "s": pair.s, "t": pair.t,
-        "sigma": _nan_to_none(pair.sigma), "c": _nan_to_none(pair.c),
-        "energy": pair.energy_value,
-        "el_residual_phi": _nan_to_none(pair.el_residual_phi),
-        "el_residual_psi": _nan_to_none(pair.el_residual_psi),
-        "boundary_leak": pair.boundary_leak,
-        "grid": {"L": pair.grid.half_length, "n": pair.grid.n},
-        "fields": {"phi": "phi", "psi": "psi"},
-    }
+    doc = {key: _nan_to_none(getattr(pair, attr)) if nanable
+           else getattr(pair, attr) for key, attr, nanable in _PAIR_KEYS}
+    doc.update(kind="solitary_wave_pair", fields={"phi": "phi", "psi": "psi"},
+               grid={"L": pair.grid.half_length, "n": pair.grid.n})
     write_json(os.path.join(dirpath, "pair.json"), doc)
 
 
@@ -65,21 +69,21 @@ def load_pair(dirpath: str) -> SolitaryWavePair:
     doc = read_json(os.path.join(dirpath, "pair.json"))
     if doc.get("kind") != "solitary_wave_pair":
         raise OSError(f"not a pair artifact: {dirpath}")
-
-    def back(x):
-        return math.nan if x is None else float(x)
-
     try:
         phi = load_field(os.path.join(dirpath, doc["fields"]["phi"]))
         psi = load_field(os.path.join(dirpath, doc["fields"]["psi"]))
-        return SolitaryWavePair(
-            phi=phi, psi=psi, sigma=back(doc["sigma"]), c=back(doc["c"]),
-            s=doc["s"], t=doc["t"], energy_value=doc["energy"],
-            el_residual_phi=back(doc["el_residual_phi"]),
-            el_residual_psi=back(doc["el_residual_psi"]),
-            boundary_leak=doc["boundary_leak"])
+        return SolitaryWavePair(phi=phi, psi=psi, **{
+            attr: (math.nan if doc[key] is None else float(doc[key]))
+            if nanable else doc[key] for key, attr, nanable in _PAIR_KEYS})
     except (ValueError, KeyError, TypeError) as exc:
         raise OSError(f"corrupt pair artifact in {dirpath}: {exc}") from exc
+
+
+def save_report(report: MinimizeReport, dirpath: str) -> None:
+    """Write report.json: the MinimizeReport fields but energy_history."""
+    doc = dataclasses.asdict(report)
+    del doc["energy_history"]
+    write_json(os.path.join(dirpath, "report.json"), doc)
 
 
 def save_wsolution(sol: WSolution, dirpath: str) -> None:
@@ -136,8 +140,15 @@ def profile_csv(grid, columns: dict) -> str:
     return _csv(["x"] + list(columns), zip(grid.x, *columns.values()))
 
 
+SWEEP_COLUMNS = ("s", "t", "I", "sigma", "c", "residual_phi",
+                 "residual_psi", "iterations")
+
+
+def sweep_row(s, t, pair: SolitaryWavePair, report: MinimizeReport) -> tuple:
+    """One sweep.csv row, in SWEEP_COLUMNS order."""
+    return (float(s), float(t), pair.energy_value, pair.sigma, pair.c,
+            pair.el_residual_phi, pair.el_residual_psi, report.iterations)
+
+
 def sweep_rows_csv(rows: list) -> str:
-    names = ["s", "t", "I", "sigma", "c", "residual_phi", "residual_psi"]
-    return _csv(names + ["iterations"],
-                ([float(row[k]) for k in names] + [int(row["iterations"])]
-                 for row in rows))
+    return _csv(list(SWEEP_COLUMNS), rows)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
@@ -193,30 +194,13 @@ def _error(message: str, code: int, **extra) -> int:
     return code
 
 
-def _pair_row(s, t, pair, report):
-    return {
-        "s": s, "t": t, "I": pair.energy_value,
-        "sigma": pair.sigma, "c": pair.c,
-        "residual_phi": pair.el_residual_phi,
-        "residual_psi": pair.el_residual_psi,
-        "iterations": report.iterations,
-    }
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     prm = cfg.phys_params()
     grid = cfg.grid()
     pair, report = minimize_I(cfg.s, cfg.t, prm, grid, cfg.solver_opts())
     out = cfg.outdir("solve")
     artifacts.save_pair(pair, out)
-    artifacts.write_json(os.path.join(out, "report.json"), {
-        "iterations": report.iterations,
-        "termination": report.termination,
-        "I_value": report.I_value,
-        "pg_norm": report.pg_norm,
-        "final_step": report.final_step,
-        "stages": report.stages,
-    })
+    artifacts.save_report(report, out)
     artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
     artifacts.atomic_write_text(
         os.path.join(out, "profile.csv"),
@@ -232,7 +216,7 @@ def _sweep_point(args):
     prm = cfg.phys_params()
     grid = cfg.grid()
     pair, report = minimize_I(s, t, prm, grid, cfg.solver_opts())
-    return _pair_row(s, t, pair, report)
+    return artifacts.sweep_row(s, t, pair, report)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -242,7 +226,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]
-    rows.sort(key=lambda r: (r["s"], r["t"]))
+    rows.sort(key=lambda r: r[:2])  # by (s, t)
     out = cfg.outdir("sweep")
     artifacts.atomic_write_text(os.path.join(out, "sweep.csv"),
                                 artifacts.sweep_rows_csv(rows))
@@ -302,7 +286,7 @@ def _report_rows(cfg: RunConfig, name: str, rows: list) -> int:
     """
     out = cfg.outdir(name)
     artifacts.write_json(os.path.join(out, f"{name}.json"),
-                         [r.to_dict() for r in rows])
+                         [dataclasses.asdict(r) for r in rows])
     artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
     sys.stdout.write(rows_to_table(rows))
     failed = [r.name for r in rows if r.status == "fail"]

@@ -215,12 +215,12 @@ def evolve(state: EvolveState, T: float, dt: float,
             "T needs a negative dt")
     if sample_every < 1:
         raise ValidationError("sample_every must be >= 1")
-    ratio = abs(T) / abs(dt)
-    nsteps = int(round(ratio))
-    if abs(ratio - nsteps) > 1e-9 * ratio:
+    ratio = abs(T) / abs(dt)  # inf when it overflows
+    if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9 * ratio):
         raise ValidationError(
             f"duration T={T} is not a whole number of steps dt={dt} "
             f"(T/dt = {ratio:.12g})")
+    nsteps = int(round(ratio))
     stepper = _Stepper(state.grid, state.prm, dt)
     grid = state.grid
     S = _spectral(state)
@@ -315,23 +315,22 @@ class _Orbit:
         return cls(reference.grid, S, _h1_sq(S, reference.grid))
 
 
-def orbital_distance(state: EvolveState, reference: SolitaryWavePair,
-                     wavespeed: Optional[float] = None) -> float:
+def orbital_distance(state: EvolveState, reference: SolitaryWavePair) -> float:
     """Distance from the state to the symmetry orbit of one reference.
 
     Minimizes the product H1 norm over spatial shifts (coarse FFT
     cross-correlation, then sub-grid refinement) and the global phase of
     the short wave (closed form).  The reference is the traveling wave
-    solitary_initial builds on the pair, with the pair's own wavespeed
-    unless an explicit one is given.  Minimizing over a single orbit
-    upper-bounds the distance to the full minimizer set.  evolve passes
-    the _Orbit it builds once per run in place of the pair.
+    solitary_initial builds on the pair, with the pair's own wavespeed.
+    Minimizing over a single orbit upper-bounds the distance to the full
+    minimizer set.  evolve passes the _Orbit it builds once per run, with
+    the run's wavespeed, in place of the pair.
     """
     grid = state.grid
     if reference.grid != grid:
         raise GridMismatchError("reference lives on a different grid")
     orbit = reference if isinstance(reference, _Orbit) \
-        else _Orbit.of(reference, wavespeed, state.prm)
+        else _Orbit.of(reference, None, state.prm)
 
     S = _spectral(state)
     c0 = float(orbit.h1_sq + _h1_sq(S, grid))

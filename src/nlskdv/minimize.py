@@ -540,6 +540,14 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         raise ValidationError(
             f"momentum-constrained problem needs p < 4/3, got p={prm.p}")
 
+    # the twist term (t - a)^2/s must not overflow at any mass the scan,
+    # its 8 range doublings or the root-find's one-cell widening reach
+    a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
+    gap = 2.0 ** 9 * a_max - t      # >= |t - a| at every such mass
+    if not math.isfinite(gap * gap / s):
+        raise ValidationError(
+            f"the twist term (t - a)^2/s overflows for s={s}, t={t}")
+
     # key -> (W, pair, final): final entries are solved to opts.tol, the
     # others to the continuation tolerance
     cache: dict = {}
@@ -590,7 +598,6 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                 f"no profile at long-wave mass a = {a:.6g}; enlarge the box")
         return pair.c + 2.0 * (t - a) / s
 
-    a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
     for _ in range(9):
         nodes = [float(a) for a in np.linspace(0.0, a_max, _W_SCAN_NODES)]
         vals = [solve_at(a)[0] for a in nodes]

@@ -26,6 +26,7 @@ from .rearrange import (decreasing_rearrangement, garrisi_check,
 # discretization allowance comparable to the quantities themselves; they
 # are flagged as tolerance-limited rather than failed
 _COARSE_DX = 0.25
+_RANDOM_MODES = 6                 # cosine modes of random_nonneg_field
 
 
 @dataclass
@@ -33,10 +34,6 @@ class CheckRow:
     name: str
     status: str          # pass | fail | tolerance-limited | skipped
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "detail": self.detail}
 
 
 def truncated_bump(grid: Grid1D, width: float, height: float) -> RealField:
@@ -46,7 +43,7 @@ def truncated_bump(grid: Grid1D, width: float, height: float) -> RealField:
     return RealField(grid, prof)
 
 
-def random_nonneg_field(grid: Grid1D, rng, modes: int = 6) -> RealField:
+def random_nonneg_field(grid: Grid1D, rng) -> RealField:
     """Seeded smooth nonnegative decayed field.
 
     The construction draws a fixed number of random values, so the same
@@ -54,6 +51,7 @@ def random_nonneg_field(grid: Grid1D, rng, modes: int = 6) -> RealField:
     resolution.
     """
     L = grid.half_length
+    modes = _RANDOM_MODES
     coeff = rng.standard_normal(modes) * np.exp(-np.arange(1, modes + 1) / 3.0)
     phase = rng.uniform(0.0, 2.0 * np.pi, modes)
     vals = np.zeros(grid.n)
@@ -63,9 +61,9 @@ def random_nonneg_field(grid: Grid1D, rng, modes: int = 6) -> RealField:
     return RealField(grid, vals)
 
 
-def random_complex_field(grid: Grid1D, rng, modes: int = 6) -> ComplexField:
-    re = random_nonneg_field(grid, rng, modes).values
-    im = random_nonneg_field(grid, rng, modes).values
+def random_complex_field(grid: Grid1D, rng) -> ComplexField:
+    re = random_nonneg_field(grid, rng).values
+    im = random_nonneg_field(grid, rng).values
     sign = np.cos(2.0 * np.pi * grid.x / grid.half_length)
     return ComplexField(grid, (re + 1j * im) * sign)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -112,3 +113,29 @@ def test_profile_csv(solved):
     lines = text.splitlines()
     assert lines[0] == "x,phi"
     assert len(lines) == 1 + grid.n
+
+
+def test_pair_key_table_covers_every_field(tmp_path, solved):
+    # one table drives save and load: every scalar field round-trips,
+    # and a mass given as an int is written as an int
+    pair, _, _ = solved
+    attrs = [attr for _, attr, _ in artifacts._PAIR_KEYS]
+    scalars = [f.name for f in dataclasses.fields(pair)
+               if f.name not in ("phi", "psi")]
+    assert sorted(attrs) == sorted(scalars)
+    d = str(tmp_path / "pair")
+    artifacts.save_pair(dataclasses.replace(pair, s=1, t=1), d)
+    assert artifacts.read_json(os.path.join(d, "pair.json"))["s"] == 1
+    back = artifacts.load_pair(d)
+    for attr in attrs:
+        assert getattr(back, attr) == getattr(pair, attr)
+
+
+def test_report_json_fields(tmp_path, solved):
+    # report.json holds every MinimizeReport field but the history
+    _, report, _ = solved
+    artifacts.save_report(report, str(tmp_path))
+    doc = artifacts.read_json(str(tmp_path / "report.json"))
+    names = {f.name for f in dataclasses.fields(report)}
+    assert set(doc) == names - {"energy_history"}
+    assert all(doc[k] == getattr(report, k) for k in doc)

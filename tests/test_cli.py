@@ -460,3 +460,37 @@ directory = {}
     lines = (tmp_path / "out" / "sweep"
              / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.fixture(scope="module")
+def small_pair_dir(tmp_path_factory):
+    # a solved pair on the L=30, n=256 grid of the extreme-input table
+    prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
+    pair, _ = nk.minimize_I(1.0, 1.0, prm, nk.make_grid(30.0, 256))
+    out = str(tmp_path_factory.mktemp("small") / "pair")
+    artifacts.save_pair(pair, out)
+    return out
+
+
+@pytest.mark.parametrize("command,override", [
+    ("w-solve", "problem.t=1e160"),
+    ("w-solve", "problem.t=1e200"),
+    ("evolve", "evolve.dt=1e-320"),
+    ("solve", "problem.s=1e300"),
+    ("solve", "grid.half_length=1e300"),
+    ("solve", "physics.tau2=1e300"),
+    ("solve", "physics.alpha=1e300"),
+])
+def test_extreme_input_exit_code(command, override, small_pair_dir,
+                                 tmp_path, capsys):
+    # an extreme but finite input ends in a typed failure: main returns
+    # 2, 3 or 4 and stdout ends with the JSON record of that code
+    argv = [command, "--set", f"output.directory={tmp_path}",
+            "--set", "grid.half_length=30", "--set", "grid.points=256",
+            "--set", override]
+    if command == "evolve":
+        argv += ["--init", small_pair_dir]
+    code = main(argv)
+    assert code in (2, 3, 4)
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["code"] == code

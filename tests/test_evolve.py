@@ -207,6 +207,13 @@ class TestEvolveTrace:
         with pytest.raises(nk.ValidationError, match="whole number"):
             nk.evolve(st, T, dt)
 
+    def test_step_count_must_be_finite(self, coupled_pair_30, prm_coupled):
+        # 1 / 1e-320 overflows to an infinite step count
+        pair, _, _ = coupled_pair_30
+        st = nk.solitary_initial(pair, 0.0, prm=prm_coupled)
+        with pytest.raises(nk.ValidationError, match=r"T/dt = inf"):
+            nk.evolve(st, 1.0, 1e-320)
+
     @pytest.mark.parametrize("T", [math.inf, math.nan])
     def test_duration_must_be_finite(self, coupled_pair_30, prm_coupled, T):
         pair, _, _ = coupled_pair_30

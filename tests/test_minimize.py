@@ -143,6 +143,19 @@ class TestMinimizeICoupled:
         psi_mass = grid.dx * np.sum(pair.psi.values ** 2)
         assert psi_mass == pytest.approx(1.0, abs=1e-10)
 
+    def test_negated_phi_start_returns_nonneg_phi(self, grid30,
+                                                  prm_coupled):
+        # the energy is even in phi, so a start with phi negated descends
+        # to -phi; the returned profile is flipped back to phi >= 0
+        gauss = np.exp(-grid30.x ** 2 / 8.0)
+        want, _ = nk.minimize_I(1.0, 1.0, prm_coupled, grid30,
+                                warm_start=(gauss, gauss))
+        pair, _ = nk.minimize_I(1.0, 1.0, prm_coupled, grid30,
+                                warm_start=(-gauss, gauss))
+        assert np.all(pair.phi.values.real >= 0.0)
+        assert pair.energy_value == pytest.approx(want.energy_value,
+                                                  rel=1e-12)
+
     def test_energy_history_monotone(self, coupled_pair_30):
         _, report, _ = coupled_pair_30
         hist = np.array(report.energy_history)
@@ -292,6 +305,20 @@ def test_non_finite_mass_rejected(entry, grid_small, prm_coupled):
     for s, t in ((math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(nk.ValidationError, match="got .*nan"):
             entry(s, t, prm_coupled, grid_small)
+
+
+@pytest.mark.parametrize("t", [1e160, 1e200, 1e153, -1e153])
+def test_overflowing_twist_rejected(grid_small, prm_coupled, t,
+                                    monkeypatch):
+    # (t - a)^2 / s overflows at a = 0 for |t| >= 1e160; at |t| = 1e153 it
+    # overflows only on the doubled ranges.  Either way the search is
+    # refused before its first inner solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("inner solve before the range check")
+
+    monkeypatch.setattr(minimize_mod, "minimize_I", no_solve)
+    with pytest.raises(nk.ValidationError, match="overflows"):
+        nk.minimize_W(1.0, t, prm_coupled, grid_small)
 
 
 @pytest.mark.parametrize("alpha", [1e300], ids=["huge-alpha"])
@@ -557,16 +584,15 @@ class TestMinimizeW:
         assert len(set(masses)) == len(masses)
         assert {tol for _, _, tol, _ in calls} == {1e-5}
 
-    @pytest.mark.parametrize("side,bias", [(0, 1.0), (-1, -1.0)])
-    def test_root_past_coarse_bracket(self, side, bias, prm_coupled,
-                                      monkeypatch):
-        # a coarse slope of the wrong sign at a node next to the root
-        # moves the scan's bracket one cell away from it; the final slopes
-        # put the root back in the neighbouring cell, where Brent's method
-        # finds it
+    @staticmethod
+    def _biased_search(t, side, bias, prm, monkeypatch):
+        # minimize_W(1, t) with the coarse c of one scan node moved by
+        # bias: the first node right of the unbiased a* (side 0) or the
+        # last left of it (side -1).  Returns the unbiased and biased
+        # solutions, the node and the brackets passed to brentq
         grid = nk.make_grid(30.0, 768)
-        want = nk.minimize_W(1.0, 0.5, prm_coupled, grid)
-        nodes = np.linspace(0.0, 0.5 + 4.0 * math.sqrt(1.5),
+        want = nk.minimize_W(1.0, t, prm, grid)
+        nodes = np.linspace(0.0, t + 4.0 * math.sqrt(1.0 + t),
                             minimize_mod._W_SCAN_NODES)
         node = float(nodes[np.searchsorted(nodes, want.a_star) + side])
         solve = minimize_mod.minimize_I
@@ -577,10 +603,40 @@ class TestMinimizeW:
                 pair = dataclasses.replace(pair, c=pair.c + bias)
             return pair, report
 
+        brackets = []
+        brentq = minimize_mod.brentq
+
+        def recorded(f, lo, hi, **kwargs):
+            brackets.append((lo, hi))
+            return brentq(f, lo, hi, **kwargs)
+
         monkeypatch.setattr(minimize_mod, "minimize_I", biased)
-        sol = nk.minimize_W(1.0, 0.5, prm_coupled, grid)
+        monkeypatch.setattr(minimize_mod, "brentq", recorded)
+        sol = nk.minimize_W(1.0, t, prm, grid)
+        return want, sol, node, brackets
+
+    @pytest.mark.parametrize("side,bias", [(0, 1.0), (-1, -1.0)])
+    def test_root_past_coarse_bracket(self, side, bias, prm_coupled,
+                                      monkeypatch):
+        # a coarse slope of the wrong sign at a node next to the root
+        # moves the scan's bracket one cell away from it; the final slopes
+        # put the root back in the neighbouring cell, where Brent's method
+        # finds it
+        want, sol, _, _ = self._biased_search(0.5, side, bias, prm_coupled,
+                                              monkeypatch)
         # other warm starts move the inner solves' c, and so the root, by
         # up to ~1e-9 (the final tolerance); W is flat there
+        assert abs(sol.a_star - want.a_star) <= 1e-8
+        assert sol.W_value == pytest.approx(want.W_value, rel=1e-13)
+        assert sol.twist_gap <= 1e-12
+
+    def test_root_widens_right(self, prm_coupled, monkeypatch):
+        # at t = 0.7 the lowest scan node lies left of a*; biased, it is
+        # the upper end of the coarse bracket, and the final slope there
+        # moves the root-find to the cell on its right
+        want, sol, node, brackets = self._biased_search(
+            0.7, -1, -1.0, prm_coupled, monkeypatch)
+        assert brackets[0][0] == node and brackets[0][1] > want.a_star
         assert abs(sol.a_star - want.a_star) <= 1e-8
         assert sol.W_value == pytest.approx(want.W_value, rel=1e-13)
         assert sol.twist_gap <= 1e-12
