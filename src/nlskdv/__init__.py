@@ -7,8 +7,7 @@ conservation and orbital stability empirically.
 """
 
 from .errors import (BlowUpError, BoundaryMinimumError, ConvergenceError,
-                     DomainTooSmallError, GridMismatchError,
-                     InvariantViolationError, NlskdvError,
+                     DomainTooSmallError, GridMismatchError, NlskdvError,
                      SupportOverlapError, UnattainedInfimumError,
                      ValidationError)
 from .evolve import (EvolveState, EvolveTrace, evolve, orbital_distance,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "BoundaryMinimumError", "ComplexField", "ConservedTriple",
     "ConvergenceError", "DomainTooSmallError", "EvolveState", "EvolveTrace",
-    "Grid1D", "GridMismatchError", "InvariantViolationError",
+    "Grid1D", "GridMismatchError",
     "MinimizeOptions", "MinimizeReport", "NlskdvError", "PhysParams",
     "RealField", "RearrangeReport", "SechProfile", "SolitaryWavePair",
     "SupportOverlapError", "UnattainedInfimumError", "ValidationError",

@@ -129,8 +129,7 @@ def save_trace(trace: EvolveTrace, dirpath: str, manifest: dict) -> None:
     doc = dict(manifest)
     doc.update({
         "kind": "evolve_trace", "dt": trace.dt,
-        "sample_every": trace.sample_every, "seed": trace.seed,
-        "scheme": trace.scheme,
+        "sample_every": trace.sample_every, "scheme": trace.scheme,
     })
     write_json(os.path.join(dirpath, "manifest.json"), doc)
 

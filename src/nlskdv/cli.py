@@ -21,8 +21,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import (BlowUpError, NlskdvError, ValidationError)
-from .evolve import (evolve, perturbed_solitary_initial, solitary_initial,
-                     traveling_wavespeed)
+from .evolve import evolve, perturbed_solitary_initial, traveling_wavespeed
 from .functionals import PhysParams, parse_odd_denominator
 from .grid import Grid1D, make_grid
 from .minimize import MinimizeOptions, minimize_I, minimize_W
@@ -254,19 +253,15 @@ def cmd_evolve(cfg: RunConfig, init_path: str) -> int:
         raise ValidationError(
             "init artifact grid does not match the configured grid")
     c = traveling_wavespeed(pair, cfg.wavespeed)
-    if cfg.epsilon > 0.0:
-        state, eps_abs, _ = perturbed_solitary_initial(
-            pair, cfg.epsilon, cfg.seed, prm, wavespeed=c)
-    else:
-        state, eps_abs = solitary_initial(pair, c, prm=prm), 0.0
+    state, eps_abs, _ = perturbed_solitary_initial(
+        pair, cfg.epsilon, cfg.seed, prm, wavespeed=c)
     out = cfg.outdir("evolve")
     manifest = cfg.manifest()
-    manifest["epsilon_abs"] = eps_abs
-    manifest["wavespeed_used"] = c
+    manifest.update(epsilon_abs=eps_abs, seed=cfg.seed, wavespeed_used=c)
     try:
         trace = evolve(state, cfg.duration, cfg.dt,
                        sample_every=cfg.sample_every, reference=pair,
-                       wavespeed=c, seed=cfg.seed)
+                       wavespeed=c)
     except BlowUpError as exc:
         if exc.trace is not None:
             artifacts.save_trace(exc.trace, out, manifest)

@@ -23,7 +23,7 @@ class UnattainedInfimumError(NlskdvError):
 
 
 class ConvergenceError(NlskdvError):
-    """A solver exhausted its iteration budget before reaching tolerance."""
+    """A solver spent its budget or failed a line search short of tol."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -40,10 +40,6 @@ class BoundaryMinimumError(NlskdvError):
 
 class SupportOverlapError(ValidationError):
     """Two-bump construction requires disjoint supports."""
-
-
-class InvariantViolationError(NlskdvError):
-    """A mathematically guaranteed inequality failed beyond tolerance."""
 
 
 class BlowUpError(NlskdvError):

@@ -58,7 +58,6 @@ class EvolveTrace:
     distance: Optional[np.ndarray]
     dt: float
     sample_every: int
-    seed: Optional[int] = None
     scheme: str = "ifrk4/2-3-dealias"
     final_state: Optional[EvolveState] = field(default=None, repr=False)
 
@@ -72,6 +71,11 @@ class EvolveTrace:
         return self.drift(name) / scale
 
 
+def _dealias_cutoff(grid: Grid1D) -> int:
+    """Highest |mode| m the 2/3 rule keeps; its wavenumber is pi m / L."""
+    return grid.n // 3
+
+
 def stable_dt_bound(state: EvolveState) -> float:
     """Step-size guidance from the grid and current field magnitudes.
 
@@ -81,7 +85,7 @@ def stable_dt_bound(state: EvolveState) -> float:
     """
     grid = state.grid
     prm = state.prm
-    k_eff = (2.0 / 3.0) * np.pi * (grid.n / 2) / grid.half_length
+    k_eff = np.pi * _dealias_cutoff(grid) / grid.half_length
     vmax = float(np.max(np.abs(state.v.values)))
     umax = float(np.max(np.abs(state.u.values)))
     advect = prm.tau2 * vmax ** prm.p_float
@@ -109,7 +113,8 @@ class _Stepper:
         self.e_f = self.e_h ** 2
         self.two_e_h = 2.0 * self.e_h
         self.dt_e_h = dt * self.e_h
-        keep = np.abs(scipy.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
+        modes = np.abs(scipy.fft.fftfreq(grid.n) * grid.n)
+        keep = modes <= _dealias_cutoff(grid)
         # the 2/3 mask as a full complex stack: numpy multiplies two
         # complex (2, n) arrays faster than it broadcasts a real row
         self.mask = np.stack([keep, keep]).astype(np.complex128)
@@ -195,16 +200,16 @@ def step(state: EvolveState, dt: float) -> EvolveState:
 def evolve(state: EvolveState, T: float, dt: float,
            sample_every: int = 100,
            reference: Optional[SolitaryWavePair] = None,
-           wavespeed: Optional[float] = None,
-           seed: Optional[int] = None) -> EvolveTrace:
+           wavespeed: Optional[float] = None) -> EvolveTrace:
     """Integrate for duration T, sampling conserved quantities.
 
     T must be a whole number of steps dt (to 1e-9 relative).  The run
     covers |T| in the direction of dt, so a negative dt integrates
     backward and a negative T is refused unless dt is negative too.
     When a reference pair is given, the distance to its symmetry orbit
-    is recorded at each sample.  On blow-up the partial trace is
-    attached to the raised error.
+    is recorded at each sample.  The run draws nothing at random: a
+    seeded start comes from perturbed_solitary_initial.  On blow-up the
+    partial trace is attached to the raised error.
     """
     _check_dt(state, dt)
     if not np.isfinite(T):
@@ -243,7 +248,7 @@ def evolve(state: EvolveState, T: float, dt: float,
             times=np.array(times), E=np.array(es), G=np.array(gs),
             H=np.array(hs),
             distance=np.array(ds) if reference is not None else None,
-            dt=dt, sample_every=sample_every, seed=seed, final_state=final)
+            dt=dt, sample_every=sample_every, final_state=final)
 
     snap = state
     record(snap)
@@ -261,20 +266,14 @@ def evolve(state: EvolveState, T: float, dt: float,
     return make_trace(snap)
 
 
-def solitary_initial(pair: SolitaryWavePair, c: float,
-                     omega: Optional[float] = None, *,
+def solitary_initial(pair: SolitaryWavePair, c: float, *,
                      prm: PhysParams) -> EvolveState:
     """State at t = 0 of the traveling wave built on a converged pair.
 
     u carries the moving-frame phase exp(i c x / 2); v is the long-wave
-    profile.  When omega is supplied it must match sigma + c^2/4.
+    profile.  Its frequency is omega = sigma + c^2/4.
     """
     grid = pair.grid
-    if omega is not None and np.isfinite(pair.sigma):
-        expected = pair.sigma + c * c / 4.0
-        if abs(omega - expected) > 1e-8 * (1.0 + abs(expected)):
-            raise ValidationError(
-                f"omega={omega} inconsistent with sigma + c^2/4 = {expected}")
     u0 = np.exp(1j * (c / 2.0) * grid.x) * pair.phi.values
     return EvolveState(u=ComplexField(grid, u0), v=pair.psi, time=0.0,
                        prm=prm)
@@ -368,7 +367,8 @@ def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,
     modes under a Gaussian envelope, scaled so its product H1 norm is
     rel_eps (finite, >= 0) times the reference's, then the short wave
     is rescaled so its mass is exactly preserved (the experiment stays
-    on the same mass sphere).
+    on the same mass sphere).  At rel_eps = 0 the state holds the same
+    samples as solitary_initial's.
 
     Returns (state, eps_abs, reference_state) with eps_abs the realized
     perturbation norm after the projection.
@@ -398,13 +398,9 @@ def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,
 
     ref_norm = y_norm(Phi, psi, grid)
     raw = y_norm(eta_u, eta_v, grid)
-    if rel_eps > 0 and raw > 0:
-        factor = rel_eps * ref_norm / raw
-        eta_u *= factor
-        eta_v *= factor
-    else:
-        eta_u *= 0.0
-        eta_v *= 0.0
+    factor = rel_eps * ref_norm / raw if raw > 0 else 0.0
+    eta_u *= factor
+    eta_v *= factor
 
     u0 = Phi + eta_u
     h_new = charge(ComplexField(grid, u0))

@@ -54,20 +54,6 @@ class SechProfile:
     def sample(self, grid: Grid1D) -> RealField:
         return RealField(grid, self.evaluate(grid.x))
 
-    @staticmethod
-    def fit(grid: Grid1D, values: np.ndarray, exponent: float) -> "SechProfile":
-        """Recover (amplitude, lam) from sampled values of this family."""
-        amp = float(np.max(values))
-        center = int(np.argmax(values))
-        # use a sample partway down the profile for a well-conditioned arccosh
-        target = amp * 0.5
-        idx = center + int(np.argmax(values[center:] < target))
-        xoff = grid.x[idx] - grid.x[center]
-        ratio = (values[idx] / amp) ** (1.0 / exponent)
-        b = np.arccosh(1.0 / ratio) / xoff
-        lam = float((b * exponent) ** 2)
-        return SechProfile(amplitude=amp, exponent=exponent, lam=lam)
-
 
 def _grid_mass(lam: float, power: float, beta: float, grid: Grid1D) -> float:
     amp = (lam / beta) ** (1.0 / power)
@@ -115,7 +101,9 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
             break
     else:
         raise ValidationError(
-            f"target mass {target} not bracketable on [{_LAM_LO}, {_LAM_HI}]")
+            f"target mass {target} not bracketable at power {power_p}, "
+            f"beta {beta} on the grid L={grid.half_length}, n={grid.n} "
+            f"(widths lam in [{_LAM_LO}, {_LAM_HI}])")
     loglam = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return float(np.exp(loglam))
 

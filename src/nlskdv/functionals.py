@@ -8,7 +8,6 @@ quadratures with no renormalization folded in.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -156,10 +155,6 @@ class ConservedTriple:
     E: float
     G: float
     H: float
-
-    def to_json(self) -> str:
-        return json.dumps({"E": self.E, "G": self.G, "H": self.H},
-                          sort_keys=True)
 
 
 def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):

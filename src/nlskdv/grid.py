@@ -134,10 +134,6 @@ def same_grid(*fields: Field) -> Grid1D:
     return g
 
 
-def sample(grid: Grid1D, fn, kind: str = "real") -> Field:
-    return (RealField if kind == "real" else ComplexField)(grid, fn(grid.x))
-
-
 def apply_symbol(values: np.ndarray, grid: Grid1D,
                  symbol: np.ndarray) -> np.ndarray:
     """Multiply the spectrum of a sample array by symbol and transform back.

@@ -49,6 +49,7 @@ _ARMIJO = 0.2                     # sufficient decrease; refuses step 2
 _BACKTRACK = 0.5
 _STEP0 = 0.25
 _STEP_MAX = 4.0
+_STEP_MIN = 1e-16                 # a line search fails below this step
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
 _CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
 _W_SCAN_NODES = 17
@@ -183,9 +184,11 @@ def _descend(X, masses, prm, grid, tol, budget):
     not raise the projected-gradient norm.
 
     Returns the final real stack (zero-mass rows +0) plus (iterations,
-    final_step, history, pg_norm, converged flag).  After a failed line
-    search final_step is the step below the floor (Armijo phase) or the
-    last accepted one.
+    final_step, history, pg_norm, termination), termination being why
+    the descent stopped: "converged", "max_iter" (budget spent) or
+    "line_search" (no trial step of at least _STEP_MIN passed).  After a
+    failed line search final_step is the step below the floor (Armijo
+    phase) or the last accepted one.
     """
     n, half = grid.n, grid.n // 2 + 1
     live = masses > 0.0
@@ -223,6 +226,7 @@ def _descend(X, masses, prm, grid, tol, budget):
     history = [e_cur]
     eta = _STEP0
     it = 0
+    stop = "max_iter"
     while it < budget and pgnorm > tol:
         it += 1
         D = precond * P
@@ -233,7 +237,7 @@ def _descend(X, masses, prm, grid, tol, budget):
             trial = min(eta * 2.0, _STEP_MAX)
         else:
             trial = min(eta * 1.26, _STEP_MAX)
-        while trial >= 1e-16:
+        while trial >= _STEP_MIN:
             cand = project(Xh - trial * D)
             e_new, P_new, pg_new, X_new = evaluate(cand)
             if (e_new <= e_cur - _ARMIJO * trial * gtd + slack if armijo
@@ -243,12 +247,14 @@ def _descend(X, masses, prm, grid, tol, budget):
         else:  # no trial above the step floor passed
             if armijo:
                 eta = trial
+            stop = "line_search"
             break
         Xh, X, e_cur, P, pgnorm = cand, X_new, e_new, P_new, pg_new
         eta = trial
         history.append(e_cur)
     X[~live] = 0.0
-    return X, it, eta, history, pgnorm, pgnorm <= tol
+    stop = "converged" if pgnorm <= tol else stop
+    return X, it, eta, history, pgnorm, stop
 
 
 def _initial_fields(s, t, prm, grid):
@@ -395,18 +401,20 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
 
-    X, iters, final_step, history, pgnorm, converged = _descend(
+    X, iters, final_step, history, pgnorm, termination = _descend(
         X, masses, prm, grid, opts.tol, opts.max_iter)
 
     report = MinimizeReport(
         iterations=iters, final_step=final_step,
-        energy_history=history,
-        termination="converged" if converged else "max_iter",
+        energy_history=history, termination=termination,
         I_value=math.nan, pg_norm=pgnorm)
-    if not converged:
+    if termination != "converged":
+        cause = (f"no convergence within {opts.max_iter} iterations"
+                 if termination == "max_iter" else
+                 f"line search found no step >= {_STEP_MIN:.0e} at "
+                 f"iteration {iters}")
         raise ConvergenceError(
-            f"no convergence within {opts.max_iter} iterations "
-            f"(projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
+            f"{cause} (projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
             report=report)
 
     weights = X[1] * X[1] if t > 0.0 else X[0] * X[0]

@@ -11,14 +11,12 @@ refinement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (InvariantViolationError, SupportOverlapError,
-                     ValidationError)
+from .errors import SupportOverlapError, ValidationError
 from .grid import RealField, same_grid
 
 # empirical constant for the kinetic-energy tolerance tol_ps = C * dx * scale
@@ -35,18 +33,6 @@ class RearrangeReport:
     garrisi_lhs: Optional[float] = None
     garrisi_rhs: Optional[float] = None
     tol_ps: Optional[float] = None
-
-    def to_json(self) -> str:
-        payload = {
-            "lp_preserved": {str(k): bool(v)
-                             for k, v in self.lp_preserved.items()},
-            "hardy_littlewood_gap": self.hardy_littlewood_gap,
-            "polya_szego_gap": self.polya_szego_gap,
-            "garrisi_lhs": self.garrisi_lhs,
-            "garrisi_rhs": self.garrisi_rhs,
-            "tol_ps": self.tol_ps,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def placement_order(n: int) -> np.ndarray:
@@ -152,7 +138,8 @@ def garrisi_check(u: RealField, v: RealField,
     Builds w from disjoint translates of the two bumps, rearranges it,
     and compares the kinetic energy of the rearrangement against the
     kinetic energy of w minus three quarters of the smaller bump's.
-    Raises if the guaranteed inequality fails beyond tolerance.
+    It only measures: the inequality holds when garrisi_lhs <=
+    garrisi_rhs + tol_ps, and the caller judges that.
     """
     grid = same_grid(u, v)
     n = grid.n
@@ -177,10 +164,6 @@ def garrisi_check(u: RealField, v: RealField,
     kin_w = kinetic(w, grid)
     rhs = kin_w - 0.75 * min(kin_u, kin_v)
     tol = ps_tolerance(grid, kin_w)
-    if lhs > rhs + tol:
-        raise InvariantViolationError(
-            f"two-bump kinetic drop failed: {lhs} > {rhs} + {tol}")
-
     return RearrangeReport(lp_preserved=_lp_preserved(((w, wstar),), grid.dx),
                            garrisi_lhs=lhs, garrisi_rhs=rhs,
                            polya_szego_gap=kin_w - lhs, tol_ps=tol)

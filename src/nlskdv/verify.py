@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import (ConvergenceError, DomainTooSmallError,
-                     InvariantViolationError, ValidationError)
+from .errors import ConvergenceError, DomainTooSmallError, ValidationError
 from .functionals import PhysParams, energy
 from .grid import ComplexField, Grid1D, RealField, deriv, integrate
 from .minimize import MinimizeOptions, subadditivity_probe
@@ -145,7 +144,7 @@ def run_rearrange_suite(grid: Grid1D, prm: PhysParams, seed: int = 2,
 
     worst_slack = math.inf
     g_tol = 0.0
-    status = "pass"
+    g_ok = True
     for i in range(n_garrisi):
         w1 = 0.5 + rng.uniform(0.0, 1.0)
         w2 = 0.5 + rng.uniform(0.0, 1.0)
@@ -153,21 +152,15 @@ def run_rearrange_suite(grid: Grid1D, prm: PhysParams, seed: int = 2,
         h2 = 0.5 + rng.uniform(0.0, 1.0)
         u = truncated_bump(grid, w1, h1)
         v = truncated_bump(grid, w2, h2)
-        sep = grid.half_length
-        try:
-            rep = garrisi_check(u, v, sep)
-        except InvariantViolationError as exc:
-            status = "fail"
-            rows.append(CheckRow("rearrange/two-bump-kinetic-drop",
-                                 status, str(exc)))
-            break
+        rep = garrisi_check(u, v, grid.half_length)
+        g_ok = g_ok and rep.garrisi_lhs <= rep.garrisi_rhs + rep.tol_ps
         worst_slack = min(worst_slack, rep.garrisi_rhs - rep.garrisi_lhs)
         g_tol = max(g_tol, rep.tol_ps)
-    else:
-        if grid.dx > _COARSE_DX:
-            status = "tolerance-limited"
-        rows.append(CheckRow("rearrange/two-bump-kinetic-drop", status,
-                             f"min slack {worst_slack:.3e}, tol {g_tol:.3e}"))
+    status = "pass" if g_ok else "fail"
+    if status == "pass" and grid.dx > _COARSE_DX:
+        status = "tolerance-limited"
+    rows.append(CheckRow("rearrange/two-bump-kinetic-drop", status,
+                         f"min slack {worst_slack:.3e}, tol {g_tol:.3e}"))
 
     worst = -math.inf
     for _ in range(n_pairs):

@@ -206,6 +206,49 @@ def test_evolve_blowup_exit_4(cfgfile, tmp_path, capsys, monkeypatch):
     assert err["partial_trace"] == str(tmp_path / "out" / "evolve")
 
 
+def test_evolve_blowup_saves_partial_trace(cfgfile, tmp_path, capsys,
+                                           monkeypatch):
+    # the trace a BlowUpError carries is written where the error record
+    # points: the real evolve runs three steps, then the run "blows up"
+    assert main(["solve", "--config", cfgfile]) == 0
+    real_evolve = cli.evolve
+    partial = []
+
+    def blow_up(state, T, dt, **kwargs):
+        partial.append(real_evolve(state, 3 * dt, dt, **kwargs))
+        raise nk.BlowUpError("blow-up at step 4 (t=0.008)",
+                             last_state=partial[0].final_state,
+                             trace=partial[0])
+
+    monkeypatch.setattr(cli, "evolve", blow_up)
+    assert main(["evolve", "--config", cfgfile,
+                 "--set", "evolve.sample_every=1",
+                 "--init", str(tmp_path / "out" / "solve")]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    out = tmp_path / "out" / "evolve"
+    assert err["code"] == 4 and err["partial_trace"] == str(out)
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4  # t = 0 and three steps
+    assert lines == artifacts.trace_to_csv(partial[0]).splitlines()
+    man = artifacts.read_json(str(out / "manifest.json"))
+    assert man["kind"] == "evolve_trace" and man["sample_every"] == 1
+    assert man["seed"] == man["evolve"]["seed"]
+
+
+def test_evolve_epsilon_zero(cfgfile, tmp_path):
+    # an unperturbed run starts from the reference wave itself; the
+    # manifest still records the configured seed next to epsilon_abs
+    assert main(["solve", "--config", cfgfile]) == 0
+    assert main(["evolve", "--config", cfgfile,
+                 "--set", "evolve.epsilon=0", "--set", "evolve.seed=99",
+                 "--set", "evolve.duration=0.01",
+                 "--init", str(tmp_path / "out" / "solve")]) == 0
+    man = artifacts.read_json(str(tmp_path / "out" / "evolve"
+                                  / "manifest.json"))
+    assert man["epsilon_abs"] == 0.0
+    assert man["seed"] == 99 and man["evolve"]["seed"] == 99
+
+
 def test_evolve_grid_mismatch_exit_2(cfgfile, tmp_path, capsys):
     # the saved pair lives on the 512-point grid, the run asks for 256
     assert main(["solve", "--config", cfgfile]) == 0
@@ -494,3 +537,21 @@ def test_extreme_input_exit_code(command, override, small_pair_dir,
     assert code in (2, 3, 4)
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["code"] == code
+
+
+@pytest.mark.parametrize("override,grid_text", [
+    ("grid.half_length=1e300", "L=1e+300, n=256"),
+    ("physics.tau2=1e300", "L=30.0, n=256"),
+])
+def test_unbracketable_mass_names_inputs(override, grid_text, tmp_path,
+                                         capsys):
+    # the start profile's mass cannot be reached: the record names the
+    # mass, the power, beta and the grid, the inputs a user can change
+    code = main(["solve", "--set", f"output.directory={tmp_path}",
+                 "--set", "grid.half_length=30", "--set", "grid.points=256",
+                 "--set", override])
+    assert code == 2
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["code"] == 2
+    for text in ("target mass 1.0", "power", "beta", grid_text):
+        assert text in record["error"]

@@ -44,14 +44,6 @@ class TestSolitaryInitial:
         expect = t_psi - (c / 2.0) * pair.s
         assert nk.momentum(st.u, st.v) == pytest.approx(expect, abs=1e-10)
 
-    def test_omega_consistency(self, nls_soliton):
-        pair, prm = nls_soliton
-        c = 0.4
-        omega = pair.sigma + c * c / 4.0
-        nk.solitary_initial(pair, c, omega, prm=prm)  # consistent: fine
-        with pytest.raises(nk.ValidationError):
-            nk.solitary_initial(pair, c, omega + 0.1, prm=prm)
-
 
 class TestStep:
     def test_dt_guidance_enforced(self, kdv_soliton):
@@ -336,6 +328,20 @@ class TestPerturbedInitial:
                                                    prm=prm_coupled)
         assert np.array_equal(st1.u.values, st2.u.values)
         assert e1 == e2
+
+    @pytest.mark.parametrize("wavespeed", [None, 0.3])
+    def test_zero_size_is_the_reference(self, coupled_pair_30, prm_coupled,
+                                        wavespeed):
+        # rel_eps = 0 returns solitary_initial's samples, so one start
+        # serves every epsilon
+        pair, _, _ = coupled_pair_30
+        st, eps_abs, _ = nk.perturbed_solitary_initial(
+            pair, 0.0, seed=7, prm=prm_coupled, wavespeed=wavespeed)
+        c = pair.c if wavespeed is None else wavespeed
+        ref = nk.solitary_initial(pair, c, prm=prm_coupled)
+        assert np.array_equal(st.u.values, ref.u.values)
+        assert np.array_equal(st.v.values, ref.v.values)
+        assert eps_abs == 0.0
 
 
 def _golden_reference(grid, wavespeed):

@@ -141,12 +141,6 @@ class TestNlsGround:
 
 
 class TestSechProfile:
-    def test_fit_roundtrip(self, grid40):
-        prof = nk.SechProfile(amplitude=0.8, exponent=2.0, lam=1.7)
-        fitted = nk.SechProfile.fit(grid40, prof.sample(grid40).values, 2.0)
-        assert fitted.lam == pytest.approx(1.7, rel=1e-12)
-        assert fitted.amplitude == pytest.approx(0.8, rel=1e-12)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(nk.ValidationError):
             nk.SechProfile(amplitude=-1.0, exponent=2.0, lam=1.0)

@@ -394,12 +394,3 @@ def test_grid_mismatch_rejected(grid30, grid40, prm_coupled):
     with pytest.raises(nk.GridMismatchError):
         nk.momentum(u, v)
 
-
-def test_conserved_triple_json(grid40, prm_coupled):
-    u = complex_field(grid40, lambda x: np.exp(-x ** 2 / 2) + 0j)
-    v = real_field(grid40, lambda x: np.exp(-x ** 2 / 2))
-    trip = nk.conserved_triple(u, v, prm_coupled)
-    import json
-    doc = json.loads(trip.to_json())
-    assert set(doc) == {"E", "G", "H"}
-    assert doc["H"] == pytest.approx(nk.charge(u))

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.grid import (apply_symbol, atomic_write, deriv_values, sample,
-                         shift_values)
+from nlskdv.grid import apply_symbol, atomic_write, deriv_values, shift_values
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -240,9 +239,3 @@ def test_atomic_write_unique_temp(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "out.bin", "out.bin.tmp"]
 
-
-def test_sample_kinds(grid30):
-    fr = sample(grid30, lambda x: np.exp(-x ** 2))
-    assert isinstance(fr, nk.RealField)
-    fc = sample(grid30, lambda x: np.exp(1j * x), kind="complex")
-    assert isinstance(fc, nk.ComplexField)

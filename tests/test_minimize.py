@@ -129,6 +129,18 @@ class TestMinimizeIDecoupled:
         assert err.value.report is not None
         assert err.value.report.termination == "max_iter"
 
+    def test_failed_line_search_reported(self, prm_coupled, monkeypatch):
+        # an Armijo fraction no step can meet: the first line search
+        # fails, and the report and the message say so, not the budget
+        monkeypatch.setattr(minimize_mod, "_ARMIJO", 1e6)
+        with pytest.raises(nk.ConvergenceError, match="line search") as err:
+            nk.minimize_I(1.0, 1.0, prm_coupled, nk.make_grid(40.0, 512))
+        assert "200000 iterations" not in str(err.value)
+        rep = err.value.report
+        assert rep.termination == "line_search"
+        assert rep.iterations == 1
+        assert rep.final_step < minimize_mod._STEP_MIN
+
 
 class TestMinimizeICoupled:
     def test_converged_diagnostics(self, coupled_pair_30, prm_coupled):

@@ -106,15 +106,6 @@ def test_hardy_littlewood_nonnegative_random(grid30):
         assert rep.hardy_littlewood_gap >= 0.0
 
 
-def test_report_json_roundtrip(grid30):
-    rng = np.random.default_rng(4)
-    rep = nk.verify_rearrangement_inequalities(
-        random_nonneg_field(grid30, rng), random_nonneg_field(grid30, rng))
-    import json
-    doc = json.loads(rep.to_json())
-    assert "hardy_littlewood_gap" in doc
-
-
 class TestGarrisi:
     def test_equal_bumps(self, grid40):
         u = truncated_bump(grid40, 1.5, 1.0)
