@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its count check."""
+
+import numbers
 
 
 class NlskdvError(Exception):
@@ -7,6 +9,17 @@ class NlskdvError(Exception):
 
 class ValidationError(NlskdvError, ValueError):
     """Invalid argument or configuration value."""
+
+
+def require_count(name: str, value) -> int:
+    """value as an int if it is an integer >= 1, else ValidationError.
+
+    bool is refused although it is an int subclass.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 class GridMismatchError(ValidationError):

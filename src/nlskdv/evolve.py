@@ -21,7 +21,8 @@ import numpy as np
 import scipy.fft
 from scipy.optimize import minimize_scalar
 
-from .errors import BlowUpError, GridMismatchError, ValidationError
+from .errors import (BlowUpError, GridMismatchError, ValidationError,
+                     require_count)
 from .functionals import (PhysParams, charge, conserved_triple,
                           nonlinearity)
 from .grid import ComplexField, Grid1D, RealField, same_grid
@@ -218,8 +219,7 @@ def evolve(state: EvolveState, T: float, dt: float,
         raise ValidationError(
             f"duration T={T} and step dt={dt} differ in sign; a negative "
             "T needs a negative dt")
-    if sample_every < 1:
-        raise ValidationError("sample_every must be >= 1")
+    sample_every = require_count("sample_every", sample_every)
     ratio = abs(T) / abs(dt)  # inf when it overflows
     if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9 * ratio):
         raise ValidationError(

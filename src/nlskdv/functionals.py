@@ -93,8 +93,8 @@ class PhysParams:
     strengths, q the short-wave nonlinearity power and p the long-wave
     one (a positive rational with odd denominator so v**p makes sense
     for v < 0).  beta1 and beta2 are the derived energy coefficients,
-    kdv_coeff = tau2/(p+1) the long-wave nonlinearity coefficient, and
-    pow_p1, pow_p2 the signed powers v**(p+1), v**(p+2).
+    kdv_coeff = tau2/(p+1) and pow_p1 = v**(p+1) the long-wave
+    nonlinearity's coefficient and signed power.
     """
 
     alpha: float
@@ -106,7 +106,6 @@ class PhysParams:
     beta2: float = field(init=False)
     kdv_coeff: float = field(init=False)
     pow_p1: _SignedPower = field(init=False, repr=False)
-    pow_p2: _SignedPower = field(init=False, repr=False)
 
     def __post_init__(self):
         p = parse_odd_denominator(self.p)
@@ -130,7 +129,6 @@ class PhysParams:
                            2.0 * self.tau2 / (pf1 * (self.p_float + 2.0)))
         object.__setattr__(self, "kdv_coeff", self.tau2 / pf1)
         object.__setattr__(self, "pow_p1", _SignedPower.of(p + 1))
-        object.__setattr__(self, "pow_p2", _SignedPower.of(p + 2))
 
     @property
     def p_float(self) -> float:
@@ -163,9 +161,9 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
         N_u = tau1 |u|^q u + alpha u v
         N_v = tau2/(p+1) v^(p+1) + alpha/2 |u|^2
 
-    The flow is i u_t + u_xx = -N_u and v_t + v_xxx = -(N_v)_x, and the
-    potential part of the energy gradient is -2 N.  N_u is evaluated as
-    (tau1 |u|^q + alpha v) u, with no power taken at q = 1.
+    The flow is i u_t + u_xx = -N_u and v_t + v_xxx = -(N_v)_x; the
+    energy's gradient and, by _potential_sum, its potential come from N.
+    N_u is (tau1 |u|^q + alpha v) u, so q = 1 takes no power.
     """
     au = np.abs(u)
     gain = prm.tau1 * (au if prm.q == 1 else au ** prm.q)
@@ -190,27 +188,29 @@ def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
     return out if np.isrealobj(u) else [(du, dv.real) for du, dv in out]
 
 
-def _potential(u, v, prm: PhysParams):
-    """The three potential densities of the energy, in subtraction order.
+def _potential_sum(u, v, nu, nv, prm: PhysParams) -> float:
+    """Sum of beta1 |u|^(q+2) + beta2 v^(p+2) + alpha |u|^2 v over samples.
 
-    They are beta1 |u|^(q+2), beta2 v^(p+2) and alpha |u|^2 v; the
-    energy density is the kinetic density minus each in turn.
+    By Euler's identity it is 2/(q+2) Re(conj(u) N_u) + 2/(p+2) v N_v
+    + m |u|^2 v, m = alpha (q(p+1) - 2)/((q+2)(p+2)) (0 at q = p = 1).
     """
-    au = np.abs(u)
-    return (prm.beta1 * au ** (prm.q + 2.0), prm.beta2 * prm.pow_p2(v),
-            prm.alpha * au ** 2 * v)
+    q, p = prm.q, prm.p_float
+    mixed = prm.alpha * (q * (p + 1.0) - 2.0) / ((q + 2.0) * (p + 2.0))
+    return float(2.0 / (q + 2.0) * np.vdot(u, nu).real
+                 + 2.0 / (p + 2.0) * np.dot(v, nv)
+                 + (mixed * np.vdot(u, u * v).real if mixed else 0.0))
 
 
-def _energy(u, v, ux, vx, prm: PhysParams, grid) -> float:
-    pot1, pot2, pot3 = _potential(u, v, prm)
-    integrand = np.abs(ux) ** 2 + vx ** 2 - pot1 - pot2 - pot3
-    return float(grid.dx * integrand.sum())
+def _energy(u, v, ux, vx, nu, nv, prm: PhysParams, grid) -> float:
+    kinetic = np.vdot(ux, ux).real + np.dot(vx, vx)
+    return float(grid.dx * (kinetic - _potential_sum(u, v, nu, nv, prm)))
 
 
 def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
                   grid) -> float:
     """Energy quadrature on raw sample arrays (u may be real or complex)."""
-    return _energy(u, v, *_derivs(u, v, grid, 1)[0], prm, grid)
+    return _energy(u, v, *_derivs(u, v, grid, 1)[0],
+                   *nonlinearity(u, v, prm), prm, grid)
 
 
 def energy_gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
@@ -218,7 +218,7 @@ def energy_gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
     """Energy and first variation -2 ((u_xx, v_xx) + N), one spectrum."""
     (ux, vx), (uxx, vxx) = _derivs(u, v, grid, 1, 2)
     nu, nv = nonlinearity(u, v, prm)
-    return (_energy(u, v, ux, vx, prm, grid),
+    return (_energy(u, v, ux, vx, nu, nv, prm, grid),
             (-2.0 * (uxx + nu), -2.0 * (vxx + nv)))
 
 
@@ -277,7 +277,7 @@ def conserved_triple(u: ComplexField, v: RealField,
                      prm: PhysParams) -> ConservedTriple:
     """E, G and H of a pair; E and G share u_x from one transform pair."""
     g = same_grid(u, v)
-    ux, vx = _derivs(u.values, v.values, g, 1)[0]
-    return ConservedTriple(E=_energy(u.values, v.values, ux, vx, prm, g),
-                           G=_momentum(u.values, v.values, ux, g.dx),
-                           H=charge(u))
+    uv = u.values, v.values
+    ux, vx = _derivs(*uv, g, 1)[0]
+    E = _energy(*uv, ux, vx, *nonlinearity(*uv, prm), prm, g)
+    return ConservedTriple(E=E, G=_momentum(*uv, ux, g.dx), H=charge(u))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,9 +38,9 @@ from scipy.optimize import brentq
 
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
-                     ValidationError)
+                     ValidationError, require_count)
 from .exact import kdv_profile, nls_ground
-from .functionals import (PhysParams, _potential, energy_gradient_values,
+from .functionals import (PhysParams, _potential_sum, energy_gradient_values,
                           gradient_values, nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
                    boundary_leak, same_grid, shift_values)
@@ -60,12 +61,23 @@ class MinimizeOptions:
     """The settable knobs of the descent.
 
     The line search's constants (Armijo fraction, step ladder, phase
-    switch) are set at module level.
+    switch) are set at module level.  Construction checks the knobs as
+    the CLI schema does: tol and max_boundary_leak finite and > 0,
+    max_iter an integer >= 1.
     """
 
     tol: float = 1e-8                 # projected-gradient L2 norm at exit
     max_iter: int = 200_000
     max_boundary_leak: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("tol", "max_boundary_leak"):
+            val = getattr(self, name)
+            if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                    or not 0.0 < val < math.inf):
+                raise ValidationError(
+                    f"{name} must be finite and > 0, got {val!r}")
+        self.max_iter = require_count("max_iter", self.max_iter)
 
 
 @dataclass
@@ -206,10 +218,10 @@ def _descend(X, masses, prm, grid, tol, budget):
 
     def evaluate(Xh):
         X = scipy.fft.irfft(Xh, n)
-        N = scipy.fft.rfft(np.array(nonlinearity(*X, prm)))
+        NX = np.array(nonlinearity(*X, prm))
         e = (float(_pairings(Xh, Xh, kinetic).sum())
-             - grid.dx * float(np.sum(_potential(*X, prm))))
-        G = -2.0 * (laplacian * Xh + N)
+             - grid.dx * _potential_sum(*X, *NX, prm))
+        G = -2.0 * (laplacian * Xh + scipy.fft.rfft(NX))
         coef = np.divide(_pairings(G, Xh, w), masses,
                          out=np.zeros(2), where=live)
         P = G - coef[:, None] * Xh

@@ -89,7 +89,8 @@ def test_trace_csv(tmp_path, solved, prm_coupled):
     tr = nk.evolve(st, 0.1, 1e-2, sample_every=5, reference=pair)
     d = str(tmp_path / "tr")
     artifacts.save_trace(tr, d, {"note": "test"})
-    lines = open(os.path.join(d, "trace.csv")).read().splitlines()
+    with open(os.path.join(d, "trace.csv")) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "time,E,G,H,distance"
     assert len(lines) == 1 + len(tr.times)
     first = lines[1].split(",")

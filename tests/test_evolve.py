@@ -184,10 +184,13 @@ class TestEvolveTrace:
         assert tr.rel_drift("E") <= 1e-9
 
     def test_sample_every_validated(self, coupled_pair_30, prm_coupled):
+        # an integer >= 1: 2.5 would record every third step and write 2.5
+        # to the trace
         pair, _, _ = coupled_pair_30
         st = nk.solitary_initial(pair, 0.0, prm=prm_coupled)
-        with pytest.raises(nk.ValidationError):
-            nk.evolve(st, 1.0, 1e-3, sample_every=0)
+        for every in (0, -1, 2.5, True, "3"):
+            with pytest.raises(nk.ValidationError, match="sample_every"):
+                nk.evolve(st, 1.0, 1e-3, sample_every=every)
 
     @pytest.mark.parametrize("T,dt", [(1.0, 0.064), (0.5, 3e-3)])
     def test_duration_whole_steps(self, coupled_pair_30, prm_coupled, T,

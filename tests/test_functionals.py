@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import nlskdv as nk
 from nlskdv.evolve import _Orbit, y_norm
-from nlskdv.functionals import (energy_gradient_values, energy_values,
-                                gradient_values, nonlinearity,
-                                parse_odd_denominator)
+from nlskdv.functionals import (_potential_sum, energy_gradient_values,
+                                energy_values, gradient_values,
+                                nonlinearity, parse_odd_denominator)
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -122,6 +122,28 @@ class TestNonlinearity:
         for got, x, y in ((nu, t1, t2), (nv, t3, t4)):
             scale = max(float(np.max(np.abs(x) + np.abs(y))), 1e-300)
             assert np.max(np.abs(got - (x + y))) <= 1e-15 * scale
+
+
+class TestPotentialSum:
+    @given(data=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3 * 24),
+           p=st.sampled_from([Fraction(1), Fraction(7, 5), Fraction(9, 7)]),
+           q=st.floats(1.0, 4.0, exclude_max=True),
+           tau1=st.sampled_from([0.0, 1.3]),
+           alpha=st.sampled_from([0.0, 0.7]))
+    def test_matches_densities(self, data, p, q, tau1, alpha):
+        # the potential read off N equals the three densities
+        # beta1 |u|^(q+2) + beta2 v^(p+2) + alpha |u|^2 v summed directly
+        m = len(data) // 3
+        a = np.array(data[:3 * m]).reshape(3, m)
+        u, v = a[0] + 1j * a[1], a[2]
+        prm = nk.PhysParams(alpha=alpha, tau1=tau1, tau2=2.0, p=p, q=q)
+        got = _potential_sum(u, v, *nonlinearity(u, v, prm), prm)
+        dens = (prm.beta1 * np.abs(u) ** (q + 2),
+                prm.beta2 * np.sign(v) ** (p + 2).numerator
+                * np.abs(v) ** float(p + 2),
+                prm.alpha * np.abs(u) ** 2 * v)
+        scale = max(float(sum(np.abs(d).sum() for d in dens)), 1e-300)
+        assert abs(got - float(sum(d.sum() for d in dens))) <= 1e-13 * scale
 
 
 class TestStackedTransforms:

@@ -319,6 +319,25 @@ def test_non_finite_mass_rejected(entry, grid_small, prm_coupled):
             entry(s, t, prm_coupled, grid_small)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("tol", math.nan), ("tol", -1e-8), ("tol", 0.0), ("tol", math.inf),
+    ("tol", True), ("tol", "1e-8"),
+    ("max_boundary_leak", math.nan), ("max_boundary_leak", -1e-6),
+    ("max_boundary_leak", 0.0),
+    ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True), ("max_iter", "3"),
+])
+def test_minimize_options_validated(key, value):
+    # a NaN leak bound would pass every leak; a bad tol or budget would
+    # end in a misleading ConvergenceError
+    with pytest.raises(nk.ValidationError, match=f"{key} must be"):
+        MinimizeOptions(**{key: value})
+
+
+def test_minimize_options_accept_numpy_scalars():
+    opts = MinimizeOptions(tol=np.float64(1e-9), max_iter=np.int64(5))
+    assert opts.max_iter == 5 and type(opts.max_iter) is int
+
+
 @pytest.mark.parametrize("t", [1e160, 1e200, 1e153, -1e153])
 def test_overflowing_twist_rejected(grid_small, prm_coupled, t,
                                     monkeypatch):
