@@ -71,6 +71,21 @@ class Grid1D:
             self._symbols[order] = sym
         return sym
 
+    def constants(self, build):
+        """build(self), built once per grid and kept beside the symbols.
+
+        build is a module-level function of the grid alone and is its
+        own cache key; it returns a tuple of arrays, which are made
+        read-only so solves can share them.
+        """
+        consts = self._symbols.get(build)
+        if consts is None:
+            consts = build(self)
+            for arr in consts:
+                arr.flags.writeable = False
+            self._symbols[build] = consts
+        return consts
+
     def __eq__(self, other):
         if not isinstance(other, Grid1D):
             return NotImplemented

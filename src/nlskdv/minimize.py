@@ -9,7 +9,12 @@ fixed points and the energy-descent structure unchanged but removes the
 k^2 stiffness of the raw flow.  The iterate is held as the real
 half spectrum of [phi; psi], so the metric, the mass projection and
 every L2 pairing are sums over Fourier modes (Parseval) and a trial
-point costs one transform each way, for the nonlinearity.
+point costs one transform each way, for the nonlinearity.  The first
+trial step of each iteration is the two-point step of the last two
+iterates in the same metric (Barzilai & Borwein 1988, the "short" step
+<s, y>/<y, K y>), clamped to [1/2, 2] times the last accepted step, so
+it usually passes and an iteration costs about one trial; the metric
+and the other per-grid constants are built once per grid.
 
 A cold solve is one descent at the full coupling, started from the
 product of the decoupled ground profiles.  In the H1 metric the high
@@ -30,7 +35,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.fft
@@ -52,6 +57,7 @@ _STEP0 = 0.25
 _STEP_MAX = 4.0
 _STEP_MIN = 1e-16                 # a line search fails below this step
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
+_STALL = 100                      # gradient-norm iterations to halve pg in
 _CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
 _W_SCAN_NODES = 17
 
@@ -170,6 +176,29 @@ def _half_weights(grid, order=0):
     return np.repeat(w, 2)
 
 
+class _GridConstants(NamedTuple):
+    """Read-only per-grid constants of the descent and the recentring."""
+
+    w: np.ndarray             # Parseval weights of the half spectrum
+    kinetic: np.ndarray       # the same, times k^2
+    laplacian: np.ndarray     # half symbol of d^2/dx^2
+    precond: np.ndarray       # H1 preconditioner 0.5 / (1 + k^2)
+    rotor: np.ndarray         # exp(i pi x / L) of the circular centroid
+
+
+def _grid_constants(grid: Grid1D) -> _GridConstants:
+    """The grid's constants, built by Grid1D.constants once per grid."""
+    half = grid.n // 2 + 1
+    return _GridConstants(
+        w=_half_weights(grid),
+        # the kinetic weight zeroes the Nyquist entry, as the first
+        # derivative does; the gradient's second derivative keeps it
+        kinetic=_half_weights(grid, 1),
+        laplacian=grid.deriv_symbol(2)[:half],
+        precond=0.5 / grid.h1_weights[:half],
+        rotor=np.exp(1j * (np.pi * grid.x / grid.half_length)))
+
+
 def _pairings(A, B, w):
     """Row-wise pairings sum(w Re(A conj(B))) of half spectra.
 
@@ -177,6 +206,27 @@ def _pairings(A, B, w):
     _half_weights.
     """
     return (A.view(np.float64) * B.view(np.float64)) @ w
+
+
+def _first_trial(S, Y, eta, precond, w):
+    """First trial step of an iteration: the two-point step, clamped.
+
+    S is the last accepted step of the half spectrum and Y the change of
+    the projected gradient P across it; both are None before the first
+    step and after a move below the iterate's rounding, whose
+    differences are noise.  The short two-point step <S, Y> / <Y, K Y>
+    (Barzilai & Borwein 1988), with K the preconditioner, is the step
+    for which step * K Y best matches S (least squares in the 1/K
+    metric), the secant equation of a preconditioned gradient step.  It
+    is clamped to [eta/2, 2 eta] around the last accepted step eta and
+    to at most _STEP_MAX.  Without a history, or where <S, Y> <= 0 (no
+    positive curvature along the step), the last step grows by 1.26.
+    """
+    sy = float(_pairings(S, Y, w).sum()) if S is not None else 0.0
+    if sy <= 0.0:
+        return min(eta * 1.26, _STEP_MAX)
+    bb = sy / float(_pairings(Y, precond * Y, w).sum())
+    return min(max(bb, 0.5 * eta), 2.0 * eta, _STEP_MAX)
 
 
 def _descend(X, masses, prm, grid, tol, budget):
@@ -190,26 +240,29 @@ def _descend(X, masses, prm, grid, tol, budget):
     preconditioner is a division by 1 + k^2.  Evaluating a trial point
     takes one inverse transform (for N and the potential energy) and one
     forward transform (of N).  An accepted trial's evaluation is the
-    new iterate's.  One backtracking loop takes an Armijo test on the
-    energy far from the minimizer; once the projected gradient is small,
-    energy differences sink below float rounding and a step must instead
-    not raise the projected-gradient norm.
+    new iterate's.  The first trial of an iteration is _first_trial's
+    two-point step from the last accepted step and the change of the
+    projected gradient across it, clamped to [1/2, 2] times that step;
+    the first iteration, and one after a move below the iterate's
+    rounding, grow the last step by 1.26 instead.  One backtracking
+    loop takes an Armijo test on the energy far from the minimizer; once
+    the projected gradient is small, energy differences sink below
+    float rounding and a step must instead not raise the
+    projected-gradient norm.
 
     Returns the final real stack (zero-mass rows +0) plus (iterations,
     final_step, history, pg_norm, termination), termination being why
-    the descent stopped: "converged", "max_iter" (budget spent) or
-    "line_search" (no trial step of at least _STEP_MIN passed).  After a
-    failed line search final_step is the step below the floor (Armijo
-    phase) or the last accepted one.
+    the descent stopped: "converged", "max_iter" (budget spent),
+    "line_search" (no trial step of at least _STEP_MIN passed) or
+    "stalled" (in the gradient-norm phase the projected gradient has
+    not halved in _STALL iterations and the last step moved the iterate
+    by less than its rounding: the gradient is at its rounding floor,
+    above tol).  After a failed line search final_step is the step below
+    the floor (Armijo phase) or the last accepted one.
     """
-    n, half = grid.n, grid.n // 2 + 1
+    n = grid.n
     live = masses > 0.0
-    w = _half_weights(grid)
-    # the kinetic weight zeroes the Nyquist entry, as the first
-    # derivative does; the gradient's second derivative keeps it
-    kinetic = _half_weights(grid, 1)
-    laplacian = grid.deriv_symbol(2)[:half]
-    precond = 0.5 / grid.h1_weights[:half]
+    w, kinetic, laplacian, precond, _ = grid.constants(_grid_constants)
 
     def project(Xh):
         scale = np.divide(masses, _pairings(Xh, Xh, w),
@@ -237,6 +290,9 @@ def _descend(X, masses, prm, grid, tol, budget):
             "finite at the start; the parameters overflow double precision")
     history = [e_cur]
     eta = _STEP0
+    S = Y = None                  # the last step and its change of P
+    mark = (0, pgnorm)            # iteration and pg norm of the last halving
+    rounding = np.finfo(float).eps * math.sqrt(masses.sum())  # of |Xh|
     it = 0
     stop = "max_iter"
     while it < budget and pgnorm > tol:
@@ -246,9 +302,7 @@ def _descend(X, masses, prm, grid, tol, budget):
         if armijo:
             gtd = float(_pairings(P, D, w).sum())
             slack = 1e-13 * (1.0 + abs(e_cur))
-            trial = min(eta * 2.0, _STEP_MAX)
-        else:
-            trial = min(eta * 1.26, _STEP_MAX)
+        trial = _first_trial(S, Y, eta, precond, w)
         while trial >= _STEP_MIN:
             cand = project(Xh - trial * D)
             e_new, P_new, pg_new, X_new = evaluate(cand)
@@ -261,9 +315,18 @@ def _descend(X, masses, prm, grid, tol, budget):
                 eta = trial
             stop = "line_search"
             break
+        # trial * pgnorm bounds the move (K <= 1/2); one below the
+        # iterate's rounding leaves only noise in S and Y
+        moved = trial * pgnorm > rounding
+        S, Y = (cand - Xh, P_new - P) if moved else (None, None)
         Xh, X, e_cur, P, pgnorm = cand, X_new, e_new, P_new, pg_new
         eta = trial
         history.append(e_cur)
+        if armijo or pgnorm <= 0.5 * mark[1]:
+            mark = (it, pgnorm)
+        elif it - mark[0] >= _STALL and not moved:
+            stop = "stalled"
+            break
     X[~live] = 0.0
     stop = "converged" if pgnorm <= tol else stop
     return X, it, eta, history, pgnorm, stop
@@ -292,8 +355,7 @@ def _initial_fields(s, t, prm, grid):
 
 
 def _circular_centroid(weights, grid):
-    theta = np.pi * grid.x / grid.half_length
-    z = np.sum(weights * np.exp(1j * theta))
+    z = np.sum(weights * grid.constants(_grid_constants).rotor)
     if abs(z) == 0.0:
         return 0.0
     return grid.half_length * float(np.angle(z)) / np.pi
@@ -421,10 +483,13 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         energy_history=history, termination=termination,
         I_value=math.nan, pg_norm=pgnorm)
     if termination != "converged":
-        cause = (f"no convergence within {opts.max_iter} iterations"
-                 if termination == "max_iter" else
-                 f"line search found no step >= {_STEP_MIN:.0e} at "
-                 f"iteration {iters}")
+        cause = {
+            "max_iter": f"no convergence within {opts.max_iter} iterations",
+            "line_search": f"line search found no step >= {_STEP_MIN:.0e} "
+                           f"at iteration {iters}",
+            "stalled": f"projected gradient stalled, not halved in "
+                       f"{_STALL} iterations, at iteration {iters}"
+        }[termination]
         raise ConvergenceError(
             f"{cause} (projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
             report=report)

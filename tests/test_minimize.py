@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import warnings
@@ -140,6 +141,28 @@ class TestMinimizeIDecoupled:
         assert rep.termination == "line_search"
         assert rep.iterations == 1
         assert rep.final_step < minimize_mod._STEP_MIN
+
+    def test_rounding_floor_stops_early(self, grid40, prm_coupled):
+        # the projected gradient stops at its rounding floor (~6e-16
+        # here); the descent must give up long before the default
+        # 200,000 iterations
+        with pytest.raises(nk.ConvergenceError) as err:
+            nk.minimize_I(1.0, 1.0, prm_coupled, grid40,
+                          MinimizeOptions(tol=1e-16))
+        rep = err.value.report
+        assert rep.termination in ("line_search", "stalled")
+        assert rep.iterations <= 1000
+
+    def test_stalled_descent_reported(self, grid40, prm_coupled):
+        # at (2, 1.5) the projected gradient stops at 1.7e-15, its
+        # rounding floor; without the stall test the descent keeps taking
+        # steps below the iterate's rounding until its budget is spent
+        with pytest.raises(nk.ConvergenceError, match="stalled") as err:
+            nk.minimize_I(2.0, 1.5, prm_coupled, grid40,
+                          MinimizeOptions(tol=1e-15))
+        rep = err.value.report
+        assert rep.termination == "stalled"
+        assert rep.iterations <= minimize_mod._STALL + 100
 
 
 class TestMinimizeICoupled:
@@ -417,6 +440,41 @@ class TestSpectralDescent:
         _, rep = nk.minimize_I(1.0, 1.0, prm_coupled, grid40)
         assert rep.iterations >= 20
         assert calls["transforms"] <= 2 * calls["evaluations"] + 6
+
+    def test_first_trial_usually_passes(self, grid40, prm_coupled,
+                                        monkeypatch):
+        # the two-point first trial is rarely refused: a cold solve makes
+        # about one evaluation per iteration (a fixed x2 / x1.26 growth
+        # made 42 for 26)
+        calls = []
+        nonlinearity = minimize_mod.nonlinearity
+
+        def counted(*args):
+            calls.append(args)
+            return nonlinearity(*args)
+        monkeypatch.setattr(minimize_mod, "nonlinearity", counted)
+        _, rep = nk.minimize_I(1.0, 1.0, prm_coupled, grid40)
+        assert rep.iterations >= 20
+        assert len(calls) <= 1.3 * rep.iterations + 2
+
+    def test_grid_constants_shared(self, prm_coupled):
+        # the descent's per-grid constants are built once per grid and
+        # read-only, so repeated solves, on one grid or on equal grids,
+        # are identical
+        grids = [nk.make_grid(40.0, 512), nk.make_grid(40.0, 512)]
+        pairs = [nk.minimize_I(1.0, 1.0, prm_coupled, g)[0]
+                 for g in (grids[0], grids[0], grids[1])]
+        for pair in pairs[1:]:
+            assert np.array_equal(pair.phi.values, pairs[0].phi.values)
+            assert np.array_equal(pair.psi.values, pairs[0].psi.values)
+            assert (pair.energy_value, pair.sigma, pair.c) == (
+                pairs[0].energy_value, pairs[0].sigma, pairs[0].c)
+        consts = grids[0].constants(minimize_mod._grid_constants)
+        assert consts is grids[0].constants(minimize_mod._grid_constants)
+        for arr in consts:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestColdDescent:
@@ -860,3 +918,28 @@ class TestGoldenDescent:
                           nk.make_grid(gold["L"], gold["n"]),
                           MinimizeOptions(max_iter=case["max_iter"]))
         self._assert_report(err.value.report, case)
+
+
+def test_recorder_check_mode(tmp_path, monkeypatch, capsys):
+    # record_solver_goldens.py --check lists what would change, writes
+    # nothing and exits 1 only when a recorded key would change
+    spec = importlib.util.spec_from_file_location(
+        "record_solver_goldens", DESCENT.parent / "record_solver_goldens.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    monkeypatch.setattr(recorder, "DATA", tmp_path)
+    gold = json.loads(DESCENT.read_text())
+    (tmp_path / GOLDEN.name).write_text(GOLDEN.read_text())
+    (tmp_path / DESCENT.name).write_text(DESCENT.read_text())
+    assert recorder.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+
+    iterations = gold["cases"]["coupled-1-1"]["iterations"]
+    gold["cases"]["coupled-1-1"]["iterations"] += 1
+    moved = json.dumps(gold)
+    (tmp_path / DESCENT.name).write_text(moved)
+    assert recorder.main(["--check"]) == 1
+    assert capsys.readouterr().out == (
+        f"{DESCENT.name} coupled-1-1.iterations: "
+        f"{iterations + 1} -> {iterations}\n")
+    assert (tmp_path / DESCENT.name).read_text() == moved
