@@ -4,7 +4,8 @@ JSON documents are written in a canonical form (sorted keys, fixed
 separators, trailing newline) so that load followed by re-serialize is
 byte-identical.  All writes are atomic: temp file in the target
 directory, then rename.  Each output record is defined once, next to
-its writer: the pair.json keys, the report.json fields, the sweep columns.
+its writer: the pair.json keys, the report.json fields, the sweep columns
+and statuses.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import os
 from typing import Optional
 
+from .errors import (ConvergenceError, DomainTooSmallError,
+                     UnattainedInfimumError)
 from .evolve import EvolveTrace
 from .grid import atomic_write, load_field, save_field
 from .minimize import MinimizeReport, SolitaryWavePair, WSolution
@@ -140,13 +143,25 @@ def profile_csv(grid, columns: dict) -> str:
 
 
 SWEEP_COLUMNS = ("s", "t", "I", "sigma", "c", "residual_phi",
-                 "residual_psi", "iterations")
+                 "residual_psi", "iterations", "status")
+
+# the sweep.csv status of a point whose solve raised one of these
+SWEEP_STATUS = {DomainTooSmallError: "domain-too-small",
+                ConvergenceError: "no-convergence",
+                UnattainedInfimumError: "unattained"}
 
 
-def sweep_row(s, t, pair: SolitaryWavePair, report: MinimizeReport) -> tuple:
-    """One sweep.csv row, in SWEEP_COLUMNS order."""
+def sweep_row(s, t, pair: Optional[SolitaryWavePair] = None,
+              report: Optional[MinimizeReport] = None,
+              status: str = "ok") -> tuple:
+    """One sweep.csv row, in SWEEP_COLUMNS order; without a pair (a
+    failed point) the cells between t and status are empty."""
+    if pair is None:
+        return ((float(s), float(t)) + ("",) * (len(SWEEP_COLUMNS) - 3)
+                + (status,))
     return (float(s), float(t), pair.energy_value, pair.sigma, pair.c,
-            pair.el_residual_phi, pair.el_residual_psi, report.iterations)
+            pair.el_residual_phi, pair.el_residual_psi, report.iterations,
+            status)
 
 
 def sweep_rows_csv(rows: list) -> str:

@@ -211,26 +211,42 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _sweep_point(args):
+    """The sweep.csv row of one lattice point, and the error message of
+    a failed solve (None when it solved)."""
     s, t, cfg = args
-    prm = cfg.phys_params()
-    grid = cfg.grid()
-    pair, report = minimize_I(s, t, prm, grid, cfg.solver_opts())
-    return artifacts.sweep_row(s, t, pair, report)
+    try:
+        pair, report = minimize_I(s, t, cfg.phys_params(), cfg.grid(),
+                                  cfg.solver_opts())
+    except tuple(artifacts.SWEEP_STATUS) as exc:
+        status = artifacts.SWEEP_STATUS[type(exc)]
+        return artifacts.sweep_row(s, t, status=status), str(exc)
+    return artifacts.sweep_row(s, t, pair, report), None
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Solve every lattice point and write one sweep.csv row per point.
+
+    A point whose solve fails gets its status row and does not stop the
+    others; the command then exits 4 naming the failed points.
+    """
     jobs = [(s, t, cfg) for s in cfg.s_values for t in cfg.t_values]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            points = list(pool.map(_sweep_point, jobs))
     else:
-        rows = [_sweep_point(j) for j in jobs]
-    rows.sort(key=lambda r: r[:2])  # by (s, t)
+        points = [_sweep_point(j) for j in jobs]
+    points.sort(key=lambda point: point[0][:2])  # by (s, t)
     out = cfg.outdir("sweep")
-    artifacts.atomic_write_text(os.path.join(out, "sweep.csv"),
-                                artifacts.sweep_rows_csv(rows))
+    artifacts.atomic_write_text(
+        os.path.join(out, "sweep.csv"),
+        artifacts.sweep_rows_csv([row for row, _ in points]))
     artifacts.write_json(os.path.join(out, "manifest.json"), cfg.manifest())
-    print(f"swept {len(rows)} points -> {out}")
+    print(f"swept {len(points)} points -> {out}")
+    failed = [{"s": row[0], "t": row[1], "error": msg}
+              for row, msg in points if msg is not None]
+    if failed:
+        return _error(f"sweep: {len(failed)} of {len(points)} point(s) "
+                      "failed", 4, failed=failed)
     return 0
 
 

@@ -44,7 +44,15 @@ class ConvergenceError(NlskdvError):
 
 
 class DomainTooSmallError(NlskdvError):
-    """A converged profile does not decay enough before the box boundary."""
+    """A converged profile does not decay enough before the box boundary.
+
+    half_length_needed is the half length L at which the profile's decay
+    rate predicts a leak within the limit, or None when no rate is known.
+    """
+
+    def __init__(self, message, half_length_needed=None):
+        super().__init__(message)
+        self.half_length_needed = half_length_needed
 
 
 class BoundaryMinimumError(NlskdvError):

@@ -45,10 +45,10 @@ from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
 from .exact import kdv_profile, nls_ground
-from .functionals import (PhysParams, _potential_sum, energy_gradient_values,
-                          gradient_values, nonlinearity)
+from .functionals import (PhysParams, _potential_sum, gradient_values,
+                          nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
-                   boundary_leak, same_grid, shift_values)
+                   boundary_leak, same_grid)
 
 # fixed constants of the descent and the W search
 _ARMIJO = 0.2                     # sufficient decrease; refuses step 2
@@ -150,16 +150,6 @@ class WSolution:
     n_unavailable: int = 0
 
 
-def _project(X, masses, dx):
-    """Rescale each row of the stack X to its mass; zero-mass rows to +0."""
-    live = masses > 0.0
-    scale = np.divide(masses, dx * (X * X).sum(axis=1),
-                      out=np.zeros(2), where=live)
-    out = X * np.sqrt(scale)[:, None]
-    out[~live] = 0.0
-    return out
-
-
 def _half_weights(grid, order=0):
     """Parseval weights of the rfft half spectrum, for _pairings.
 
@@ -208,6 +198,36 @@ def _pairings(A, B, w):
     return (A.view(np.float64) * B.view(np.float64)) @ w
 
 
+def _project(Xh, masses, w):
+    """Scale each half-spectrum row to its mass; zero-mass rows to 0."""
+    scale = np.divide(masses, _pairings(Xh, Xh, w),
+                      out=np.zeros(2), where=masses > 0.0)
+    return Xh * np.sqrt(scale)[:, None]
+
+
+def _evaluate(Xh, masses, prm, grid):
+    """(energy, P, coef, X) at the half spectrum Xh, X its real stack.
+
+    The gradient G = -2 (d^2/dx^2 X + N) projects to P = G - coef Xh,
+    coef = <G, Xh>/mass per row (0, and P = 0, at zero mass): the
+    multipliers are -coef/2 and the stationarity residuals P/2.  Pairings
+    and the kinetic energy come from Parseval; one inverse transform
+    gives N and the potential energy, one forward transform N's spectrum.
+    """
+    w, kinetic, laplacian, _, _ = grid.constants(_grid_constants)
+    live = masses > 0.0
+    X = scipy.fft.irfft(Xh, grid.n)
+    NX = np.array(nonlinearity(*X, prm))
+    e = (float(_pairings(Xh, Xh, kinetic).sum())
+         - grid.dx * _potential_sum(*X, *NX, prm))
+    G = -2.0 * (laplacian * Xh + scipy.fft.rfft(NX))
+    coef = np.divide(_pairings(G, Xh, w), masses,
+                     out=np.zeros(2), where=live)
+    P = G - coef[:, None] * Xh
+    P[~live] = 0.0
+    return e, P, coef, X
+
+
 def _first_trial(S, Y, eta, precond, w):
     """First trial step of an iteration: the two-point step, clamped.
 
@@ -233,14 +253,10 @@ def _descend(X, masses, prm, grid, tol, budget):
     """Projected, preconditioned descent at fixed parameters.
 
     X is the real (2, n) stack [phi; psi] and masses the pair (s, t).
-    The iterate is held as the rfft half spectrum of the stack: the mass
-    projection, the pairings, the kinetic energy and the projected
-    gradient's norm come from Parseval, the gradient is
-    -2 (d^2/dx^2 X + N) with the second derivative a symbol, and the H1
-    preconditioner is a division by 1 + k^2.  Evaluating a trial point
-    takes one inverse transform (for N and the potential energy) and one
-    forward transform (of N).  An accepted trial's evaluation is the
-    new iterate's.  The first trial of an iteration is _first_trial's
+    The iterate is held as the rfft half spectrum of the stack, projected
+    by _project and evaluated by _evaluate; the H1 preconditioner is a
+    division by 1 + k^2.  An accepted trial's evaluation is the new
+    iterate's.  The first trial of an iteration is _first_trial's
     two-point step from the last accepted step and the change of the
     projected gradient across it, clamped to [1/2, 2] times that step;
     the first iteration, and one after a move below the iterate's
@@ -250,7 +266,7 @@ def _descend(X, masses, prm, grid, tol, budget):
     float rounding and a step must instead not raise the
     projected-gradient norm.
 
-    Returns the final real stack (zero-mass rows +0) plus (iterations,
+    Returns the final half spectrum and its real stack plus (iterations,
     final_step, history, pg_norm, termination), termination being why
     the descent stopped: "converged", "max_iter" (budget spent),
     "line_search" (no trial step of at least _STEP_MIN passed) or
@@ -260,30 +276,12 @@ def _descend(X, masses, prm, grid, tol, budget):
     above tol).  After a failed line search final_step is the step below
     the floor (Armijo phase) or the last accepted one.
     """
-    n = grid.n
-    live = masses > 0.0
-    w, kinetic, laplacian, precond, _ = grid.constants(_grid_constants)
-
-    def project(Xh):
-        scale = np.divide(masses, _pairings(Xh, Xh, w),
-                          out=np.zeros(2), where=live)
-        return Xh * np.sqrt(scale)[:, None]
-
-    def evaluate(Xh):
-        X = scipy.fft.irfft(Xh, n)
-        NX = np.array(nonlinearity(*X, prm))
-        e = (float(_pairings(Xh, Xh, kinetic).sum())
-             - grid.dx * _potential_sum(*X, *NX, prm))
-        G = -2.0 * (laplacian * Xh + scipy.fft.rfft(NX))
-        coef = np.divide(_pairings(G, Xh, w), masses,
-                         out=np.zeros(2), where=live)
-        P = G - coef[:, None] * Xh
-        P[~live] = 0.0
-        return e, P, math.sqrt(_pairings(P, P, w).sum()), X
-
-    Xh = project(scipy.fft.rfft(X))
+    w, _, _, precond, _ = grid.constants(_grid_constants)
+    Xh = _project(scipy.fft.rfft(X), masses, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        e_cur, P, pgnorm, X = evaluate(Xh)  # overflow is refused below
+        # overflow is refused below
+        e_cur, P, _, X = _evaluate(Xh, masses, prm, grid)
+        pgnorm = math.sqrt(_pairings(P, P, w).sum())
     if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
         raise ValidationError(
             f"energy {e_cur:.3e} or projected gradient {pgnorm:.3e} is not "
@@ -304,8 +302,9 @@ def _descend(X, masses, prm, grid, tol, budget):
             slack = 1e-13 * (1.0 + abs(e_cur))
         trial = _first_trial(S, Y, eta, precond, w)
         while trial >= _STEP_MIN:
-            cand = project(Xh - trial * D)
-            e_new, P_new, pg_new, X_new = evaluate(cand)
+            cand = _project(Xh - trial * D, masses, w)
+            e_new, P_new, _, X_new = _evaluate(cand, masses, prm, grid)
+            pg_new = math.sqrt(_pairings(P_new, P_new, w).sum())
             if (e_new <= e_cur - _ARMIJO * trial * gtd + slack if armijo
                     else pg_new <= pgnorm):
                 break
@@ -327,9 +326,8 @@ def _descend(X, masses, prm, grid, tol, budget):
         elif it - mark[0] >= _STALL and not moved:
             stop = "stalled"
             break
-    X[~live] = 0.0
     stop = "converged" if pgnorm <= tol else stop
-    return X, it, eta, history, pgnorm, stop
+    return Xh, X, it, eta, history, pgnorm, stop
 
 
 def _initial_fields(s, t, prm, grid):
@@ -356,8 +354,6 @@ def _initial_fields(s, t, prm, grid):
 
 def _circular_centroid(weights, grid):
     z = np.sum(weights * grid.constants(_grid_constants).rotor)
-    if abs(z) == 0.0:
-        return 0.0
     return grid.half_length * float(np.angle(z)) / np.pi
 
 
@@ -445,10 +441,11 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     parameters overflow double precision) raises ValidationError.
 
     Returns (SolitaryWavePair, MinimizeReport).  The pair is recentred
-    so the psi mass centroid sits at x = 0 and the global phase of phi
-    is removed.  Its energy, multipliers and residual norms all come
-    from one evaluation of the energy and gradient on the final real
-    profiles.
+    on the half spectrum so the psi mass centroid sits at x = 0, and the
+    global phase of phi is removed.  One _evaluate of it gives its energy,
+    multipliers and residual norms (NaN at zero mass).  A pair whose
+    boundary leak exceeds opts.max_boundary_leak raises
+    DomainTooSmallError with the half length its decay rate asks for.
     """
     opts = opts or MinimizeOptions()
     if not (math.isfinite(s) and math.isfinite(t)
@@ -475,7 +472,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
 
-    X, iters, final_step, history, pgnorm, termination = _descend(
+    Xh, X, iters, final_step, history, pgnorm, termination = _descend(
         X, masses, prm, grid, opts.tol, opts.max_iter)
 
     report = MinimizeReport(
@@ -494,31 +491,41 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"{cause} (projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
             report=report)
 
-    weights = X[1] * X[1] if t > 0.0 else X[0] * X[0]
-    y = _circular_centroid(weights, grid)
-    if y != 0.0:
-        X = _project(shift_values(X, grid, y), masses, grid.dx)
+    # recentre (f(x + y) is a phase per mode), re-project, and certify
+    # the solve with one evaluation: energy, multipliers, residuals
+    y = _circular_centroid(X[1] * X[1] if t > 0.0 else X[0] * X[0], grid)
+    w = grid.constants(_grid_constants).w
+    Xh = _project(Xh * np.exp(1j * grid.wavenumbers[:grid.n // 2 + 1] * y),
+                  masses, w)
+    e_val, P, coef, X = _evaluate(Xh, masses, prm, grid)
+    live = masses > 0.0
+    X[~live] = 0.0                # a projected zero row may hold -0.0
+    (sigma, c), (res_phi, res_psi) = np.where(live, [
+        -0.5 * coef, 0.5 * np.sqrt(_pairings(P, P, w))], math.nan).tolist()
     phi, psi = X
-    if s > 0.0 and float(np.sum(phi)) < 0.0:
+    if float(np.sum(phi)) < 0.0:
         phi = -phi
 
-    leak = max(boundary_leak(phi) if s > 0 else 0.0,
-               boundary_leak(psi) if t > 0 else 0.0)
+    leaks = (boundary_leak(phi), boundary_leak(psi))
+    leak = max(leaks)
     if leak > opts.max_boundary_leak:
+        # far out phi decays like exp(-sqrt(sigma) |x|) and psi like
+        # exp(-sqrt(c) |x|), so the leakier row's rate gives the box
+        rate = sigma if leaks[0] >= leaks[1] else c
+        need = (grid.half_length + math.log(leak / opts.max_boundary_leak)
+                / math.sqrt(rate) if 0.0 < rate < math.inf else None)
         raise DomainTooSmallError(
             f"boundary leak {leak:.3e} exceeds {opts.max_boundary_leak:.1e}; "
-            "enlarge the box")
+            "enlarge the box"
+            + ("" if need is None else f" to L >= {need:.2f}"),
+            half_length_needed=need)
 
-    # one evaluation certifies the solve: energy, multipliers, residuals
-    e_val, grads = energy_gradient_values(phi, psi, prm, grid)
-    (sigma, c), (res_phi, res_psi) = _stationarity(
-        grads, (phi, psi), (s, t), grid.dx)
     pair = SolitaryWavePair(
         phi=ComplexField(grid, phi), psi=RealField(grid, psi),
-        sigma=sigma, c=c, s=s, t=t, energy_value=e_val,
+        sigma=sigma, c=c, s=s, t=t, energy_value=float(e_val),
         el_residual_phi=res_phi, el_residual_psi=res_psi,
         boundary_leak=leak)
-    report.I_value = e_val
+    report.I_value = pair.energy_value
     return pair, report
 
 

@@ -214,6 +214,7 @@ def test_criterion_07_w_consistency(wsol_ref, acc_prm):
            f"{sol0.a_star:.4f}>0")
 
 
+@pytest.mark.slow
 def test_criterion_08_conservation(coupled_pair_40, acc_prm):
     state, _, _ = nk.perturbed_solitary_initial(coupled_pair_40, 0.02,
                                                 seed=42, prm=acc_prm)
@@ -232,6 +233,7 @@ def test_criterion_08_conservation(coupled_pair_40, acc_prm):
            f"E-drift ratio dt=8e-3 vs 4e-3: {ratio:.1f}x (>=8x)")
 
 
+@pytest.mark.slow
 def test_criterion_09_orbital_stability(wsol_ref, acc_prm):
     pair = wsol_ref.pair
     sups = []
@@ -256,6 +258,7 @@ def test_criterion_09_orbital_stability(wsol_ref, acc_prm):
            detail + f"; non-decreasing: {monotone_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_10_traveling_wave_fidelity(acc_grid40):
     # long-wave soliton: peak speed within 1 percent of c = 1 over T=10
     prm_k = nk.PhysParams(alpha=0.0, tau1=0.0, tau2=6.0, p=1, q=1.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -324,6 +325,77 @@ directory = {}
     for ln in lines[1:]:
         cells = ln.split(",")
         assert float(cells[2]) < 0.0     # minimum value always negative
+
+
+def _sweep_csv(tmp_path):
+    """Header and rows (dicts) of the sweep.csv under tmp_path/out."""
+    with open(tmp_path / "out" / "sweep" / "sweep.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_keeps_good_points(tmp_path, capsys, workers):
+    # at L=30, n=256 the two s = 0.5 points leak past the limit; the
+    # others still get their rows, and the exit names the failed points
+    code = main(["sweep", "--set", "grid.half_length=30",
+                 "--set", "grid.points=256",
+                 "--set", "sweep.s_values=0.5, 1", "--set",
+                 "sweep.t_values=0.5, 1", "--set", f"sweep.workers={workers}",
+                 "--set", f"output.directory={tmp_path / 'out'}"])
+    assert code == 4
+    header, rows = _sweep_csv(tmp_path)
+    assert header == list(artifacts.SWEEP_COLUMNS) and header[-1] == "status"
+    assert [(r["s"], r["t"], r["status"]) for r in rows] == [
+        ("0.5", "0.5", "domain-too-small"), ("0.5", "1.0", "domain-too-small"),
+        ("1.0", "0.5", "ok"), ("1.0", "1.0", "ok")]
+    for row in rows:
+        numeric = [row[k] for k in header[2:-1]]
+        if row["status"] == "ok":
+            assert float(row["I"]) < 0.0 and int(row["iterations"]) > 0
+        else:
+            assert numeric == [""] * 6
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["code"] == 4
+    assert [(f["s"], f["t"]) for f in err["failed"]] == [(0.5, 0.5),
+                                                         (0.5, 1.0)]
+    for f in err["failed"]:
+        assert "enlarge the box to L >= " in f["error"]
+    assert not list((tmp_path / "out" / "sweep").glob("*.tmp"))
+
+
+@pytest.mark.parametrize("error,status", [
+    (nk.DomainTooSmallError, "domain-too-small"),
+    (nk.ConvergenceError, "no-convergence"),
+    (nk.UnattainedInfimumError, "unattained"),
+])
+def test_sweep_status_rows(tmp_path, capsys, monkeypatch, error, status):
+    real = cli.minimize_I
+
+    def one_bad_point(s, t, *args, **kwargs):
+        if (s, t) == (1.0, 2.0):
+            raise error("no pair here")
+        return real(s, t, *args, **kwargs)
+    monkeypatch.setattr(cli, "minimize_I", one_bad_point)
+    code = main(["sweep", "--set", "grid.half_length=30",
+                 "--set", "grid.points=256", "--set", "sweep.workers=1",
+                 "--set", "sweep.s_values=1", "--set", "sweep.t_values=1, 2",
+                 "--set", f"output.directory={tmp_path / 'out'}"])
+    assert code == 4
+    _, rows = _sweep_csv(tmp_path)
+    assert [r["status"] for r in rows] == ["ok", status]
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["failed"] == [{"s": 1.0, "t": 2.0, "error": "no pair here"}]
+
+
+def test_sweep_validation_error_exit_2(tmp_path, capsys, monkeypatch):
+    def invalid(*args, **kwargs):
+        raise nk.ValidationError("overflows")
+    monkeypatch.setattr(cli, "minimize_I", invalid)
+    code = main(["sweep", "--set", "sweep.workers=1",
+                 "--set", f"output.directory={tmp_path / 'out'}"])
+    assert code == 2
+    assert not (tmp_path / "out" / "sweep" / "sweep.csv").exists()
 
 
 def test_rearrange_command(cfgfile, tmp_path, capsys):

@@ -289,6 +289,88 @@ class TestSolverMatchesFunctionals:
         _assert_solver_matches_functionals(pair, prm)
 
 
+def _assert_certificate_matches(pair, prm):
+    # the checks of _assert_solver_matches_functionals, where a zero mass
+    # must make its row's multiplier and residual NaN on both sides
+    assert nk.energy(pair.phi, pair.psi, prm) == pytest.approx(
+        pair.energy_value, rel=1e-13, abs=0.0)
+    assert nk.multipliers(pair, prm) == pytest.approx(
+        (pair.sigma, pair.c), rel=1e-12, abs=0.0, nan_ok=True)
+    assert nk.el_residual(pair, prm) == pytest.approx(
+        (pair.el_residual_phi, pair.el_residual_psi), rel=0.0, abs=1e-12,
+        nan_ok=True)
+    # the recentred pair sits on the mass spheres
+    grid = pair.grid
+    for vals, mass in ((pair.phi.values, pair.s), (pair.psi.values, pair.t)):
+        assert grid.dx * np.sum(np.abs(vals) ** 2) == pytest.approx(
+            mass, rel=1e-13, abs=1e-300)
+
+
+class TestCertificateMatchesReference:
+    # minimize_I certifies a pair from its half-spectrum evaluation; the
+    # public functionals recompute the certificate in physical space
+    def test_zero_short_wave_mass(self, prm_coupled):
+        pair, _ = nk.minimize_I(0.0, 4.0, prm_coupled,
+                                nk.make_grid(40.0, 1024))
+        assert math.isnan(pair.sigma) and math.isnan(pair.el_residual_phi)
+        assert not pair.phi.values.any()
+        _assert_certificate_matches(pair, prm_coupled)
+
+    def test_zero_long_wave_mass(self, prm_coupled, grid30):
+        pair, _ = nk.minimize_I(1.0, 0.0, prm_coupled, grid30)
+        assert math.isnan(pair.c) and math.isnan(pair.el_residual_psi)
+        assert not pair.psi.values.any()
+        _assert_certificate_matches(pair, prm_coupled)
+
+    def test_gaussian_warm_start(self, prm_coupled, grid30):
+        gauss = np.exp(-(grid30.x - 3.0) ** 2 / 8.0)
+        pair, _ = nk.minimize_I(1.0, 1.0, prm_coupled, grid30,
+                                warm_start=(gauss, gauss))
+        _assert_certificate_matches(pair, prm_coupled)
+
+    def test_w_solve_pair(self, prm_coupled, grid30):
+        sol = nk.minimize_W(1.0, 0.5, prm_coupled, grid30)
+        _assert_certificate_matches(sol.pair, prm_coupled)
+
+
+class TestBoxPrediction:
+    # a DomainTooSmallError names the half length at which the leaky
+    # row's decay rate puts the leak under the limit; a re-solve at the
+    # same spacing on that box, rounded up to whole points, passes
+    @pytest.mark.parametrize("s,t,prm,L,n", [
+        (0.5, 0.5, dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0), 30, 256),
+        (0.3, 1.0, dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0), 20, 256),
+        (0.5, 0.4, dict(alpha=0.3, tau1=1.0, tau2=1.0, p=1, q=2.0), 30, 256),
+        (1.0, 0.0, dict(alpha=0.0, tau1=1.0, tau2=1.0, p=1, q=2.0), 12, 128),
+    ], ids=["psi-row", "psi-row-L20", "weak-coupling", "phi-row"])
+    def test_reported_box_passes(self, s, t, prm, L, n):
+        prm = nk.PhysParams(**prm)
+        grid = nk.make_grid(float(L), n)
+        with pytest.raises(nk.DomainTooSmallError,
+                           match=r"^boundary leak .* exceeds .*; enlarge "
+                                 r"the box to L >= ") as err:
+            nk.minimize_I(s, t, prm, grid)
+        need = err.value.half_length_needed
+        assert need > L
+        n_need = 2 * math.ceil(need / grid.dx)
+        pair, _ = nk.minimize_I(s, t, prm, nk.make_grid(
+            0.5 * n_need * grid.dx, n_need))
+        assert pair.boundary_leak <= MinimizeOptions().max_boundary_leak
+
+    def test_no_rate_no_box(self, monkeypatch, prm_coupled):
+        # a leaky row whose multiplier is not positive has no decay rate
+        real_evaluate = minimize_mod._evaluate
+
+        def negative_coef(*args):
+            e, P, coef, X = real_evaluate(*args)
+            return e, P, np.abs(coef), X
+        monkeypatch.setattr(minimize_mod, "_evaluate", negative_coef)
+        with pytest.raises(nk.DomainTooSmallError,
+                           match="enlarge the box$") as err:
+            nk.minimize_I(0.5, 0.5, prm_coupled, nk.make_grid(30.0, 256))
+        assert err.value.half_length_needed is None
+
+
 class TestGeneralPowers:
     def test_fractional_p_coupled_solve(self):
         grid = nk.make_grid(30.0, 768)
