@@ -13,13 +13,13 @@ execute in parallel.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.fft
-from scipy.optimize import minimize_scalar
 
 from .errors import (BlowUpError, GridMismatchError, ValidationError,
                      require_count)
@@ -29,6 +29,8 @@ from .grid import ComplexField, Grid1D, RealField, same_grid
 from .minimize import SolitaryWavePair
 
 _PERTURB_MODES = 10               # Fourier modes of the seeded perturbation
+_SHIFT_TOL = 1e-10                # last Newton step of a shift, in cells
+_SHIFT_MAX_ITER = 40              # bisection alone meets _SHIFT_TOL within it
 
 
 @dataclass
@@ -136,10 +138,18 @@ class _Stepper:
         return np.multiply(x, self.out_symbol, out=out)
 
     def step_spectral(self, S):
-        # overflow here is how blow-up manifests; the caller checks for
-        # non-finite samples after every step
+        """The spectral state one step after S, or None when it blew up.
+
+        Overflow is how blow-up manifests.  One sum tests the new state:
+        an inf or NaN entry makes it non-finite, and only a sum that is
+        not finite sends the entries through the element-wise test (a
+        finite state's sum can still overflow).
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._step_spectral(S)
+            S = self._step_spectral(S)
+            if cmath.isfinite(S.sum()) or np.all(np.isfinite(S)):
+                return S
+        return None
 
     def _step_spectral(self, S):
         half = self.dt / 2.0
@@ -192,7 +202,7 @@ def step(state: EvolveState, dt: float) -> EvolveState:
     """Advance one step; negative dt integrates backward."""
     _check_dt(state, dt)
     S = _Stepper(state.grid, state.prm, dt).step_spectral(_spectral(state))
-    if not np.all(np.isfinite(S)):
+    if S is None:
         raise BlowUpError(f"blow-up at step 1 (t={state.time + dt:.6g})",
                           last_state=state)
     return _state(S, state.time + dt, state.prm, state.grid)
@@ -253,13 +263,13 @@ def evolve(state: EvolveState, T: float, dt: float,
     snap = state
     record(snap)
     for i in range(1, nsteps + 1):
-        S_prev = S
-        S = stepper.step_spectral(S)
-        if not np.all(np.isfinite(S)):
+        S_next = stepper.step_spectral(S)
+        if S_next is None:
             t_prev = state.time + (i - 1) * dt
-            last = _state(S_prev, t_prev, state.prm, grid)
+            last = _state(S, t_prev, state.prm, grid)
             raise BlowUpError(f"blow-up at step {i} (t={t_prev + dt:.6g})",
                               last_state=last, trace=make_trace(last))
+        S = S_next
         if i % sample_every == 0 or i == nsteps:
             snap = _state(S, state.time + i * dt, state.prm, grid)
             record(snap)
@@ -314,12 +324,63 @@ class _Orbit:
         return cls(reference.grid, S, _h1_sq(S, reference.grid))
 
 
+def _shift_derivatives(grid: Grid1D) -> tuple:
+    """Symbols of 1, d/dy and d^2/dy^2 acting on exp(-i k y), one row each.
+
+    The first uses -i k with the Nyquist wavenumber kept (deriv_symbol
+    zeroes it), so it is exactly the derivative of the polynomial the
+    distance evaluates.
+    """
+    return (np.stack([np.ones(grid.n), -1j * grid.wavenumbers,
+                      grid.deriv_symbol(2)]),)
+
+
+def _correlation_peak(Z: np.ndarray, grid: Grid1D, y0: float) -> float:
+    """Shift in [y0 - dx, y0 + dx] that maximizes F(y) = |c_u| + Re c_v.
+
+    c(y) = sum_k Z_k exp(-i k y) per row is a trigonometric polynomial,
+    so F' and F'' are the same sums weighted by -i k and -k^2.  Newton's
+    method on F' starts at the grid shift y0; a bisection step of the
+    bracket on the sign of F' replaces any Newton step that would leave
+    it or that F'' >= 0 (no maximum ahead) makes unsafe.  A row c_u = 0
+    (no short wave) drops the |c_u| term.
+    """
+    sym, = grid.constants(_shift_derivatives)
+    A = (Z[:, None, :] * sym).reshape(6, grid.n)
+    lo, hi, y = y0 - grid.dx, y0 + grid.dx, y0
+    for _ in range(_SHIFT_MAX_ITER):
+        # einsum, not a BLAS mat-vec, whose first call maps a buffer
+        cu, du, eu, cv, dv, ev = np.einsum(
+            "ij,j->i", A, np.exp(-1j * grid.wavenumbers * y)).tolist()
+        f1, f2 = dv.real, ev.real
+        a = abs(cu)
+        if a > 0.0:
+            r = (cu.conjugate() * du).real / a
+            f1 += r
+            f2 += (abs(du) ** 2 + (cu.conjugate() * eu).real - r * r) / a
+        if f1 > 0.0:
+            lo = y
+        elif f1 < 0.0:
+            hi = y
+        else:
+            return y
+        step = -f1 / f2 if f2 < 0.0 else math.inf
+        if abs(step) <= _SHIFT_TOL * grid.dx:
+            return y + step
+        y = y + step if lo < y + step < hi else 0.5 * (lo + hi)
+    return y
+
+
 def orbital_distance(state: EvolveState, reference: SolitaryWavePair) -> float:
     """Distance from the state to the symmetry orbit of one reference.
 
-    Minimizes the product H1 norm over spatial shifts (coarse FFT
-    cross-correlation, then sub-grid refinement) and the global phase of
-    the short wave (closed form).  The reference is the traveling wave
+    Minimizes the product H1 norm over spatial shifts and the global
+    phase of the short wave (closed form).  An FFT cross-correlation
+    against all grid shifts gives the best grid shift y0; a safeguarded
+    Newton iteration on the correlation's analytic derivative then
+    refines the shift inside [y0 - dx, y0 + dx] (_correlation_peak).
+    The distance is evaluated directly at the refined shift, and never
+    exceeds the one at y0.  The reference is the traveling wave
     solitary_initial builds on the pair, with the pair's own wavespeed.
     Minimizing over a single orbit upper-bounds the distance to the full
     minimizer set.  evolve passes the _Orbit it builds once per run, with
@@ -350,12 +411,8 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair) -> float:
         D -= S
         return max(float(_h1_sq(D, grid)), 0.0)
 
-    # optimize the offset from the coarse candidate; the bounded scalar
-    # solver resolves an argument only to sqrt(eps) times its magnitude
-    res = minimize_scalar(lambda d: dist2_at(y0 + d),
-                          bounds=(-grid.dx, grid.dx), method="bounded",
-                          options={"xatol": 1e-13, "maxiter": 200})
-    return math.sqrt(min(res.fun, dist2_at(y0)))
+    y = _correlation_peak(Z, grid, y0)
+    return math.sqrt(min(dist2_at(y), dist2_at(y0)))
 
 
 def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,

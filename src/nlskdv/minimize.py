@@ -425,6 +425,11 @@ def convolution_fixed_point_gap(pair: SolitaryWavePair,
     return float(np.sqrt(grid.dx * np.sum(np.abs(gap) ** 2)))
 
 
+def _enlarge(need: Optional[float]) -> str:
+    """The close of a DomainTooSmallError message: the box to use, if known."""
+    return "enlarge the box" + ("" if need is None else f" to L >= {need:.2f}")
+
+
 def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
                opts: Optional[MinimizeOptions] = None, *,
                warm_start=None):
@@ -516,9 +521,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
                 / math.sqrt(rate) if 0.0 < rate < math.inf else None)
         raise DomainTooSmallError(
             f"boundary leak {leak:.3e} exceeds {opts.max_boundary_leak:.1e}; "
-            "enlarge the box"
-            + ("" if need is None else f" to L >= {need:.2f}"),
-            half_length_needed=need)
+            + _enlarge(need), half_length_needed=need)
 
     pair = SolitaryWavePair(
         phi=ComplexField(grid, phi), psi=RealField(grid, psi),
@@ -607,7 +610,8 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     cell is halved and the zoom repeats from the lowest node, at most
     once per scan node, after which the lowest node wins.  When W rises
     from a = 0, a* = 0.  A downhill neighbour with no profile in the box
-    gets one midpoint solve before the search gives up.
+    gets one midpoint solve before the search gives up; the error then
+    names the largest box the unavailable inner solves asked for.
 
     The search is a natural-parameter continuation in a.  The scan
     ascends from a = 0, which starts cold from its closed-form decoupled
@@ -647,9 +651,10 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                                     tol=max(opts.tol, _CONTINUATION_TOL))
     solves = 0
     unavailable = 0
+    need = None       # the largest box an unavailable node asked for
 
     def solve_at(a: float, final: bool = False):
-        nonlocal solves, unavailable
+        nonlocal solves, unavailable, need
         key = round(a, 15)
         entry = cache.get(key)
         if entry is not None and (entry[2] or not final):
@@ -668,10 +673,12 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                                  warm_start=warm)
         except UnattainedInfimumError:
             entry = (t * t / s, None, True)    # I(s,0) = 0, unattained
-        except DomainTooSmallError:
+        except DomainTooSmallError as err:
             # profile too wide for the box at this node; record it as
             # unavailable and keep scanning
             unavailable += 1
+            if err.half_length_needed is not None:
+                need = max(need or 0.0, err.half_length_needed)
             entry = (math.inf, None, True)
         else:
             solves += 1
@@ -687,7 +694,8 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         pair = solve_at(a, final)[1]
         if pair is None:
             raise DomainTooSmallError(
-                f"no profile at long-wave mass a = {a:.6g}; enlarge the box")
+                f"no profile at long-wave mass a = {a:.6g}; " + _enlarge(need),
+                half_length_needed=need)
         return pair.c + 2.0 * (t - a) / s
 
     for _ in range(9):
@@ -731,7 +739,8 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
             if widened:
                 raise DomainTooSmallError(
                     "the scan minimum abuts long-wave masses whose profiles "
-                    "do not fit the box; enlarge the box")
+                    "do not fit the box; " + _enlarge(need),
+                    half_length_needed=need)
             widened = True
         elif slope(a0) > 0.0 > slope(a1):
             a_star = root(a0, a1)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import nlskdv as nk
+from nlskdv.evolve import _Stepper
 from nlskdv.grid import shift_values
 
 from conftest import sech
@@ -105,6 +108,60 @@ class TestStep:
         assert err.value.trace is not None
         assert err.value.last_state is not None
         assert np.all(np.isfinite(err.value.last_state.v.values))
+
+
+class TestBlowUpGuard:
+    # the stepper tests a new state with one sum and tests its entries
+    # only when that sum is not finite
+    @staticmethod
+    def _stepper_returning(X):
+        g = nk.make_grid(40.0, 256)
+        prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
+        stepper = _Stepper(g, prm, 1e-3)
+        stepper._step_spectral = lambda S: X
+        return stepper, np.zeros((2, g.n), complex)
+
+    @pytest.mark.parametrize("signs", ["same", "mixed"])
+    def test_finite_state_with_overflowing_sum(self, signs):
+        # 1e308 + 1e308 overflows to inf; with mixed signs the pairwise
+        # sum meets inf - inf = nan
+        X = np.full((2, 256), 1e308 + 1e308j)
+        if signs == "mixed":
+            X[:, 1::2] *= -1.0
+        stepper, S = self._stepper_returning(X)
+        assert stepper.step_spectral(S) is X
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan),
+                                     complex(1.0, -math.inf)])
+    def test_one_non_finite_entry(self, bad):
+        X = np.ones((2, 256), complex)
+        X[1, 17] = bad
+        stepper, S = self._stepper_returning(X)
+        assert stepper.step_spectral(S) is None
+
+    def test_blowup_raised_at_its_step(self, coupled_pair_30, prm_coupled,
+                                       monkeypatch):
+        pair, _, _ = coupled_pair_30
+        st = nk.solitary_initial(pair, pair.c, prm=prm_coupled)
+        want = nk.evolve(st, 4e-3, 2e-3).final_state
+        real_step = _Stepper._step_spectral
+        count = []
+
+        def nan_at_third(self, S):
+            out = real_step(self, S)
+            count.append(1)
+            if len(count) == 3:
+                out[0, 5] = math.nan
+            return out
+        monkeypatch.setattr(_Stepper, "_step_spectral", nan_at_third)
+        with pytest.raises(nk.BlowUpError, match=r"blow-up at step 3 ") \
+                as err:
+            nk.evolve(st, 1e-2, 2e-3)
+        last = err.value.last_state
+        assert last.time == want.time
+        assert np.array_equal(last.u.values, want.u.values)
+        assert np.array_equal(last.v.values, want.v.values)
 
 
 class TestTravelingWaves:
@@ -294,6 +351,47 @@ class TestOrbitalDistance:
         d = nk.orbital_distance(st2, pair)
         assert d == pytest.approx(0.01, rel=0.05)
 
+    @pytest.mark.parametrize("frac", [0.13, 0.5, 0.71, 0.97])
+    def test_sub_grid_shift(self, coupled_pair_30, prm_coupled, frac):
+        pair, _, grid = coupled_pair_30
+        st = nk.solitary_initial(pair, pair.c, prm=prm_coupled)
+        assert nk.orbital_distance(_shifted(st, frac * grid.dx),
+                                   pair) <= 1e-11
+
+    def test_no_short_wave_orbit(self, kdv_soliton, grid40):
+        # u = 0 on the whole orbit: the short-wave correlation vanishes
+        pair, prm = kdv_soliton
+        st = nk.solitary_initial(pair, pair.c, prm=prm)
+        assert not np.any(st.u.values)
+        assert nk.orbital_distance(st, pair) <= 1e-10
+        for y in (0.37 * grid40.dx, 5.0 + 0.61 * grid40.dx):
+            assert nk.orbital_distance(_shifted(st, y), pair) <= 1e-10
+
+    @pytest.mark.parametrize("rel_eps", [0.01, 0.1, 1.0, "rough"])
+    def test_matches_brute_force(self, coupled_pair_30, prm_coupled,
+                                 rel_eps):
+        # against a fine scan of the squared distance over the best grid
+        # shift's two cells, refined around the scan's best point
+        pair, _, grid = coupled_pair_30
+        ref = nk.solitary_initial(pair, pair.c, prm=prm_coupled)
+        if rel_eps == "rough":
+            rng = np.random.default_rng(21)
+            st = nk.EvolveState(
+                u=nk.ComplexField(grid, ref.u.values + 0.1 * (
+                    rng.standard_normal(grid.n)
+                    + 1j * rng.standard_normal(grid.n))),
+                v=nk.RealField(grid, ref.v.values
+                               + 0.1 * rng.standard_normal(grid.n)),
+                time=0.0, prm=prm_coupled)
+        else:
+            st, _, _ = nk.perturbed_solitary_initial(
+                _shifted_pair(pair, 3.3 + 0.4 * grid.dx), rel_eps, seed=8,
+                prm=prm_coupled, wavespeed=pair.c)
+        want, at_grid = _brute_force_distance(st, ref)
+        got = nk.orbital_distance(st, pair)
+        assert abs(got - want) <= 1e-10 * want
+        assert got <= at_grid
+
     def test_grid_mismatch(self, coupled_pair_30, prm_coupled):
         pair, _, _ = coupled_pair_30
         g2 = nk.make_grid(40.0, 256)
@@ -302,6 +400,54 @@ class TestOrbitalDistance:
                             prm=prm_coupled)
         with pytest.raises(nk.GridMismatchError):
             nk.orbital_distance(st, pair)
+
+
+def _shifted(st, y):
+    """The state translated by y (spectrally exact)."""
+    g = st.grid
+    return nk.EvolveState(u=nk.ComplexField(g, shift_values(st.u.values,
+                                                            g, y)),
+                          v=nk.RealField(g, shift_values(st.v.values, g, y)),
+                          time=st.time, prm=st.prm)
+
+
+def _shifted_pair(pair, y):
+    g = pair.grid
+    return dataclasses.replace(
+        pair, phi=nk.ComplexField(g, shift_values(pair.phi.values, g, y)),
+        psi=nk.RealField(g, shift_values(pair.psi.values, g, y)))
+
+
+def _brute_force_distance(st, ref):
+    """(refined scan distance, best grid-shift distance) of st to ref's orbit.
+
+    Every grid shift is tried, then 201 points over the two cells around
+    the best one, then a bounded scalar search on the offset from the best
+    of those.  Each squared distance is the H1 norm of the difference at
+    the optimal phase, computed without cancellation.
+    """
+    g = st.grid
+    w = 1.0 + g.wavenumbers ** 2
+    R = np.fft.fft(np.stack([ref.u.values, ref.v.values]))
+    S = np.fft.fft(np.stack([st.u.values, st.v.values]))
+
+    def dist2(y):
+        D = R * np.exp(-1j * g.wavenumbers * y)
+        inner = np.sum(w * D[0] * np.conj(S[0]))
+        if inner != 0:
+            D[0] *= np.conj(inner) / abs(inner)
+        D -= S
+        return (g.dx / g.n) * float(np.sum(w * np.abs(D) ** 2))
+
+    at_grid = [dist2(m * g.dx) for m in range(g.n)]
+    y0 = int(np.argmin(at_grid)) * g.dx
+    ys = np.linspace(y0 - g.dx, y0 + g.dx, 201)
+    scan = [dist2(y) for y in ys]
+    j = int(np.argmin(scan))
+    h = ys[1] - ys[0]
+    res = minimize_scalar(lambda d: dist2(ys[j] + d), bounds=(-h, h),
+                          method="bounded", options={"xatol": 1e-15})
+    return math.sqrt(min(res.fun, scan[j])), math.sqrt(min(at_grid))
 
 
 class TestPerturbedInitial:

@@ -678,6 +678,51 @@ class TestMinimizeW:
             nk.minimize_W(1.0, 0.5, prm_coupled, grid_small)
         assert len(calls) == nodes + 1
 
+    def test_abuts_names_the_box(self, monkeypatch):
+        # every inner solve leaks here; the W-level error passes on the
+        # largest box the unavailable nodes asked for
+        needs = []
+        solve = minimize_mod.minimize_I
+
+        def recorder(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except nk.DomainTooSmallError as err:
+                needs.append(err.half_length_needed)
+                raise
+        monkeypatch.setattr(minimize_mod, "minimize_I", recorder)
+        prm = nk.PhysParams(alpha=0.0906, tau1=1.0, tau2=0.7682, p=1,
+                            q=3.4979)
+        with pytest.raises(nk.DomainTooSmallError,
+                           match=r"abuts .*; enlarge the box to L >= "
+                                 r"\d+\.\d\d$") as err:
+            nk.minimize_W(1.1434, -0.0703, prm, nk.make_grid(40.0, 512))
+        assert len(needs) >= minimize_mod._W_SCAN_NODES
+        assert err.value.half_length_needed == max(needs) > 40.0
+        assert f"L >= {max(needs):.2f}" in str(err.value)
+
+    def test_unavailable_trial_point_names_the_box(self, grid_small,
+                                                   prm_coupled,
+                                                   monkeypatch):
+        # as test_unavailable_trial_point, with a box on the failure
+        calls = []
+        solve = minimize_mod.minimize_I
+        nodes = minimize_mod._W_SCAN_NODES
+
+        def failing_after_scan(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) > nodes:
+                raise nk.DomainTooSmallError("too wide",
+                                             half_length_needed=31.5)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(minimize_mod, "minimize_I", failing_after_scan)
+        with pytest.raises(nk.DomainTooSmallError,
+                           match=r"enlarge the box to L >= 31\.50$") as err:
+            nk.minimize_W(1.0, 0.5, prm_coupled, grid_small)
+        assert err.value.half_length_needed == 31.5
+        assert len(calls) == nodes + 1
+
     def test_inner_solve_count(self, prm_coupled):
         # the slope-aware scan and two-neighbour warm starts need about
         # half the inner solves of a 33-node value scan (38 here)
