@@ -379,12 +379,13 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair) -> float:
     against all grid shifts gives the best grid shift y0; a safeguarded
     Newton iteration on the correlation's analytic derivative then
     refines the shift inside [y0 - dx, y0 + dx] (_correlation_peak).
-    The distance is evaluated directly at the refined shift, and never
-    exceeds the one at y0.  The reference is the traveling wave
-    solitary_initial builds on the pair, with the pair's own wavespeed.
-    Minimizing over a single orbit upper-bounds the distance to the full
-    minimizer set.  evolve passes the _Orbit it builds once per run, with
-    the run's wavespeed, in place of the pair.
+    The distance is evaluated directly at the refined shift; only when
+    that exceeds the correlation's value at y0 is the distance at y0
+    evaluated too, and the smaller one kept.  The reference is the
+    traveling wave solitary_initial builds on the pair, with the pair's
+    own wavespeed.  Minimizing over a single orbit upper-bounds the
+    distance to the full minimizer set.  evolve passes the _Orbit it
+    builds once per run, with the run's wavespeed, in place of the pair.
     """
     grid = state.grid
     if reference.grid != grid:
@@ -411,8 +412,10 @@ def orbital_distance(state: EvolveState, reference: SolitaryWavePair) -> float:
         D -= S
         return max(float(_h1_sq(D, grid)), 0.0)
 
-    y = _correlation_peak(Z, grid, y0)
-    return math.sqrt(min(dist2_at(y), dist2_at(y0)))
+    d2y = dist2_at(_correlation_peak(Z, grid, y0))
+    if d2y > d2[m]:    # Newton may have left y0's peak for a lower one
+        d2y = min(d2y, dist2_at(y0))
+    return math.sqrt(d2y)
 
 
 def perturbed_solitary_initial(pair: SolitaryWavePair, rel_eps: float,

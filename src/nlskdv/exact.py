@@ -3,19 +3,20 @@
 With the coupling switched off, each equation has an explicit sech-power
 ground state at every mass.  These profiles seed the constrained solver
 and serve as oracles for multipliers, residuals, and traveling waves.
-The width parameter is found by root-finding on the grid-quadrature mass
-rather than an analytic mass formula, so the construction is valid for
-every admissible nonlinearity power.
+The width parameter is found by Brent's method on the grid-quadrature
+mass rather than an analytic mass formula, so the construction is valid
+for every admissible nonlinearity power.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import UnattainedInfimumError, ValidationError
 from .functionals import PhysParams
 from .grid import Grid1D, RealField
@@ -77,11 +78,12 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
                     grid: Grid1D) -> float:
     """Width parameter lam such that the sampled profile has squared norm target.
 
-    The grid mass is strictly increasing in lam for powers below 4, so a
-    bracketed bisection-secant hybrid on log(lam) converges safely.  It
+    The grid mass is strictly increasing in lam for powers below 4, so
+    Brent's method on log(lam) (_roots.brentq) converges safely.  It
     starts from a tight bracket around the real-line width, where a
     resolved profile that fits the box has its root, and falls back to
-    lam in [1e-12, 1e12] when that bracket misses it.
+    lam in [1e-12, 1e12] when that bracket misses it.  Each point,
+    bracket ends included, costs one grid mass.
     """
     if not (target > 0):
         raise ValidationError(f"target mass must be positive, got {target}")
@@ -90,6 +92,8 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
     if not (0 < power_p < 4):
         raise ValidationError(f"power must lie in (0, 4), got {power_p}")
 
+    # memoized: brentq evaluates again the bracket ends checked below
+    @functools.cache
     def f(loglam):
         return _grid_mass(np.exp(loglam), power_p, beta, grid) - target
 

@@ -39,8 +39,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.fft
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
@@ -752,7 +752,6 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     else:
         a_star = nodes[int(np.argmin(vals))]
     w_value, pair = solve_at(a_star, True)
-    cache.clear()  # brentq wraps slope in a reference cycle; free the pairs
     if pair is None:
         raise UnattainedInfimumError(
             "the search settled on zero long-wave mass with no short-wave "

@@ -392,6 +392,34 @@ class TestOrbitalDistance:
         assert abs(got - want) <= 1e-10 * want
         assert got <= at_grid
 
+    def test_grid_shift_only_when_refinement_is_worse(
+            self, coupled_pair_30, prm_coupled, monkeypatch):
+        # the distance at the grid shift y0 costs one more H1 norm, spent
+        # only when the refined shift reads above y0's correlation value;
+        # the smaller of the two is then kept
+        pair, _, grid = coupled_pair_30
+        st, _, _ = nk.perturbed_solitary_initial(
+            _shifted_pair(pair, 3.3 + 0.4 * grid.dx), 0.01, seed=8,
+            prm=prm_coupled, wavespeed=pair.c)
+        want, at_grid = _brute_force_distance(
+            st, nk.solitary_initial(pair, pair.c, prm=prm_coupled))
+        evolve_mod = importlib.import_module("nlskdv.evolve")
+        norms = []
+        h1_sq = evolve_mod._h1_sq
+        monkeypatch.setattr(evolve_mod, "_h1_sq",
+                            lambda *args: norms.append(1) or h1_sq(*args))
+        assert nk.orbital_distance(st, pair) == pytest.approx(want,
+                                                              rel=1e-10)
+        refined = len(norms)
+        # a refinement four cells off the peak falls back to y0
+        peak = evolve_mod._correlation_peak
+        monkeypatch.setattr(evolve_mod, "_correlation_peak",
+                            lambda Z, g, y0: peak(Z, g, y0) + 4.0 * g.dx)
+        norms.clear()
+        assert nk.orbital_distance(st, pair) == pytest.approx(at_grid,
+                                                              rel=1e-10)
+        assert len(norms) == refined + 1
+
     def test_grid_mismatch(self, coupled_pair_30, prm_coupled):
         pair, _, _ = coupled_pair_30
         g2 = nk.make_grid(40.0, 256)

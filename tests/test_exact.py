@@ -62,6 +62,33 @@ class TestLambdaForMass:
         assert prof.evaluate(grid.x[:1])[0] >= 0.1 * lam
         assert grid_mass(prof.sample(grid)) == pytest.approx(0.05, rel=1e-14)
 
+    def test_each_point_evaluated_once(self, grid40, monkeypatch):
+        # brentq does not evaluate again the bracket ends already checked,
+        # and the root is the one Brent's method finds without the memo
+        lams, brackets = [], []
+        grid_mass, solve = exact._grid_mass, exact.brentq
+
+        def mass(lam, *args):
+            lams.append(lam)
+            return grid_mass(lam, *args)
+
+        def recorded(f, lo, hi, **kwargs):
+            brackets.append((lo, hi))
+            return solve(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(exact, "_grid_mass", mass)
+        monkeypatch.setattr(exact, "brentq", recorded)
+        # the tight first bracket, then one that falls back to the full one
+        for target, grid in ((8.0 / 3.0, grid40),
+                             (0.05, nk.make_grid(8.0, 128))):
+            lams.clear()
+            lam = nk.lambda_for_mass(target, 1.0, 1.0, grid)
+            assert len(lams) == len(set(lams))
+            want = np.exp(brentq(
+                lambda ll: grid_mass(np.exp(ll), 1.0, 1.0, grid) - target,
+                *brackets[-1], xtol=1e-14, rtol=8.9e-16))
+            assert lam == want
+
     def test_rejects_unbracketable_target(self, grid40):
         with pytest.raises(nk.ValidationError):
             nk.lambda_for_mass(1e40, 1.0, 1.0, grid40)

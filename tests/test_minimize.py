@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -598,6 +599,27 @@ class TestMinimizeW:
         assert sol.omega == pytest.approx(sol.pair.sigma + sol.b ** 2,
                                           rel=1e-12)
         assert sol.twist_gap <= 1e-12
+
+    def test_inner_pairs_freed_on_return(self, prm_coupled):
+        # only the returned pair outlives the call: the search's inner
+        # solves are freed by reference counting, none waits in a cycle
+        # for the collector
+        grid = nk.make_grid(30.0, 256)
+
+        def pairs():
+            return sum(isinstance(o, nk.SolitaryWavePair)
+                       for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = pairs()
+            sol = nk.minimize_W(1.0, 0.5, prm_coupled, grid)
+            after = pairs()
+        finally:
+            gc.enable()
+        assert sol.n_solves > 1
+        assert after == before + 1
 
     def test_negative_momentum(self, prm_coupled):
         grid = nk.make_grid(30.0, 768)
