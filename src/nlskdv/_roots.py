@@ -18,7 +18,7 @@ _RTOL = 4.0 * sys.float_info.epsilon    # the smallest rtol allowed
 _MAXITER = 100
 
 
-def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER):
+def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL):
     """Root of f in [a, b], where f(a) and f(b) have opposite signs.
 
     Each iteration keeps the best point cur, the previous one pre and the
@@ -28,14 +28,12 @@ def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER):
     bracket; otherwise it bisects.  A step never falls below delta =
     (xtol + rtol |cur|)/2, and the search stops when the bracket's half
     width does.  Raises ValueError on bad tolerances, a NaN value or ends
-    of the same sign, and RuntimeError after maxiter iterations.
+    of the same sign, and RuntimeError after _MAXITER (100) iterations.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _RTOL:
         raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter should be > 0")
 
     def value(x):
         fx = float(f(x, *args))
@@ -53,7 +51,7 @@ def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if (fpre != 0.0 and fcur != 0.0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -97,4 +95,4 @@ def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER):
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError(
-        f"Failed to converge after {maxiter} iterations, value is {xcur}")
+        f"Failed to converge after {_MAXITER} iterations, value is {xcur}")

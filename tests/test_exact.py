@@ -40,54 +40,37 @@ class TestLambdaForMass:
                                                   monkeypatch):
         # the root-find starts next to the real-line width; a profile
         # wider than the box has less mass on the grid than on the line,
-        # so that bracket misses and the full one is searched
-        brackets = []
+        # so that bracket misses and the full one is searched.  No point,
+        # bracket ends included, is evaluated twice, and lam is the root
+        # Brent's method finds on the mass function without that memo
+        lams, brackets = [], []
+        mass = exact._grid_mass
+
+        def recorded_mass(lam, *args):
+            lams.append(lam)
+            return mass(lam, *args)
 
         def recorded(f, lo, hi, **kwargs):
             brackets.append((lo, hi))
             return brentq(f, lo, hi, **kwargs)
+        monkeypatch.setattr(exact, "_grid_mass", recorded_mass)
         monkeypatch.setattr(exact, "brentq", recorded)
-        nk.lambda_for_mass(8.0 / 3.0, 1.0, 1.0, grid40)
-        assert brackets[0][1] - brackets[0][0] <= 1e-6
         grid = nk.make_grid(8.0, 128)
-        lam = nk.lambda_for_mass(0.05, 1.0, 1.0, grid)
+        for target, g in ((8.0 / 3.0, grid40), (0.05, grid)):
+            lams.clear()
+            lam = nk.lambda_for_mass(target, 1.0, 1.0, g)
+            assert len(lams) == len(set(lams))
+            want = np.exp(brentq(
+                lambda ll: mass(np.exp(ll), 1.0, 1.0, g) - target,
+                *brackets[-1], xtol=1e-14, rtol=8.9e-16))
+            assert lam == want
+        assert brackets[0][1] - brackets[0][0] <= 1e-6
         full = (math.log(1e-12), math.log(1e12))
         assert brackets[1:] == [full]
-        want = math.exp(brentq(
-            lambda ll: exact._grid_mass(math.exp(ll), 1.0, 1.0, grid) - 0.05,
-            *full, xtol=1e-14, rtol=8.9e-16))
-        assert abs(lam - want) <= 1e-14 * want
         # the profile is cut off well above its tail
         prof = nk.SechProfile(amplitude=lam, exponent=2.0, lam=lam)
         assert prof.evaluate(grid.x[:1])[0] >= 0.1 * lam
         assert grid_mass(prof.sample(grid)) == pytest.approx(0.05, rel=1e-14)
-
-    def test_each_point_evaluated_once(self, grid40, monkeypatch):
-        # brentq does not evaluate again the bracket ends already checked,
-        # and the root is the one Brent's method finds without the memo
-        lams, brackets = [], []
-        grid_mass, solve = exact._grid_mass, exact.brentq
-
-        def mass(lam, *args):
-            lams.append(lam)
-            return grid_mass(lam, *args)
-
-        def recorded(f, lo, hi, **kwargs):
-            brackets.append((lo, hi))
-            return solve(f, lo, hi, **kwargs)
-
-        monkeypatch.setattr(exact, "_grid_mass", mass)
-        monkeypatch.setattr(exact, "brentq", recorded)
-        # the tight first bracket, then one that falls back to the full one
-        for target, grid in ((8.0 / 3.0, grid40),
-                             (0.05, nk.make_grid(8.0, 128))):
-            lams.clear()
-            lam = nk.lambda_for_mass(target, 1.0, 1.0, grid)
-            assert len(lams) == len(set(lams))
-            want = np.exp(brentq(
-                lambda ll: grid_mass(np.exp(ll), 1.0, 1.0, grid) - target,
-                *brackets[-1], xtol=1e-14, rtol=8.9e-16))
-            assert lam == want
 
     def test_rejects_unbracketable_target(self, grid40):
         with pytest.raises(nk.ValidationError):
