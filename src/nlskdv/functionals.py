@@ -67,14 +67,17 @@ class _SignedPower:
                                     and power.numerator >= 2) else 0
         return cls(float(power), power.numerator % 2 == 1, whole)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def __call__(self, values: np.ndarray, out=None) -> np.ndarray:
+        """The power of values, written into out when given."""
         if self.whole:
-            out = values * values
+            out = np.multiply(values, values, out=out)
             for _ in range(self.whole - 2):
                 out *= values
             return out
-        mag = np.abs(values) ** self.exponent
-        return np.sign(values) * mag if self.odd else mag
+        mag = np.power(np.abs(values), self.exponent, out=out)
+        if self.odd:
+            mag *= np.sign(values)
+        return mag
 
 
 def signed_power(values: np.ndarray, power: Fraction) -> np.ndarray:
@@ -155,7 +158,7 @@ class ConservedTriple:
     H: float
 
 
-def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
+def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams, out=None):
     """The nonlinearity N = (N_u, N_v) of the coupled system.
 
         N_u = tau1 |u|^q u + alpha u v
@@ -163,17 +166,22 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams):
 
     The flow is i u_t + u_xx = -N_u and v_t + v_xxx = -(N_v)_x; the
     energy's gradient and, by _potential_sum, its potential come from N.
-    N_u is (tau1 |u|^q + alpha v) u, so q = 1 takes no power.
+    N_u is (tau1 |u|^q + alpha v) u, so q = 1 takes no power.  Returns
+    the tuple (N_u, N_v), or, given a (2, n) array out that shares no
+    memory with u or v, writes N_u and N_v into its rows with the same
+    operations and returns out.
     """
+    nu, nv = (None, None) if out is None else out
     au = np.abs(u)
     gain = prm.tau1 * (au if prm.q == 1 else au ** prm.q)
     gain += prm.alpha * v
-    nv = prm.pow_p1(v)
+    nv = prm.pow_p1(v, nv)
     nv *= prm.kdv_coeff
     au *= au
     au *= 0.5 * prm.alpha
     nv += au
-    return gain * u, nv
+    nu = np.multiply(gain, u, out=nu)
+    return (nu, nv) if out is None else out
 
 
 def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):

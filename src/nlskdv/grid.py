@@ -194,11 +194,6 @@ def integrate(f: Field):
     return complex(total)
 
 
-def shift_values(values: np.ndarray, grid: Grid1D, y: float) -> np.ndarray:
-    """Translate samples so the output is f(x + y), using spectral phases."""
-    return apply_symbol(values, grid, np.exp(1j * grid.wavenumbers * y))
-
-
 def boundary_leak(values: np.ndarray) -> float:
     """Boundary magnitude relative to the peak, as a truncation diagnostic."""
     peak = float(np.max(np.abs(values)))

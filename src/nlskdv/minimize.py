@@ -213,18 +213,23 @@ def _evaluate(Xh, masses, prm, grid):
     multipliers are -coef/2 and the stationarity residuals P/2.  Pairings
     and the kinetic energy come from Parseval; one inverse transform
     gives N and the potential energy, one forward transform N's spectrum.
+    N is written into the (2, n) buffer the forward transform reads, and
+    P is built in place on that transform's output.
     """
     w, kinetic, laplacian, _, _ = grid.constants(_grid_constants)
     live = masses > 0.0
     X = scipy.fft.irfft(Xh, grid.n)
-    NX = np.array(nonlinearity(*X, prm))
+    NX = nonlinearity(X[0], X[1], prm, np.empty_like(X))
     e = (float(_pairings(Xh, Xh, kinetic).sum())
          - grid.dx * _potential_sum(*X, *NX, prm))
-    G = -2.0 * (laplacian * Xh + scipy.fft.rfft(NX))
-    coef = np.divide(_pairings(G, Xh, w), masses,
+    P = scipy.fft.rfft(NX)
+    P += laplacian * Xh
+    P *= -2.0
+    coef = np.divide(_pairings(P, Xh, w), masses,
                      out=np.zeros(2), where=live)
-    P = G - coef[:, None] * Xh
-    P[~live] = 0.0
+    P -= coef[:, None] * Xh
+    if not live.all():
+        P[~live] = 0.0
     return e, P, coef, X
 
 
@@ -570,12 +575,17 @@ def _warm_start(a: float, known: dict, grid: Grid1D):
 
     known maps solved parameter values to their pairs (solved to any
     tolerance).  Between two solved values the start interpolates their
-    profiles linearly; above or below them all it extrapolates along the
-    secant of the two nearest (the predictor of natural-parameter
-    continuation); next to a single one it is that pair's profiles.  A
-    psi row left all zero (the only neighbour is a = 0, with no long
-    wave) becomes a sech^2 bump.  None when known is empty, as at the
-    first available node of minimize_W's scan when a = 0 has no pair.
+    profiles linearly.  Above or below them all it extrapolates with the
+    polynomial through the nearest ones on that side, the predictor of
+    natural-parameter continuation (Allgower & Georg 1990, ch. 2): the
+    quadratic through three, the secant of two, or next to a single one
+    that pair's profiles.  The quadratic is the secant plus Newton's
+    second divided-difference term.  a = 0 is never the third node: its
+    psi is 0 and psi grows like sqrt(a), which no quadratic in a
+    follows, so there the secant stays.  A psi row left all zero (the
+    only neighbour is a = 0, with no long wave) becomes a sech^2 bump.
+    None when known is empty, as at the first available node of
+    minimize_W's scan when a = 0 has no pair.
     """
     below = sorted((k for k in known if k < a), reverse=True)
     above = sorted(k for k in known if k > a)
@@ -587,8 +597,15 @@ def _warm_start(a: float, known: dict, grid: Grid1D):
         near = below or above
         X = _stack(known[near[0]])
         if len(near) > 1:
-            X = X + (a - near[0]) / (near[0] - near[1]) \
-                * (X - _stack(known[near[1]]))
+            a0, a1 = near[:2]
+            X1 = _stack(known[a1])
+            d01 = X - X1
+            X = X + (a - a0) / (a0 - a1) * d01
+            if len(near) > 2 and near[2] > 0.0:
+                a2 = near[2]
+                slope12 = (X1 - _stack(known[a2])) / (a1 - a2)
+                X += (a - a0) * (a - a1) / (a0 - a2) * (d01 / (a0 - a1)
+                                                        - slope12)
     else:
         return None
     if not X[1].any():
@@ -616,13 +633,14 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     The search is a natural-parameter continuation in a.  The scan
     ascends from a = 0, which starts cold from its closed-form decoupled
     profile; every later solve starts from the profiles of the solved
-    masses around it (interpolated, or extrapolated along the secant of
-    the two nearest).  Only when a = 0 has no pair is the first
-    available node solved cold.  Scan nodes, split points and the
-    doubling of the range only place brackets and warm starts, so they
-    are solved to the continuation tolerance max(opts.tol, 1e-6); the
-    root-find's slope evaluations and the returned pair are solved to
-    opts.tol, a coarse node warm from its own profiles.  The short-wave profile is
+    masses around it (interpolated between two, or extrapolated by the
+    quadratic through the three nearest on one side; see _warm_start).
+    Only when a = 0 has no pair is the first available node solved
+    cold.  Scan nodes, split points and the doubling of the range only
+    place brackets and warm starts, so they are solved to the
+    continuation tolerance max(opts.tol, 1e-6); the root-find's slope
+    evaluations and the returned pair are solved to opts.tol, a coarse
+    node warm from its own profiles.  The short-wave profile is
     reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced

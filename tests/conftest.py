@@ -6,6 +6,7 @@ from hypothesis import settings
 from scipy.integrate import quad
 
 import nlskdv as nk
+from nlskdv.grid import apply_symbol
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -59,6 +60,11 @@ def coupled_pair_30(prm_coupled):
     grid = nk.make_grid(30.0, 768)
     pair, report = nk.minimize_I(1.0, 1.0, prm_coupled, grid)
     return pair, report, grid
+
+
+def shift_values(values, grid, y):
+    """Translate samples so the output is f(x + y), using spectral phases."""
+    return apply_symbol(values, grid, np.exp(1j * grid.wavenumbers * y))
 
 
 def real_field(grid, fn):

@@ -10,9 +10,8 @@ from scipy.optimize import minimize_scalar
 
 import nlskdv as nk
 from nlskdv.evolve import _Stepper
-from nlskdv.grid import shift_values
 
-from conftest import sech
+from conftest import sech, shift_values
 
 GOLDEN = Path(__file__).parent / "data" / "evolve_golden.json"
 

@@ -123,6 +123,27 @@ class TestNonlinearity:
             scale = max(float(np.max(np.abs(x) + np.abs(y))), 1e-300)
             assert np.max(np.abs(got - (x + y))) <= 1e-15 * scale
 
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(7, 5)])
+    def test_out_buffer_bit_identical(self, p, q, kind):
+        # N written into a (2, n) buffer equals the tuple form bit for
+        # bit, signed zeros and negative v included; a complex buffer
+        # holds N_v in its real part
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=64).astype(kind)
+        if kind is complex:
+            u += 1j * rng.normal(size=64)
+        v = rng.normal(size=64)
+        u[:3], v[3:6] = 0.0, [0.0, -0.0, -1.0]
+        prm = nk.PhysParams(alpha=0.7, tau1=1.3, tau2=2.0, p=p, q=q)
+        nu, nv = nonlinearity(u, v, prm)
+        out = np.full((2, 64), np.nan, dtype=kind)
+        assert nonlinearity(u, v, prm, out) is out
+        assert out[0].tobytes() == nu.tobytes()
+        assert out[1].real.tobytes() == nv.tobytes()
+        assert not np.any(out[1].imag)
+
 
 class TestPotentialSum:
     @given(data=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3 * 24),

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
-from nlskdv.grid import apply_symbol, atomic_write, deriv_values, shift_values
+from nlskdv.grid import apply_symbol, atomic_write, deriv_values
 
-from conftest import complex_field, oracle_integral, real_field, sech
+from conftest import (complex_field, oracle_integral, real_field, sech,
+                      shift_values)
 
 
 def test_make_grid_spacing():

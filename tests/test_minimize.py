@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import nlskdv as nk
 from nlskdv import functionals as functionals_mod
 from nlskdv import minimize as minimize_mod
-from nlskdv.grid import deriv_values, shift_values
+from nlskdv.grid import deriv_values
 from nlskdv.minimize import MinimizeOptions
 
-from conftest import sech
+from conftest import sech, shift_values
 
 GOLDEN = Path(__file__).parent / "data" / "minimize_golden.json"
 DESCENT = Path(__file__).parent / "data" / "descent_golden.json"
@@ -934,6 +934,47 @@ class TestMinimizeW:
         assert np.array_equal(X[0], np.ones(grid_small.n))
         assert np.all(X[1] > 0.0)
         assert minimize_mod._warm_start(0.3, {}, grid_small) is None
+
+    def test_warm_start_quadratic_predictor(self, grid_small):
+        # profiles quadratic in a: three solved masses on one side give
+        # them back beyond either end; between two it stays linear
+        def stack(a):
+            return np.array([1.0 + a * phi + a * a * psi,
+                             a * psi - 0.5 * a * a * phi])
+
+        def pair(a):
+            X = stack(a)
+            return SimpleNamespace(phi=nk.ComplexField(grid_small, X[0]),
+                                   psi=nk.RealField(grid_small, X[1]))
+
+        phi = np.exp(-grid_small.x ** 2)
+        psi = np.exp(-grid_small.x ** 2 / 4.0)
+        known = {a: pair(a) for a in (0.5, 0.75, 1.25)}
+        for a in (1.5, 2.0, 0.3, 0.1):
+            X = minimize_mod._warm_start(a, known, grid_small)
+            assert np.max(np.abs(X - stack(a))) <= 1e-14
+        X = minimize_mod._warm_start(1.0, known, grid_small)
+        assert np.allclose(X, 0.5 * (stack(0.75) + stack(1.25)), atol=1e-15)
+        # the quadratic takes the three nearest on the side of a
+        known[0.6] = pair(0.6)
+        X = minimize_mod._warm_start(0.05, known, grid_small)
+        assert np.max(np.abs(X - stack(0.05))) <= 1e-14
+
+    def test_warm_start_skips_zero_as_third_node(self, grid_small):
+        # psi grows like sqrt(a) from a = 0, so a = 0 is never the third
+        # node of the quadratic: next to (a1, a2, 0) the start is the
+        # secant through a1 and a2
+        def pair(a):
+            return SimpleNamespace(
+                phi=nk.ComplexField(grid_small, 1.0 + a * a * phi),
+                psi=nk.RealField(grid_small, a * a * psi))
+
+        phi = np.exp(-grid_small.x ** 2)
+        psi = np.exp(-grid_small.x ** 2 / 4.0)
+        known = {a: pair(a) for a in (0.0, 0.5, 1.0)}
+        X = minimize_mod._warm_start(1.5, known, grid_small)
+        secant = 2.0 * (1.0 + 1.0 * phi) - (1.0 + 0.25 * phi)
+        assert np.allclose(X[0], secant, atol=1e-14)
 
     def test_inner_budget_exhausted(self, grid_small, prm_coupled):
         # an inner solve out of iterations is no convergence, not a
