@@ -97,7 +97,10 @@ class PhysParams:
     one (a positive rational with odd denominator so v**p makes sense
     for v < 0).  beta1 and beta2 are the derived energy coefficients,
     kdv_coeff = tau2/(p+1) and pow_p1 = v**(p+1) the long-wave
-    nonlinearity's coefficient and signed power.
+    nonlinearity's coefficient and signed power.  The derived values,
+    p_float = float(p) and _potential_sum's coefficients among them, are
+    computed once at construction, so evaluation in hot loops does no
+    Fraction arithmetic.
     """
 
     alpha: float
@@ -109,6 +112,8 @@ class PhysParams:
     beta2: float = field(init=False)
     kdv_coeff: float = field(init=False)
     pow_p1: _SignedPower = field(init=False, repr=False)
+    p_float: float = field(init=False, repr=False)
+    potential_coeffs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         p = parse_odd_denominator(self.p)
@@ -126,16 +131,16 @@ class PhysParams:
             raise ValidationError(f"q must lie in [1, 4), got {self.q}")
         if not (Fraction(1) <= p < Fraction(4)):
             raise ValidationError(f"p must lie in [1, 4), got {p}")
-        pf1 = self.p_float + 1.0
-        object.__setattr__(self, "beta1", 2.0 * self.tau1 / (self.q + 2.0))
+        q, pf = self.q, float(p)
+        object.__setattr__(self, "p_float", pf)
+        object.__setattr__(self, "beta1", 2.0 * self.tau1 / (q + 2.0))
         object.__setattr__(self, "beta2",
-                           2.0 * self.tau2 / (pf1 * (self.p_float + 2.0)))
-        object.__setattr__(self, "kdv_coeff", self.tau2 / pf1)
+                           2.0 * self.tau2 / ((pf + 1.0) * (pf + 2.0)))
+        object.__setattr__(self, "kdv_coeff", self.tau2 / (pf + 1.0))
         object.__setattr__(self, "pow_p1", _SignedPower.of(p + 1))
-
-    @property
-    def p_float(self) -> float:
-        return float(self.p)
+        object.__setattr__(self, "potential_coeffs", (
+            2.0 / (q + 2.0), 2.0 / (pf + 2.0),
+            self.alpha * (q * (pf + 1.0) - 2.0) / ((q + 2.0) * (pf + 2.0))))
 
     def stability_regime(self) -> bool:
         """True when the long-wave power sits in the proven stability range."""
@@ -200,12 +205,11 @@ def _potential_sum(u, v, nu, nv, prm: PhysParams) -> float:
     """Sum of beta1 |u|^(q+2) + beta2 v^(p+2) + alpha |u|^2 v over samples.
 
     By Euler's identity it is 2/(q+2) Re(conj(u) N_u) + 2/(p+2) v N_v
-    + m |u|^2 v, m = alpha (q(p+1) - 2)/((q+2)(p+2)) (0 at q = p = 1).
+    + m |u|^2 v, m = alpha (q(p+1) - 2)/((q+2)(p+2)) (0 at q = p = 1);
+    prm.potential_coeffs holds the three coefficients.
     """
-    q, p = prm.q, prm.p_float
-    mixed = prm.alpha * (q * (p + 1.0) - 2.0) / ((q + 2.0) * (p + 2.0))
-    return float(2.0 / (q + 2.0) * np.vdot(u, nu).real
-                 + 2.0 / (p + 2.0) * np.dot(v, nv)
+    cu, cv, mixed = prm.potential_coeffs
+    return float(cu * np.vdot(u, nu).real + cv * np.dot(v, nv)
                  + (mixed * np.vdot(u, u * v).real if mixed else 0.0))
 
 

@@ -40,11 +40,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.fft
 
-from ._roots import brentq
+from ._roots import _RTOL, brentq
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
-from .exact import kdv_profile, nls_ground
+from .exact import _line_log_lambda, kdv_profile, nls_ground
 from .functionals import (PhysParams, _potential_sum, gradient_values,
                           nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
@@ -53,13 +53,15 @@ from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
 # fixed constants of the descent and the W search
 _ARMIJO = 0.2                     # sufficient decrease; refuses step 2
 _BACKTRACK = 0.5
-_STEP0 = 0.25
+_STEP0 = 0.25                     # initial step of a cold descent
+_STEP_WARM = 1.0                  # and of a warm one: the H1 unit step
 _STEP_MAX = 4.0
 _STEP_MIN = 1e-16                 # a line search fails below this step
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
 _STALL = 100                      # gradient-norm iterations to halve pg in
 _CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
 _W_SCAN_NODES = 17
+_W_XTOL = 1e-15                   # brentq's xtol on W'
 
 
 @dataclass
@@ -198,6 +200,12 @@ def _pairings(A, B, w):
     return (A.view(np.float64) * B.view(np.float64)) @ w
 
 
+def _total_pairing(A, B, w) -> float:
+    """The two rows' _pairings summed, as a Python float."""
+    a, b = _pairings(A, B, w).tolist()
+    return a + b
+
+
 def _project(Xh, masses, w):
     """Scale each half-spectrum row to its mass; zero-mass rows to 0."""
     scale = np.divide(masses, _pairings(Xh, Xh, w),
@@ -220,7 +228,7 @@ def _evaluate(Xh, masses, prm, grid):
     live = masses > 0.0
     X = scipy.fft.irfft(Xh, grid.n)
     NX = nonlinearity(X[0], X[1], prm, np.empty_like(X))
-    e = (float(_pairings(Xh, Xh, kinetic).sum())
+    e = (_total_pairing(Xh, Xh, kinetic)
          - grid.dx * _potential_sum(*X, *NX, prm))
     P = scipy.fft.rfft(NX)
     P += laplacian * Xh
@@ -247,14 +255,14 @@ def _first_trial(S, Y, eta, precond, w):
     to at most _STEP_MAX.  Without a history, or where <S, Y> <= 0 (no
     positive curvature along the step), the last step grows by 1.26.
     """
-    sy = float(_pairings(S, Y, w).sum()) if S is not None else 0.0
+    sy = _total_pairing(S, Y, w) if S is not None else 0.0
     if sy <= 0.0:
         return min(eta * 1.26, _STEP_MAX)
-    bb = sy / float(_pairings(Y, precond * Y, w).sum())
+    bb = sy / _total_pairing(Y, precond * Y, w)
     return min(max(bb, 0.5 * eta), 2.0 * eta, _STEP_MAX)
 
 
-def _descend(X, masses, prm, grid, tol, budget):
+def _descend(X, masses, prm, grid, tol, budget, step0):
     """Projected, preconditioned descent at fixed parameters.
 
     X is the real (2, n) stack [phi; psi] and masses the pair (s, t).
@@ -265,13 +273,15 @@ def _descend(X, masses, prm, grid, tol, budget):
     two-point step from the last accepted step and the change of the
     projected gradient across it, clamped to [1/2, 2] times that step;
     the first iteration, and one after a move below the iterate's
-    rounding, grow the last step by 1.26 instead.  One backtracking
-    loop takes an Armijo test on the energy far from the minimizer; once
-    the projected gradient is small, energy differences sink below
-    float rounding and a step must instead not raise the
-    projected-gradient norm.
+    rounding, grow the last step by 1.26 instead; before the first
+    iteration the last step is step0 (minimize_I passes _STEP0 cold and
+    _STEP_WARM warm).  One backtracking loop takes an Armijo test on
+    the energy far from the minimizer; once the projected gradient is
+    small, energy differences sink below float rounding and a step must
+    instead not raise the projected-gradient norm.
 
-    Returns the final half spectrum and its real stack plus (iterations,
+    Returns the final half spectrum, the last accepted evaluation
+    (energy, P, coef, X) at it, as _evaluate gives it, and (iterations,
     final_step, history, pg_norm, termination), termination being why
     the descent stopped: "converged", "max_iter" (budget spent),
     "line_search" (no trial step of at least _STEP_MIN passed) or
@@ -285,14 +295,14 @@ def _descend(X, masses, prm, grid, tol, budget):
     Xh = _project(scipy.fft.rfft(X), masses, w)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is refused below
-        e_cur, P, _, X = _evaluate(Xh, masses, prm, grid)
-        pgnorm = math.sqrt(_pairings(P, P, w).sum())
+        e_cur, P, coef, X = _evaluate(Xh, masses, prm, grid)
+        pgnorm = math.sqrt(_total_pairing(P, P, w))
     if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
         raise ValidationError(
             f"energy {e_cur:.3e} or projected gradient {pgnorm:.3e} is not "
             "finite at the start; the parameters overflow double precision")
     history = [e_cur]
-    eta = _STEP0
+    eta = step0
     S = Y = None                  # the last step and its change of P
     mark = (0, pgnorm)            # iteration and pg norm of the last halving
     rounding = np.finfo(float).eps * math.sqrt(masses.sum())  # of |Xh|
@@ -303,13 +313,14 @@ def _descend(X, masses, prm, grid, tol, budget):
         D = precond * P
         armijo = pgnorm > _PG_SWITCH
         if armijo:
-            gtd = float(_pairings(P, D, w).sum())
+            gtd = _total_pairing(P, D, w)
             slack = 1e-13 * (1.0 + abs(e_cur))
         trial = _first_trial(S, Y, eta, precond, w)
         while trial >= _STEP_MIN:
             cand = _project(Xh - trial * D, masses, w)
-            e_new, P_new, _, X_new = _evaluate(cand, masses, prm, grid)
-            pg_new = math.sqrt(_pairings(P_new, P_new, w).sum())
+            e_new, P_new, coef_new, X_new = _evaluate(cand, masses, prm,
+                                                      grid)
+            pg_new = math.sqrt(_total_pairing(P_new, P_new, w))
             if (e_new <= e_cur - _ARMIJO * trial * gtd + slack if armijo
                     else pg_new <= pgnorm):
                 break
@@ -323,7 +334,8 @@ def _descend(X, masses, prm, grid, tol, budget):
         # iterate's rounding leaves only noise in S and Y
         moved = trial * pgnorm > rounding
         S, Y = (cand - Xh, P_new - P) if moved else (None, None)
-        Xh, X, e_cur, P, pgnorm = cand, X_new, e_new, P_new, pg_new
+        Xh, X, e_cur, P, coef, pgnorm = (cand, X_new, e_new, P_new,
+                                         coef_new, pg_new)
         eta = trial
         history.append(e_cur)
         if armijo or pgnorm <= 0.5 * mark[1]:
@@ -332,17 +344,25 @@ def _descend(X, masses, prm, grid, tol, budget):
             stop = "stalled"
             break
     stop = "converged" if pgnorm <= tol else stop
-    return Xh, X, it, eta, history, pgnorm, stop
+    return Xh, (e_cur, P, coef, X), it, eta, history, pgnorm, stop
 
 
 def _initial_fields(s, t, prm, grid):
-    """Product of decoupled ground profiles, with width fallbacks."""
+    """Product of decoupled ground profiles, with width fallbacks.
+
+    The long wave is the decoupled KdV ground profile at mass t unless
+    that profile is wide for the box, sqrt(lam) L < 16, when it is
+    sech^2(x/2).  The test reads lam from the closed-form real-line
+    width (exact._line_log_lambda) in log space, where tau2 = 1e300
+    cannot overflow, so the width is root-found on the grid only for a
+    profile that is used.  The short wave is its decoupled ground
+    profile, or sech(x/2) without a self-interaction.
+    """
     x = grid.x
-    L = grid.half_length
     if t > 0.0:
-        prof = kdv_profile(t, prm, grid)
-        if math.sqrt(prof.lam) * L >= 16.0:
-            psi = prof.evaluate(x)
+        log_lam = _line_log_lambda(t, prm.p_float, prm.beta2)
+        if 0.5 * log_lam + math.log(grid.half_length) >= math.log(16.0):
+            psi = kdv_profile(t, prm, grid).evaluate(x)
         else:
             psi = 1.0 / np.cosh(x / 2.0) ** 2
     else:
@@ -450,12 +470,19 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     A start whose energy or projected gradient is not finite (the
     parameters overflow double precision) raises ValidationError.
 
-    Returns (SolitaryWavePair, MinimizeReport).  The pair is recentred
-    on the half spectrum so the psi mass centroid sits at x = 0, and the
-    global phase of phi is removed.  One _evaluate of it gives its energy,
-    multipliers and residual norms (NaN at zero mass).  A pair whose
-    boundary leak exceeds opts.max_boundary_leak raises
-    DomainTooSmallError with the half length its decay rate asks for.
+    A cold descent starts from the step _STEP0 = 0.25.  A warm one
+    starts near a solution, so from _STEP_WARM = 1.0, the unit step of
+    the H1 metric (its high modes' curvature tends to 1).
+
+    Returns (SolitaryWavePair, MinimizeReport).  The descent's last
+    accepted evaluation certifies the pair: its energy, multipliers and
+    residual norms (NaN at zero mass).  Only when the psi mass centroid
+    (phi's without a long wave) lies beyond eps L, the rounding of the
+    grid's own coordinates, is the half spectrum shifted to put it at
+    x = 0, projected and evaluated once more.  The global phase of phi
+    is removed.  A pair whose boundary leak exceeds
+    opts.max_boundary_leak raises DomainTooSmallError with the half
+    length its decay rate asks for.
     """
     opts = opts or MinimizeOptions()
     if not (math.isfinite(s) and math.isfinite(t)
@@ -482,8 +509,9 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
 
-    Xh, X, iters, final_step, history, pgnorm, termination = _descend(
-        X, masses, prm, grid, opts.tol, opts.max_iter)
+    Xh, last, iters, final_step, history, pgnorm, termination = _descend(
+        X, masses, prm, grid, opts.tol, opts.max_iter,
+        _STEP0 if warm_start is None else _STEP_WARM)
 
     report = MinimizeReport(
         iterations=iters, final_step=final_step,
@@ -501,13 +529,18 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             f"{cause} (projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
             report=report)
 
-    # recentre (f(x + y) is a phase per mode), re-project, and certify
-    # the solve with one evaluation: energy, multipliers, residuals
+    # the last evaluation certifies the solve (energy, multipliers,
+    # residuals) unless the centroid must move by more than the
+    # coordinates' rounding: then recentre (f(x + y) is a phase per
+    # mode), re-project and evaluate again
+    e_val, P, coef, X = last
     y = _circular_centroid(X[1] * X[1] if t > 0.0 else X[0] * X[0], grid)
     w = grid.constants(_grid_constants).w
-    Xh = _project(Xh * np.exp(1j * grid.wavenumbers[:grid.n // 2 + 1] * y),
-                  masses, w)
-    e_val, P, coef, X = _evaluate(Xh, masses, prm, grid)
+    if abs(y) > np.finfo(float).eps * grid.half_length:
+        Xh = _project(
+            Xh * np.exp(1j * grid.wavenumbers[:grid.n // 2 + 1] * y),
+            masses, w)
+        e_val, P, coef, X = _evaluate(Xh, masses, prm, grid)
     live = masses > 0.0
     X[~live] = 0.0                # a projected zero row may hold -0.0
     (sigma, c), (res_phi, res_psi) = np.where(live, [
@@ -640,7 +673,15 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     place brackets and warm starts, so they are solved to the
     continuation tolerance max(opts.tol, 1e-6); the root-find's slope
     evaluations and the returned pair are solved to opts.tol, a coarse
-    node warm from its own profiles.  The short-wave profile is
+    node warm from its own profiles.  Every warm solve starts its
+    descent at the unit step (see minimize_I).  Brent's closing steps
+    can land within its step floor, 1e-15 + 4 eps |a|, of masses
+    already solved to opts.tol; the one of those whose W' is nearest 0
+    stands in for such a mass, and a* is that solved mass, so
+    pair.t == a_star.  n_solves counts the minimize_I calls that
+    returned a pair (scan nodes, re-solves of coarse nodes at opts.tol,
+    and new masses), not the reused ones nor the unavailable ones,
+    which n_unavailable counts.  The short-wave profile is
     reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced
@@ -675,6 +716,16 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         nonlocal solves, unavailable, need
         key = round(a, 15)
         entry = cache.get(key)
+        if final:
+            # Brent's closing steps can land within its step floor of
+            # masses already solved to opts.tol, under this key or
+            # another; the one whose W' is nearest 0 stands in for them
+            floor = _W_XTOL + _RTOL * abs(a)
+            near = [v for v in cache.values() if v[2] and v[1] is not None
+                    and abs(v[1].t - a) <= floor]
+            if near:
+                return min(near, key=lambda v: abs(
+                    v[1].c + 2.0 * (t - v[1].t) / s))[:2]
         if entry is not None and (entry[2] or not final):
             return entry[:2]
         if entry is not None:      # a coarse node, refined from itself
@@ -735,7 +786,7 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
             lo, hi = max(2.0 * lo - hi, 0.0), lo
         elif slope(hi, True) > 0.0:
             lo, hi = hi, 2.0 * hi - lo
-        return brentq(slope, lo, hi, args=(True,), xtol=1e-15)
+        return brentq(slope, lo, hi, args=(True,), xtol=_W_XTOL)
 
     # the zoom step of a bracketing line search (Nocedal & Wright, §3.5):
     # refine the cell between the best node and its downhill neighbour
@@ -774,6 +825,7 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         raise UnattainedInfimumError(
             "the search settled on zero long-wave mass with no short-wave "
             "self-interaction; no minimizer exists there")
+    a_star = pair.t             # a near-duplicate's solved mass
 
     b = (t - a_star) / s
     Phi_vals = np.exp(-1j * b * grid.x) * pair.phi.values

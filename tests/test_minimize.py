@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nlskdv as nk
+from nlskdv import exact as exact_mod
 from nlskdv import functionals as functionals_mod
 from nlskdv import minimize as minimize_mod
 from nlskdv.grid import deriv_values
@@ -308,8 +309,9 @@ def _assert_certificate_matches(pair, prm):
 
 
 class TestCertificateMatchesReference:
-    # minimize_I certifies a pair from its half-spectrum evaluation; the
-    # public functionals recompute the certificate in physical space
+    # minimize_I certifies a pair from the descent's last half-spectrum
+    # evaluation; the public functionals recompute the certificate in
+    # physical space
     def test_zero_short_wave_mass(self, prm_coupled):
         pair, _ = nk.minimize_I(0.0, 4.0, prm_coupled,
                                 nk.make_grid(40.0, 1024))
@@ -332,6 +334,82 @@ class TestCertificateMatchesReference:
     def test_w_solve_pair(self, prm_coupled, grid30):
         sol = nk.minimize_W(1.0, 0.5, prm_coupled, grid30)
         _assert_certificate_matches(sol.pair, prm_coupled)
+
+    def test_shifted_warm_start_recentred(self, prm_coupled, grid40):
+        # the certificate is the descent's last evaluation unless the
+        # centroid lies beyond eps L; a start 2.5 cells off centre keeps
+        # its centroid through the descent, so the pair is recentred to
+        # x = 0, evaluated again, and matches the centred start's pair
+        start = minimize_mod._stack(
+            nk.minimize_I(1.0, 1.0, prm_coupled, grid40)[0])
+        shifted = np.real(shift_values(start, grid40, 2.5 * grid40.dx))
+        rounding = np.finfo(float).eps * grid40.half_length
+        assert abs(minimize_mod._circular_centroid(
+            shifted[1] ** 2, grid40)) > 1e3 * rounding
+        pair, rep = nk.minimize_I(1.1, 0.9, prm_coupled, grid40,
+                                  warm_start=shifted)
+        assert rep.iterations > 0
+        _assert_certificate_matches(pair, prm_coupled)
+        assert abs(minimize_mod._circular_centroid(
+            pair.psi.values ** 2, grid40)) <= rounding
+        want, _ = nk.minimize_I(1.1, 0.9, prm_coupled, grid40,
+                                warm_start=start)
+        assert np.max(np.abs(pair.psi.values - want.psi.values)) <= 1e-8
+        assert np.max(np.abs(pair.phi.values - want.phi.values)) <= 1e-8
+
+
+class TestDescentStart:
+    def test_cold_and_warm_first_trials(self, grid30, prm_coupled,
+                                        monkeypatch):
+        # a cold descent starts from the step 0.25, a warm one from the
+        # unit step 1.0; the first iteration grows either by 1.26
+        starts = []
+        descend, first_trial = minimize_mod._descend, minimize_mod._first_trial
+
+        def recorded_descend(*args):
+            starts.append([args[-1], None])
+            return descend(*args)
+
+        def recorded_trial(*args):
+            step = first_trial(*args)
+            if starts[-1][1] is None:
+                starts[-1][1] = step
+            return step
+        monkeypatch.setattr(minimize_mod, "_descend", recorded_descend)
+        monkeypatch.setattr(minimize_mod, "_first_trial", recorded_trial)
+        cold, _ = nk.minimize_I(1.0, 1.0, prm_coupled, grid30)
+        nk.minimize_I(1.1, 0.9, prm_coupled, grid30,
+                      warm_start=minimize_mod._stack(cold))
+        assert starts == [[0.25, 0.25 * 1.26], [1.0, 1.0 * 1.26]]
+
+    @pytest.mark.parametrize("t, L, used", [
+        (1.0, 30.0, False), (0.5, 40.0, False), (2.4, 40.0, True),
+        (1.0, 60.0, True)])
+    def test_long_wave_fallback_skips_root_find(self, prm_coupled, t, L,
+                                                used, monkeypatch):
+        # sqrt(lam) L < 16 by the closed-form width: the long wave starts
+        # as sech^2(x/2) and no KdV grid mass is evaluated.  The decision
+        # is the one the root-found width gives
+        grid = nk.make_grid(L, 512)
+        lam = exact_mod.kdv_profile(t, prm_coupled, grid).lam
+        assert (math.sqrt(lam) * L >= 16.0) == used
+        betas = []
+        mass = exact_mod._grid_mass
+
+        def recorded_mass(lam, power, beta, grid):
+            betas.append(beta)
+            return mass(lam, power, beta, grid)
+        monkeypatch.setattr(exact_mod, "_grid_mass", recorded_mass)
+        _, psi = minimize_mod._initial_fields(1.0, t, prm_coupled, grid)
+        kdv_masses = betas.count(prm_coupled.beta2)
+        assert prm_coupled.beta1 != prm_coupled.beta2
+        if used:
+            assert kdv_masses > 0
+            assert grid.dx * np.sum(psi ** 2) == pytest.approx(t, rel=1e-12)
+        else:
+            assert kdv_masses == 0
+            assert np.array_equal(psi, 1.0 / np.cosh(grid.x / 2.0) ** 2)
+        assert betas.count(prm_coupled.beta1) > 0      # phi's root-find
 
 
 class TestBoxPrediction:
@@ -750,6 +828,22 @@ class TestMinimizeW:
         # half the inner solves of a 33-node value scan (38 here)
         sol = nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
         assert sol.n_solves <= 24
+
+    @pytest.mark.parametrize("s, t", [(1.0, 0.5), (1.0, 1.0), (1.5, 0.75),
+                                      (2.0, 1.0)])
+    def test_no_near_duplicate_final_solves(self, s, t, prm_coupled,
+                                            monkeypatch):
+        # the family W points: Brent's closing steps that land within its
+        # step floor, 1e-15 + 4 eps |a|, of a mass solved to the final
+        # tolerance reuse that solve, and a* is the solved mass
+        calls = self._record_inner_solves(monkeypatch)
+        sol = nk.minimize_W(s, t, prm_coupled, nk.make_grid(30.0, 768))
+        assert sol.pair.t == sol.a_star
+        final = sorted(a for a, _, tol, it in calls
+                       if tol == MinimizeOptions().tol and it is not None)
+        floor = 4.0 * np.finfo(float).eps
+        for a0, a1 in zip(final, final[1:]):
+            assert a1 - a0 > 1e-15 + floor * abs(a1)
 
     @staticmethod
     def _record_inner_solves(monkeypatch):

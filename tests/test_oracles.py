@@ -1,7 +1,8 @@
 """Answer-level oracles of the coupled solver from the system's structure.
 
-These check minimizers against a closed form and an exact identity, so
-they hold whatever path the descent takes.
+These check minimizers against a closed form and exact identities (the
+scaling, envelope and dilation identities), so they hold whatever path
+the descent takes.
 """
 
 import math
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import nlskdv as nk
+from nlskdv.functionals import signed_power
+from nlskdv.grid import deriv_values
 
 # (alpha, tau2, kappa) of the explicit coupled family below
 SECH2_CASES = [(2.0, 1.0, 0.5), (1.0, 1.0, 0.7), (3.0, 2.0, 0.4),
@@ -77,3 +80,63 @@ def test_scaling_identity_fails_off_its_case(grid40):
     pair, _ = nk.minimize_I(2.0, 0.5, prm, grid40,
                             nk.MinimizeOptions(tol=1e-10))
     assert _scaling_gap(pair) > 0.1
+
+
+# (params, s, t): three cases at p = 1 and three at p = 7/5
+ENVELOPE_CASES = [
+    (dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0), 1.0, 1.0),
+    (dict(alpha=0.5, tau1=1.0, tau2=2.0, p=1, q=2.0), 1.5, 0.8),
+    (dict(alpha=2.0, tau1=0.0, tau2=1.0, p=1, q=1.0), 0.7, 1.4),
+    (dict(alpha=1.0, tau1=1.0, tau2=2.0, p="7/5", q=2.5), 1.0, 1.0),
+    (dict(alpha=0.7, tau1=1.0, tau2=1.0, p="7/5", q=1.5), 1.2, 0.6),
+    (dict(alpha=1.5, tau1=0.5, tau2=3.0, p="7/5", q=2.0), 0.6, 1.5),
+]
+
+
+@pytest.mark.parametrize("params, s, t", ENVELOPE_CASES)
+def test_envelope_identities(grid40, params, s, t):
+    # along minimizers dI/ds = -sigma and dI/dt = -c, the slope minimize_W
+    # reads W' from.  Central differences err by O(h^2): measured at tol
+    # 1e-10, the gaps are <= 6.1e-6 at h = 1e-2 and <= 6.1e-8 at h = 1e-3,
+    # 99-102 times smaller.  A multiplier off by 1e-6 of itself leaves a
+    # gap that does not fall with h
+    prm = nk.PhysParams(**params)
+    opts = nk.MinimizeOptions(tol=1e-10)
+
+    def value(s_, t_):
+        return nk.minimize_I(s_, t_, prm, grid40, opts)[0].energy_value
+
+    pair, _ = nk.minimize_I(s, t, prm, grid40, opts)
+    gaps = {}
+    for h in (1e-2, 1e-3):
+        gaps[h] = np.array([
+            (value(s + h, t) - value(s - h, t)) / (2.0 * h) + pair.sigma,
+            (value(s, t + h) - value(s, t - h)) / (2.0 * h) + pair.c])
+    assert np.all(np.abs(gaps[1e-3]) <= 2e-7)
+    assert np.all(np.abs(gaps[1e-2]) >= 50.0 * np.abs(gaps[1e-3]))
+
+
+@pytest.mark.parametrize("params", [
+    dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=2.0),
+    dict(alpha=1.0, tau1=1.0, tau2=2.0, p="7/5", q=2.5)], ids=["p1-q2",
+                                                             "p7_5-q5_2"])
+def test_dilation_identity(grid40, params):
+    # the mass-preserving dilation lambda^(1/2) (u, v)(lambda x) scales
+    # K by lambda^2, P_u by lambda^(q/2), P_v by lambda^(p/2) and P_c by
+    # lambda^(1/2); E = K - P_u - P_v - P_c is stationary at lambda = 1,
+    # so 4K = q P_u + p P_v + P_c.  Measured at tol 1e-10: 1.8e-10 and
+    # 1.4e-10 of 4K; the gate 1e-9 leaves a margin of 5
+    prm = nk.PhysParams(**params)
+    pair, _ = nk.minimize_I(1.0, 1.0, prm, grid40,
+                            nk.MinimizeOptions(tol=1e-10))
+    u, v, dx = pair.phi.values, pair.psi.values, grid40.dx
+    kinetic = dx * (np.sum(np.abs(deriv_values(u, grid40)) ** 2)
+                    + np.sum(deriv_values(v, grid40) ** 2))
+    p_u = prm.beta1 * dx * np.sum(np.abs(u) ** (prm.q + 2.0))
+    p_v = prm.beta2 * dx * np.sum(signed_power(v, prm.p + 2))
+    p_c = prm.alpha * dx * np.sum(np.abs(u) ** 2 * v)
+    # the signs of the decomposition are those of the solver's energy
+    assert kinetic - p_u - p_v - p_c == pytest.approx(
+        pair.energy_value, rel=1e-13, abs=0.0)
+    gap = 4.0 * kinetic - (prm.q * p_u + prm.p_float * p_v + p_c)
+    assert abs(gap) <= 1e-9 * 4.0 * kinetic
