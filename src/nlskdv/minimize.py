@@ -9,7 +9,10 @@ fixed points and the energy-descent structure unchanged but removes the
 k^2 stiffness of the raw flow.  The iterate is held as the real
 half spectrum of [phi; psi], so the metric, the mass projection and
 every L2 pairing are sums over Fourier modes (Parseval) and a trial
-point costs one transform each way, for the nonlinearity.  The first
+point costs one transform each way, for the nonlinearity.  Each of a
+trial's squared spectra is reduced once, against two weights at a time:
+the candidate's gives its row masses and kinetic pairings, the
+projected gradient's its norm and the Armijo slope <P, K P>.  The first
 trial step of each iteration is the two-point step of the last two
 iterates in the same metric (Barzilai & Borwein 1988, the "short" step
 <s, y>/<y, K y>), clamped to [1/2, 2] times the last accepted step, so
@@ -125,6 +128,7 @@ class MinimizeReport:
     I_value: float
     pg_norm: float
     stages: int = 1                   # descents per solve; always one
+    evaluations: int = 0              # _evaluate calls, recentring included
 
 
 @dataclass
@@ -171,23 +175,24 @@ def _half_weights(grid, order=0):
 class _GridConstants(NamedTuple):
     """Read-only per-grid constants of the descent and the recentring."""
 
-    w: np.ndarray             # Parseval weights of the half spectrum
-    kinetic: np.ndarray       # the same, times k^2
+    mass_kinetic: np.ndarray  # Parseval weights w and w k^2, for _squares
+    mass_metric: np.ndarray   # w and w K, for _squares
     laplacian: np.ndarray     # half symbol of d^2/dx^2
-    precond: np.ndarray       # H1 preconditioner 0.5 / (1 + k^2)
+    precond: np.ndarray       # H1 preconditioner K = 0.5 / (1 + k^2)
     rotor: np.ndarray         # exp(i pi x / L) of the circular centroid
 
 
 def _grid_constants(grid: Grid1D) -> _GridConstants:
     """The grid's constants, built by Grid1D.constants once per grid."""
     half = grid.n // 2 + 1
+    w, precond = _half_weights(grid), 0.5 / grid.h1_weights[:half]
     return _GridConstants(
-        w=_half_weights(grid),
         # the kinetic weight zeroes the Nyquist entry, as the first
         # derivative does; the gradient's second derivative keeps it
-        kinetic=_half_weights(grid, 1),
+        mass_kinetic=np.array([w, _half_weights(grid, 1)]),
+        mass_metric=np.array([w, w * np.repeat(precond, 2)]),
         laplacian=grid.deriv_symbol(2)[:half],
-        precond=0.5 / grid.h1_weights[:half],
+        precond=precond,
         rotor=np.exp(1j * (np.pi * grid.x / grid.half_length)))
 
 
@@ -206,42 +211,55 @@ def _total_pairing(A, B, w) -> float:
     return a + b
 
 
-def _project(Xh, masses, w):
-    """Scale each half-spectrum row to its mass; zero-mass rows to 0."""
-    scale = np.divide(masses, _pairings(Xh, Xh, w),
-                      out=np.zeros(2), where=masses > 0.0)
-    return Xh * np.sqrt(scale)[:, None]
+def _squares(A, weights):
+    """[[sum w|A0|^2, sum w'|A0|^2], [the same for A1]] for weights [w, w']."""
+    a = A.view(np.float64)
+    return ((a * a) @ weights.T).tolist()
 
 
-def _evaluate(Xh, masses, prm, grid):
+def _project(Xh, masses, mass_kinetic):
+    """Each half-spectrum row scaled to its mass (zero-mass rows to 0).
+
+    Returns the rows and their kinetic energy, sum (m / r) k over rows of
+    mass m > 0 with r and k the row's mass and kinetic pairing from one
+    _squares product.  A zero row of mass m > 0 scales by inf.
+    """
+    scales, kinetic = [0.0, 0.0], 0.0
+    for i, (m, (r, k)) in enumerate(zip(masses, _squares(Xh, mass_kinetic))):
+        if m > 0.0:
+            ratio = m / r if r else math.inf
+            scales[i] = math.sqrt(ratio)
+            kinetic += ratio * k
+    return Xh * np.array(scales)[:, None], kinetic
+
+
+def _evaluate(Xh, kinetic, masses, prm, grid):
     """(energy, P, coef, X) at the half spectrum Xh, X its real stack.
 
-    The gradient G = -2 (d^2/dx^2 X + N) projects to P = G - coef Xh,
-    coef = <G, Xh>/mass per row (0, and P = 0, at zero mass): the
-    multipliers are -coef/2 and the stationarity residuals P/2.  Pairings
-    and the kinetic energy come from Parseval; one inverse transform
+    Xh and its kinetic energy are as _project returns them.  The gradient
+    G = -2 (d^2/dx^2 X + N) projects to P = G - coef Xh, coef = <G, Xh>/mass
+    per row, as floats (0, and P = 0, at zero mass): the multipliers are
+    -coef/2 and the stationarity residuals P/2.  One inverse transform
     gives N and the potential energy, one forward transform N's spectrum.
     N is written into the (2, n) buffer the forward transform reads, and
     P is built in place on that transform's output.
     """
-    w, kinetic, laplacian, _, _ = grid.constants(_grid_constants)
-    live = masses > 0.0
+    mass_kinetic, _, laplacian, _, _ = grid.constants(_grid_constants)
     X = scipy.fft.irfft(Xh, grid.n)
     NX = nonlinearity(X[0], X[1], prm, np.empty_like(X))
-    e = (_total_pairing(Xh, Xh, kinetic)
-         - grid.dx * _potential_sum(*X, *NX, prm))
+    e = kinetic - grid.dx * _potential_sum(*X, *NX, prm)
     P = scipy.fft.rfft(NX)
     P += laplacian * Xh
     P *= -2.0
-    coef = np.divide(_pairings(P, Xh, w), masses,
-                     out=np.zeros(2), where=live)
-    P -= coef[:, None] * Xh
-    if not live.all():
-        P[~live] = 0.0
+    coef = [g / m if m > 0.0 else 0.0 for g, m in
+            zip(_pairings(P, Xh, mass_kinetic[0]).tolist(), masses)]
+    P -= np.array(coef)[:, None] * Xh
+    if 0.0 in masses:
+        P[[m == 0.0 for m in masses]] = 0.0
     return e, P, coef, X
 
 
-def _first_trial(S, Y, eta, precond, w):
+def _first_trial(S, Y, eta, mass_metric):
     """First trial step of an iteration: the two-point step, clamped.
 
     S is the last accepted step of the half spectrum and Y the change of
@@ -250,53 +268,58 @@ def _first_trial(S, Y, eta, precond, w):
     differences are noise.  The short two-point step <S, Y> / <Y, K Y>
     (Barzilai & Borwein 1988), with K the preconditioner, is the step
     for which step * K Y best matches S (least squares in the 1/K
-    metric), the secant equation of a preconditioned gradient step.  It
-    is clamped to [eta/2, 2 eta] around the last accepted step eta and
-    to at most _STEP_MAX.  Without a history, or where <S, Y> <= 0 (no
+    metric), the secant equation of a preconditioned gradient step;
+    <Y, K Y> weights Y's squares by w K, so K Y is not formed.  It is
+    clamped to [eta/2, 2 eta] around the last accepted step eta and to
+    at most _STEP_MAX.  Without a history, or where <S, Y> <= 0 (no
     positive curvature along the step), the last step grows by 1.26.
     """
-    sy = _total_pairing(S, Y, w) if S is not None else 0.0
+    sy = _total_pairing(S, Y, mass_metric[0]) if S is not None else 0.0
     if sy <= 0.0:
         return min(eta * 1.26, _STEP_MAX)
-    bb = sy / _total_pairing(Y, precond * Y, w)
+    bb = sy / _total_pairing(Y, Y, mass_metric[1])
     return min(max(bb, 0.5 * eta), 2.0 * eta, _STEP_MAX)
 
 
 def _descend(X, masses, prm, grid, tol, budget, step0):
     """Projected, preconditioned descent at fixed parameters.
 
-    X is the real (2, n) stack [phi; psi] and masses the pair (s, t).
+    X is the real (2, n) stack [phi; psi] and masses the floats (s, t).
     The iterate is held as the rfft half spectrum of the stack, projected
     by _project and evaluated by _evaluate; the H1 preconditioner is a
     division by 1 + k^2.  An accepted trial's evaluation is the new
-    iterate's.  The first trial of an iteration is _first_trial's
-    two-point step from the last accepted step and the change of the
-    projected gradient across it, clamped to [1/2, 2] times that step;
-    the first iteration, and one after a move below the iterate's
-    rounding, grow the last step by 1.26 instead; before the first
-    iteration the last step is step0 (minimize_I passes _STEP0 cold and
-    _STEP_WARM warm).  One backtracking loop takes an Armijo test on
-    the energy far from the minimizer; once the projected gradient is
-    small, energy differences sink below float rounding and a step must
-    instead not raise the projected-gradient norm.
+    iterate's; one _squares product of its P gives |P|^2, for the
+    gradient-norm test, and <P, K P>, the next Armijo slope.  The first
+    trial of an iteration is _first_trial's two-point step from the last
+    accepted step and the change of the projected gradient across it,
+    clamped to [1/2, 2] times that step; the first iteration, and one
+    after a move below the iterate's rounding, grow the last step by
+    1.26 instead; before the first iteration the last step is step0
+    (minimize_I passes _STEP0 cold and _STEP_WARM warm).  One
+    backtracking loop takes an Armijo test on the energy far from the
+    minimizer; once the projected gradient is small, energy differences
+    sink below float rounding and a step must instead not raise the
+    projected-gradient norm.
 
     Returns the final half spectrum, the last accepted evaluation
     (energy, P, coef, X) at it, as _evaluate gives it, and (iterations,
-    final_step, history, pg_norm, termination), termination being why
-    the descent stopped: "converged", "max_iter" (budget spent),
-    "line_search" (no trial step of at least _STEP_MIN passed) or
-    "stalled" (in the gradient-norm phase the projected gradient has
-    not halved in _STALL iterations and the last step moved the iterate
-    by less than its rounding: the gradient is at its rounding floor,
-    above tol).  After a failed line search final_step is the step below
-    the floor (Armijo phase) or the last accepted one.
+    evaluations, final_step, history, pg_norm, termination), evaluations
+    counting the _evaluate calls and termination being why the descent
+    stopped: "converged", "max_iter" (budget spent), "line_search" (no
+    trial step of at least _STEP_MIN passed) or "stalled" (in the
+    gradient-norm phase the projected gradient has not halved in _STALL
+    iterations and the last step moved the iterate by less than its
+    rounding: the gradient is at its rounding floor, above tol).  After
+    a failed line search final_step is the step below the floor (Armijo
+    phase) or the last accepted one.
     """
-    w, _, _, precond, _ = grid.constants(_grid_constants)
-    Xh = _project(scipy.fft.rfft(X), masses, w)
+    mass_kinetic, mass_metric, _, precond, _ = grid.constants(_grid_constants)
+    Xh, kinetic = _project(scipy.fft.rfft(X), masses, mass_kinetic)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is refused below
-        e_cur, P, coef, X = _evaluate(Xh, masses, prm, grid)
-        pgnorm = math.sqrt(_total_pairing(P, P, w))
+        e_cur, P, coef, X = _evaluate(Xh, kinetic, masses, prm, grid)
+        (p0, g0), (p1, g1) = _squares(P, mass_metric)
+    pgnorm, gtd = math.sqrt(p0 + p1), g0 + g1
     if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
         raise ValidationError(
             f"energy {e_cur:.3e} or projected gradient {pgnorm:.3e} is not "
@@ -305,22 +328,22 @@ def _descend(X, masses, prm, grid, tol, budget, step0):
     eta = step0
     S = Y = None                  # the last step and its change of P
     mark = (0, pgnorm)            # iteration and pg norm of the last halving
-    rounding = np.finfo(float).eps * math.sqrt(masses.sum())  # of |Xh|
-    it = 0
+    rounding = np.finfo(float).eps * math.sqrt(sum(masses))  # of |Xh|
+    it, evaluations = 0, 1
     stop = "max_iter"
     while it < budget and pgnorm > tol:
         it += 1
         D = precond * P
         armijo = pgnorm > _PG_SWITCH
-        if armijo:
-            gtd = _total_pairing(P, D, w)
-            slack = 1e-13 * (1.0 + abs(e_cur))
-        trial = _first_trial(S, Y, eta, precond, w)
+        slack = 1e-13 * (1.0 + abs(e_cur))
+        trial = _first_trial(S, Y, eta, mass_metric)
         while trial >= _STEP_MIN:
-            cand = _project(Xh - trial * D, masses, w)
-            e_new, P_new, coef_new, X_new = _evaluate(cand, masses, prm,
-                                                      grid)
-            pg_new = math.sqrt(_total_pairing(P_new, P_new, w))
+            cand, kinetic = _project(Xh - trial * D, masses, mass_kinetic)
+            e_new, P_new, coef_new, X_new = _evaluate(cand, kinetic, masses,
+                                                      prm, grid)
+            evaluations += 1
+            (p0, g0), (p1, g1) = _squares(P_new, mass_metric)
+            pg_new = math.sqrt(p0 + p1)
             if (e_new <= e_cur - _ARMIJO * trial * gtd + slack if armijo
                     else pg_new <= pgnorm):
                 break
@@ -334,8 +357,8 @@ def _descend(X, masses, prm, grid, tol, budget, step0):
         # iterate's rounding leaves only noise in S and Y
         moved = trial * pgnorm > rounding
         S, Y = (cand - Xh, P_new - P) if moved else (None, None)
-        Xh, X, e_cur, P, coef, pgnorm = (cand, X_new, e_new, P_new,
-                                         coef_new, pg_new)
+        Xh, X, e_cur, P, coef, pgnorm, gtd = (cand, X_new, e_new, P_new,
+                                              coef_new, pg_new, g0 + g1)
         eta = trial
         history.append(e_cur)
         if armijo or pgnorm <= 0.5 * mark[1]:
@@ -344,7 +367,8 @@ def _descend(X, masses, prm, grid, tol, budget, step0):
             stop = "stalled"
             break
     stop = "converged" if pgnorm <= tol else stop
-    return Xh, (e_cur, P, coef, X), it, eta, history, pgnorm, stop
+    return (Xh, (e_cur, P, coef, X), it, evaluations, eta, history, pgnorm,
+            stop)
 
 
 def _initial_fields(s, t, prm, grid):
@@ -494,7 +518,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             "with zero long-wave mass and no short-wave self-interaction "
             "the constrained infimum is 0 and is not attained")
 
-    masses = np.array([s, t], dtype=np.float64)
+    masses = (float(s), float(t))
     if warm_start is not None:
         try:
             X = np.array(warm_start, dtype=np.float64)
@@ -503,20 +527,20 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         if X.shape != (2, grid.n) or not np.all(np.isfinite(X)):
             raise ValidationError(
                 f"warm_start needs two finite rows of {grid.n} samples")
-        if np.any((masses > 0.0) & ~X.any(axis=1)):
+        if any(m > 0.0 and not row.any() for m, row in zip(masses, X)):
             raise ValidationError(
                 "warm_start has an all-zero row where the mass is positive")
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
 
-    Xh, last, iters, final_step, history, pgnorm, termination = _descend(
-        X, masses, prm, grid, opts.tol, opts.max_iter,
-        _STEP0 if warm_start is None else _STEP_WARM)
+    (Xh, last, iters, evaluations, final_step, history, pgnorm,
+     termination) = _descend(X, masses, prm, grid, opts.tol, opts.max_iter,
+                             _STEP0 if warm_start is None else _STEP_WARM)
 
     report = MinimizeReport(
         iterations=iters, final_step=final_step,
         energy_history=history, termination=termination,
-        I_value=math.nan, pg_norm=pgnorm)
+        I_value=math.nan, pg_norm=pgnorm, evaluations=evaluations)
     if termination != "converged":
         cause = {
             "max_iter": f"no convergence within {opts.max_iter} iterations",
@@ -535,16 +559,18 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     # mode), re-project and evaluate again
     e_val, P, coef, X = last
     y = _circular_centroid(X[1] * X[1] if t > 0.0 else X[0] * X[0], grid)
-    w = grid.constants(_grid_constants).w
+    consts = grid.constants(_grid_constants)
     if abs(y) > np.finfo(float).eps * grid.half_length:
-        Xh = _project(
+        Xh, kinetic = _project(
             Xh * np.exp(1j * grid.wavenumbers[:grid.n // 2 + 1] * y),
-            masses, w)
-        e_val, P, coef, X = _evaluate(Xh, masses, prm, grid)
-    live = masses > 0.0
-    X[~live] = 0.0                # a projected zero row may hold -0.0
-    (sigma, c), (res_phi, res_psi) = np.where(live, [
-        -0.5 * coef, 0.5 * np.sqrt(_pairings(P, P, w))], math.nan).tolist()
+            masses, consts.mass_kinetic)
+        e_val, P, coef, X = _evaluate(Xh, kinetic, masses, prm, grid)
+        report.evaluations += 1
+    (sigma, res_phi), (c, res_psi) = (
+        (-0.5 * k, 0.5 * math.sqrt(pg2)) if m > 0.0 else (math.nan,) * 2
+        for k, (pg2, _), m in zip(coef, _squares(P, consts.mass_metric),
+                                  masses))
+    X[[m == 0.0 for m in masses]] = 0.0   # a projected zero row may hold -0.0
     phi, psi = X
     if float(np.sum(phi)) < 0.0:
         phi = -phi

@@ -549,6 +549,18 @@ def test_overflowing_start_rejected(grid_small, alpha):
             nk.minimize_I(1.0, 1.0, prm, grid_small)
 
 
+def test_underflowing_warm_row_rejected(grid_small, prm_coupled):
+    # a nonzero warm row whose squares underflow has zero norm; the
+    # projection scales it by inf, as an array division would, and the
+    # start is refused with a typed error, not a ZeroDivisionError
+    gauss = np.exp(-grid_small.x ** 2 / 8.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(nk.ValidationError,
+                           match="not finite at the start"):
+            nk.minimize_I(1.0, 1.0, prm_coupled, grid_small,
+                          warm_start=(1e-170 * gauss, gauss))
+
+
 class TestSpectralDescent:
     # the descent holds the rfft half spectrum of [phi; psi]; its
     # quadratures come from Parseval and a trial costs two transforms
@@ -578,6 +590,71 @@ class TestSpectralDescent:
         close(minimize_mod._pairings(Xh, Xh,
                                      minimize_mod._half_weights(grid, 1)).sum(),
               kinetic, kinetic)
+
+    @given(half=st.integers(4, 512), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fused_weights_match_pairings(self, half, seed):
+        # one product with a two-row weight stack gives what two
+        # single-weight _pairings give, and <Y, K Y> from the weight w K
+        # is the pairing of Y with K Y
+        grid = nk.make_grid(10.0 + seed % 31, 2 * half)
+        rng = np.random.default_rng(seed)
+        Xh, Y = (scipy.fft.rfft(rng.standard_normal((2, grid.n))
+                                * rng.lognormal(0.0, 2.0, (2, 1)))
+                 for _ in range(2))
+        consts = grid.constants(minimize_mod._grid_constants)
+        w, kinetic = (minimize_mod._half_weights(grid, k) for k in (0, 1))
+        KY = consts.precond * Y
+
+        def close(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+        pairings = minimize_mod._pairings
+        close(minimize_mod._squares(Xh, consts.mass_kinetic),
+              np.stack([pairings(Xh, Xh, w), pairings(Xh, Xh, kinetic)], 1))
+        close(minimize_mod._squares(Y, consts.mass_metric),
+              np.stack([pairings(Y, Y, w), pairings(Y, KY, w)], 1))
+        close(minimize_mod._total_pairing(Y, Y, consts.mass_metric[1]),
+              pairings(Y, KY, w).sum())
+        # the projection's kinetic energy is that of its projected rows;
+        # a zero-mass row is zeroed and adds nothing
+        for masses in ((0.7, 1.9), (0.0, 1.3)):
+            proj, energy = minimize_mod._project(Xh, masses,
+                                                 consts.mass_kinetic)
+            close(pairings(proj, proj, w), masses)
+            close(energy, pairings(proj, proj, kinetic).sum())
+        assert not proj[0].any()
+
+    @pytest.mark.parametrize("start", ["cold", "warm", "recentred"])
+    def test_report_counts_evaluations(self, grid40, prm_coupled, start,
+                                       monkeypatch):
+        # MinimizeReport.evaluations counts the _evaluate calls of a
+        # solve: the start, every trial and a recentring
+        warm = None
+        if start != "cold":
+            warm = minimize_mod._stack(
+                nk.minimize_I(1.0, 1.0, prm_coupled, grid40)[0])
+            if start == "recentred":
+                warm = np.real(shift_values(warm, grid40, 2.5 * grid40.dx))
+        calls, descended = [], []
+        evaluate, descend = minimize_mod._evaluate, minimize_mod._descend
+
+        def recorded(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        def recorded_descend(*args):
+            out = descend(*args)
+            descended.append(len(calls))
+            return out
+        monkeypatch.setattr(minimize_mod, "_evaluate", recorded)
+        monkeypatch.setattr(minimize_mod, "_descend", recorded_descend)
+        _, rep = nk.minimize_I(1.1, 0.9, prm_coupled, grid40,
+                               warm_start=warm)
+        assert rep.iterations > 0
+        assert rep.evaluations == len(calls) > rep.iterations
+        # only the shifted start is recentred, by one more evaluation
+        assert len(calls) - descended[0] == (start == "recentred")
 
     def test_two_transforms_per_trial(self, grid40, prm_coupled,
                                       monkeypatch):

@@ -82,6 +82,40 @@ def test_scaling_identity_fails_off_its_case(grid40):
     assert _scaling_gap(pair) > 0.1
 
 
+def _ray_gap(prm, s1, t1, mu, grid) -> float:
+    # along the ray (s2, t2) = mu (s1, t1) the scaling law gives
+    # I(mu s1, mu t1) = mu^(5/3) I(s1, t1), so the subadditivity margin
+    # is -I(s1, t1) ((1 + mu)^(5/3) - 1 - mu^(5/3)); the relative gap
+    opts = nk.MinimizeOptions(tol=1e-10)
+    i1 = nk.minimize_I(s1, t1, prm, grid, opts)[0].energy_value
+    want = -i1 * ((1.0 + mu) ** (5.0 / 3.0) - 1.0 - mu ** (5.0 / 3.0))
+    got = nk.subadditivity_probe(s1, t1, mu * s1, mu * t1, prm, grid, opts)
+    return abs(got - want) / abs(want)
+
+
+# (s1, t1, mu) on the physics of the scaling law: p = 1 with q = 1
+# (default) or tau1 = 0
+RAY_CASES = [(0.8, 0.6, 0.5), (1.0, 1.0, 1.0), (0.6, 1.2, 2.0),
+             (1.5, 0.5, 0.75)]
+
+
+@pytest.mark.parametrize("params", [
+    dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0),
+    dict(alpha=2.0, tau1=0.0, tau2=1.0, p=1, q=2.0)], ids=["q1", "tau1_0"])
+@pytest.mark.parametrize("s1, t1, mu", RAY_CASES)
+def test_subadditivity_on_a_ray(grid40, params, s1, t1, mu):
+    # measured at tol 1e-10: <= 5.1e-15 relative, so the 1e-12 gate
+    # leaves a margin of about 200
+    assert _ray_gap(nk.PhysParams(**params), s1, t1, mu, grid40) <= 1e-12
+
+
+def test_subadditivity_ray_fails_off_its_case(grid40):
+    # at q = 2 with tau1 = 1 the scaling law does not hold: the margin
+    # is off the ray value by 0.36 of it here
+    prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=2.0)
+    assert _ray_gap(prm, 1.0, 1.0, 1.0, grid40) > 0.1
+
+
 # (params, s, t): three cases at p = 1 and three at p = 7/5
 ENVELOPE_CASES = [
     (dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0), 1.0, 1.0),
