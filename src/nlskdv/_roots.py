@@ -3,9 +3,10 @@ without Derivatives, ch. 4).
 
 A line-for-line port of scipy's brentq (scipy/optimize/Zeros/brentq.c and
 its Python wrapper): it visits the same points in the same order and
-returns the same root, so the package can find its two roots without
-importing scipy.optimize, which also loads scipy.linalg, scipy.sparse and
-a second BLAS.
+returns the same root, so the package can find its one root, the KdV
+profile's width for a mass (exact.lambda_for_mass), without importing
+scipy.optimize, which also loads scipy.linalg, scipy.sparse and a second
+BLAS.
 """
 
 from __future__ import annotations

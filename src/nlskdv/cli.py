@@ -230,8 +230,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     others; the command then exits 4 naming the failed points.
     """
     jobs = [(s, t, cfg) for s in cfg.s_values for t in cfg.t_values]
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(jobs))   # a fork pool starts all
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_point, jobs))
     else:
         points = [_sweep_point(j) for j in jobs]

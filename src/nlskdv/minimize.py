@@ -29,7 +29,8 @@ descent stalls for thousands of iterations.
 Lagrange multipliers come from pairing the energy gradient with the
 profiles themselves (sigma = -<dE/dphi, phi>/2s, c = -<dE/dpsi, psi>/2t),
 and the residuals dE/2 + multiplier * profile of the stationarity
-system are the convergence certificates.
+system are the convergence certificates.  minimize_W runs the same
+descent with psi's row free and the twist penalty (t - |psi|^2)^2/s.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.fft
 
-from ._roots import _RTOL, brentq
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
@@ -63,8 +63,8 @@ _STEP_MIN = 1e-16                 # a line search fails below this step
 _PG_SWITCH = 1e-4                 # below this, accept on gradient norm
 _STALL = 100                      # gradient-norm iterations to halve pg in
 _CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
+_TWIST_TOL = 5e-13                # and of its descent on F, at most
 _W_SCAN_NODES = 17
-_W_XTOL = 1e-15                   # brentq's xtol on W'
 
 
 @dataclass
@@ -133,13 +133,15 @@ class MinimizeReport:
 
 @dataclass
 class WSolution:
-    """Minimizer of the two-invariant problem, via the 1-D mass split.
+    """Minimizer of the two-invariant problem (see minimize_W).
 
     a_star is the optimal long-wave mass, b the phase-twist slope
     (t - a_star)/s, and Phi the twisted short-wave profile.  omega and c
     are the multipliers of the twisted stationarity system; pair is the
     underlying mass-constrained minimizer.  twist_gap = |c + 2b| = |W'|
-    is the residual of the root-find in a (NaN when c is undefined).
+    is the joint descent's residual along psi, <G_psi - 4b psi, psi>/2a*
+    (NaN when c is undefined).  n_solves counts the inner minimize_I
+    calls that returned a pair, n_unavailable those refused for the box.
     """
 
     a_star: float
@@ -220,29 +222,36 @@ def _squares(A, weights):
 def _project(Xh, masses, mass_kinetic):
     """Each half-spectrum row scaled to its mass (zero-mass rows to 0).
 
-    Returns the rows and their kinetic energy, sum (m / r) k over rows of
-    mass m > 0 with r and k the row's mass and kinetic pairing from one
-    _squares product.  A zero row of mass m > 0 scales by inf.
+    A row of mass None is free and kept.  Returns the rows, their kinetic
+    energy, sum (m / r) k over rows of mass m > 0 and k of a free row,
+    with r and k the row's mass and kinetic pairing from one _squares
+    product, and masses with a free row's r in place of None.  A zero
+    row of mass m > 0 scales by inf.
     """
-    scales, kinetic = [0.0, 0.0], 0.0
+    scales, kinetic, rows = [0.0, 0.0], 0.0, list(masses)
     for i, (m, (r, k)) in enumerate(zip(masses, _squares(Xh, mass_kinetic))):
-        if m > 0.0:
+        if m is None:
+            scales[i], kinetic, rows[i] = 1.0, kinetic + k, r
+        elif m > 0.0:
             ratio = m / r if r else math.inf
             scales[i] = math.sqrt(ratio)
             kinetic += ratio * k
-    return Xh * np.array(scales)[:, None], kinetic
+    return Xh * np.array(scales)[:, None], kinetic, rows
 
 
-def _evaluate(Xh, kinetic, masses, prm, grid):
+def _evaluate(Xh, kinetic, rows, prm, grid, twist=None):
     """(energy, P, coef, X) at the half spectrum Xh, X its real stack.
 
-    Xh and its kinetic energy are as _project returns them.  The gradient
-    G = -2 (d^2/dx^2 X + N) projects to P = G - coef Xh, coef = <G, Xh>/mass
-    per row, as floats (0, and P = 0, at zero mass): the multipliers are
-    -coef/2 and the stationarity residuals P/2.  One inverse transform
-    gives N and the potential energy, one forward transform N's spectrum.
-    N is written into the (2, n) buffer the forward transform reads, and
-    P is built in place on that transform's output.
+    Xh, its kinetic energy and row masses are as _project returns them.
+    The gradient G = -2 (d^2/dx^2 X + N) projects to P = G - coef Xh,
+    coef = <G, Xh>/mass per row, as floats (0, and P = 0, at zero mass):
+    the multipliers are -coef/2 and the stationarity residuals P/2.  A
+    twist t penalizes a free row 1 of mass r: the energy gains b^2 s,
+    b = (t - r)/s, s = rows[0], and the row's coef is 4b, so its P is
+    F's gradient G - 4b Xh.  One inverse transform gives N and the
+    potential energy, one forward transform N's spectrum.  N is written
+    into the (2, n) buffer the forward transform reads, and P is built
+    in place on that transform's output.
     """
     mass_kinetic, _, laplacian, _, _ = grid.constants(_grid_constants)
     X = scipy.fft.irfft(Xh, grid.n)
@@ -252,10 +261,14 @@ def _evaluate(Xh, kinetic, masses, prm, grid):
     P += laplacian * Xh
     P *= -2.0
     coef = [g / m if m > 0.0 else 0.0 for g, m in
-            zip(_pairings(P, Xh, mass_kinetic[0]).tolist(), masses)]
+            zip(_pairings(P, Xh, mass_kinetic[0]).tolist(), rows)]
+    if twist is not None:
+        gap = twist - rows[1]
+        e += gap * gap / rows[0]
+        coef[1] = 4.0 * gap / rows[0]
     P -= np.array(coef)[:, None] * Xh
-    if 0.0 in masses:
-        P[[m == 0.0 for m in masses]] = 0.0
+    if 0.0 in rows:
+        P[[m == 0.0 for m in rows]] = 0.0
     return e, P, coef, X
 
 
@@ -281,10 +294,12 @@ def _first_trial(S, Y, eta, mass_metric):
     return min(max(bb, 0.5 * eta), 2.0 * eta, _STEP_MAX)
 
 
-def _descend(X, masses, prm, grid, tol, budget, step0):
+def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
     """Projected, preconditioned descent at fixed parameters.
 
-    X is the real (2, n) stack [phi; psi] and masses the floats (s, t).
+    X is the real (2, n) stack [phi; psi] and masses the floats (s, t),
+    or (s, None) with a twist t: then psi's row is free and the
+    objective is E + (t - |psi|^2)^2/s (see _evaluate).
     The iterate is held as the rfft half spectrum of the stack, projected
     by _project and evaluated by _evaluate; the H1 preconditioner is a
     division by 1 + k^2.  An accepted trial's evaluation is the new
@@ -314,10 +329,10 @@ def _descend(X, masses, prm, grid, tol, budget, step0):
     phase) or the last accepted one.
     """
     mass_kinetic, mass_metric, _, precond, _ = grid.constants(_grid_constants)
-    Xh, kinetic = _project(scipy.fft.rfft(X), masses, mass_kinetic)
+    Xh, kinetic, rows = _project(scipy.fft.rfft(X), masses, mass_kinetic)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is refused below
-        e_cur, P, coef, X = _evaluate(Xh, kinetic, masses, prm, grid)
+        e_cur, P, coef, X = _evaluate(Xh, kinetic, rows, prm, grid, twist)
         (p0, g0), (p1, g1) = _squares(P, mass_metric)
     pgnorm, gtd = math.sqrt(p0 + p1), g0 + g1
     if not (math.isfinite(e_cur) and math.isfinite(pgnorm)):
@@ -328,7 +343,7 @@ def _descend(X, masses, prm, grid, tol, budget, step0):
     eta = step0
     S = Y = None                  # the last step and its change of P
     mark = (0, pgnorm)            # iteration and pg norm of the last halving
-    rounding = np.finfo(float).eps * math.sqrt(sum(masses))  # of |Xh|
+    rounding = np.finfo(float).eps * math.sqrt(sum(rows))  # of |Xh|
     it, evaluations = 0, 1
     stop = "max_iter"
     while it < budget and pgnorm > tol:
@@ -338,9 +353,10 @@ def _descend(X, masses, prm, grid, tol, budget, step0):
         slack = 1e-13 * (1.0 + abs(e_cur))
         trial = _first_trial(S, Y, eta, mass_metric)
         while trial >= _STEP_MIN:
-            cand, kinetic = _project(Xh - trial * D, masses, mass_kinetic)
-            e_new, P_new, coef_new, X_new = _evaluate(cand, kinetic, masses,
-                                                      prm, grid)
+            cand, kinetic, rows = _project(Xh - trial * D, masses,
+                                           mass_kinetic)
+            e_new, P_new, coef_new, X_new = _evaluate(cand, kinetic, rows,
+                                                      prm, grid, twist)
             evaluations += 1
             (p0, g0), (p1, g1) = _squares(P_new, mass_metric)
             pg_new = math.sqrt(p0 + p1)
@@ -474,6 +490,20 @@ def convolution_fixed_point_gap(pair: SolitaryWavePair,
     return float(np.sqrt(grid.dx * np.sum(np.abs(gap) ** 2)))
 
 
+def _not_converged(stop, iters, pgnorm, tol, budget, report=None):
+    """The ConvergenceError of a descent that stopped short of tol."""
+    cause = {
+        "max_iter": f"no convergence within {budget} iterations",
+        "line_search": f"line search found no step >= {_STEP_MIN:.0e} "
+                       f"at iteration {iters}",
+        "stalled": f"projected gradient stalled, not halved in {_STALL} "
+                   f"iterations, at iteration {iters}"
+    }[stop]
+    return ConvergenceError(
+        f"{cause} (projected gradient {pgnorm:.3e} > tol {tol:.1e})",
+        report=report)
+
+
 def _enlarge(need: Optional[float]) -> str:
     """The close of a DomainTooSmallError message: the box to use, if known."""
     return "enlarge the box" + ("" if need is None else f" to L >= {need:.2f}")
@@ -542,16 +572,8 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         energy_history=history, termination=termination,
         I_value=math.nan, pg_norm=pgnorm, evaluations=evaluations)
     if termination != "converged":
-        cause = {
-            "max_iter": f"no convergence within {opts.max_iter} iterations",
-            "line_search": f"line search found no step >= {_STEP_MIN:.0e} "
-                           f"at iteration {iters}",
-            "stalled": f"projected gradient stalled, not halved in "
-                       f"{_STALL} iterations, at iteration {iters}"
-        }[termination]
-        raise ConvergenceError(
-            f"{cause} (projected gradient {pgnorm:.3e} > tol {opts.tol:.1e})",
-            report=report)
+        raise _not_converged(termination, iters, pgnorm, opts.tol,
+                             opts.max_iter, report)
 
     # the last evaluation certifies the solve (energy, multipliers,
     # residuals) unless the centroid must move by more than the
@@ -561,10 +583,10 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     y = _circular_centroid(X[1] * X[1] if t > 0.0 else X[0] * X[0], grid)
     consts = grid.constants(_grid_constants)
     if abs(y) > np.finfo(float).eps * grid.half_length:
-        Xh, kinetic = _project(
+        Xh, kinetic, rows = _project(
             Xh * np.exp(1j * grid.wavenumbers[:grid.n // 2 + 1] * y),
             masses, consts.mass_kinetic)
-        e_val, P, coef, X = _evaluate(Xh, kinetic, masses, prm, grid)
+        e_val, P, coef, X = _evaluate(Xh, kinetic, rows, prm, grid)
         report.evaluations += 1
     (sigma, res_phi), (c, res_psi) = (
         (-0.5 * k, 0.5 * math.sqrt(pg2)) if m > 0.0 else (math.nan,) * 2
@@ -676,38 +698,32 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                opts: Optional[MinimizeOptions] = None) -> WSolution:
     """Minimize the energy at fixed mass s and momentum t.
 
-    Reduces to a one-dimensional search over the long-wave mass a of
-    W(a) = I(s, a) + b(a)^2 s, b(a) = (t - a)/s.  Along minimizers
-    dI/da = -c, so each inner solve also gives the slope W' = -(c + 2b).
-    A 17-node scan keeps W and W' per node.  The zoom step of a
-    bracketing line search then refines the cell between the lowest node
-    and its downhill neighbour: when W' turns from negative to positive
-    across it, Brent's method finds the root of W' there; otherwise the
-    cell is halved and the zoom repeats from the lowest node, at most
-    once per scan node, after which the lowest node wins.  When W rises
-    from a = 0, a* = 0.  A downhill neighbour with no profile in the box
-    gets one midpoint solve before the search gives up; the error then
-    names the largest box the unavailable inner solves asked for.
+    With u = exp(-i b x) phi and b = (t - |psi|^2)/s (the twist
+    identity), the minimum is that of F = E(phi, psi) + (t - |psi|^2)^2/s
+    over real pairs with |phi|^2 = s, and of W(a) = I(s, a) + (t - a)^2/s
+    over the long-wave mass a.  Along minimizers dI/da = -c, so each
+    inner solve also gives the slope W' = -(c + 2b).  A 17-node scan
+    keeps W and W' per node; the cell between the lowest node and its
+    downhill neighbour places one descent on F (_descend with psi's row
+    free).  It starts from the profiles where the cell's coarse c + 2b
+    crosses zero (linearly; at the midpoint when the cell ends at a = 0
+    or its slopes keep their sign) and stops at a projected gradient of
+    min(opts.tol, 5e-13).  Its |psi|^2 is a*, and one warm
+    minimize_I(s, a*) at opts.tol certifies the pair (pair.t == a_star).
+    When W rises from a = 0, a* = 0 and the certificate re-solves that
+    node.  A downhill neighbour with no profile in the box gets one
+    midpoint solve before the search gives up; the error then names the
+    largest box the unavailable inner solves asked for.
 
-    The search is a natural-parameter continuation in a.  The scan
-    ascends from a = 0, which starts cold from its closed-form decoupled
-    profile; every later solve starts from the profiles of the solved
-    masses around it (interpolated between two, or extrapolated by the
-    quadratic through the three nearest on one side; see _warm_start).
-    Only when a = 0 has no pair is the first available node solved
-    cold.  Scan nodes, split points and the doubling of the range only
-    place brackets and warm starts, so they are solved to the
-    continuation tolerance max(opts.tol, 1e-6); the root-find's slope
-    evaluations and the returned pair are solved to opts.tol, a coarse
-    node warm from its own profiles.  Every warm solve starts its
-    descent at the unit step (see minimize_I).  Brent's closing steps
-    can land within its step floor, 1e-15 + 4 eps |a|, of masses
-    already solved to opts.tol; the one of those whose W' is nearest 0
-    stands in for such a mass, and a* is that solved mass, so
-    pair.t == a_star.  n_solves counts the minimize_I calls that
-    returned a pair (scan nodes, re-solves of coarse nodes at opts.tol,
-    and new masses), not the reused ones nor the unavailable ones,
-    which n_unavailable counts.  The short-wave profile is
+    The scan is a natural-parameter continuation in a: it ascends from
+    a = 0, solved cold from its closed-form decoupled profile (or the
+    first available node, when a = 0 has no pair), and every later node
+    starts from the profiles of the solved masses around it (see
+    _warm_start).  Scan nodes, the midpoint and the range doublings only
+    place the descent, so they are solved to max(opts.tol, 1e-6).
+    n_solves counts the minimize_I calls that returned a pair (scan
+    nodes, midpoint, certificate), n_unavailable those refused for the
+    box; the descent on F is neither.  The short-wave profile is
     reconstructed by the phase twist exp(-i b x).
 
     Restricted to long-wave powers below 4/3; beyond that the reduced
@@ -721,81 +737,61 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         raise ValidationError(
             f"momentum-constrained problem needs p < 4/3, got p={prm.p}")
 
-    # the twist term (t - a)^2/s must not overflow at any mass the scan,
-    # its 8 range doublings or the root-find's one-cell widening reach
+    # the twist term (t - a)^2/s must not overflow at any mass the scan
+    # and its 8 range doublings reach, with one range to spare
     a_max = abs(t) + 4.0 * math.sqrt(s * (1.0 + abs(t)))
     gap = 2.0 ** 9 * a_max - t      # >= |t - a| at every such mass
     if not math.isfinite(gap * gap / s):
         raise ValidationError(
             f"the twist term (t - a)^2/s overflows for s={s}, t={t}")
 
-    # key -> (W, pair, final): final entries are solved to opts.tol, the
-    # others to the continuation tolerance
-    cache: dict = {}
+    cache: dict = {}    # scan mass -> W
+    pairs: dict = {}    # scan mass -> its pair, where it has one
     scan_opts = dataclasses.replace(opts,
                                     tol=max(opts.tol, _CONTINUATION_TOL))
     solves = 0
     unavailable = 0
     need = None       # the largest box an unavailable node asked for
 
-    def solve_at(a: float, final: bool = False):
+    def solve(a: float, tol_opts: MinimizeOptions, warm):
+        # (W, pair) at a; pair is None where there is none
         nonlocal solves, unavailable, need
-        key = round(a, 15)
-        entry = cache.get(key)
-        if final:
-            # Brent's closing steps can land within its step floor of
-            # masses already solved to opts.tol, under this key or
-            # another; the one whose W' is nearest 0 stands in for them
-            floor = _W_XTOL + _RTOL * abs(a)
-            near = [v for v in cache.values() if v[2] and v[1] is not None
-                    and abs(v[1].t - a) <= floor]
-            if near:
-                return min(near, key=lambda v: abs(
-                    v[1].c + 2.0 * (t - v[1].t) / s))[:2]
-        if entry is not None and (entry[2] or not final):
-            return entry[:2]
-        if entry is not None:      # a coarse node, refined from itself
-            warm = _stack(entry[1])
-        else:
-            # a = 0 starts cold from its closed-form decoupled profile,
-            # which converges in a few iterations
-            warm = None if a == 0.0 else _warm_start(
-                a, {k: v[1] for k, v in cache.items() if v[1] is not None},
-                grid)
         try:
-            pair, _ = minimize_I(s, a, prm, grid,
-                                 opts if final else scan_opts,
-                                 warm_start=warm)
+            pair, _ = minimize_I(s, a, prm, grid, tol_opts, warm_start=warm)
         except UnattainedInfimumError:
-            entry = (t * t / s, None, True)    # I(s,0) = 0, unattained
+            return t * t / s, None            # I(s,0) = 0, unattained
         except DomainTooSmallError as err:
-            # profile too wide for the box at this node; record it as
+            # profile too wide for the box at this mass; record it as
             # unavailable and keep scanning
             unavailable += 1
             if err.half_length_needed is not None:
                 need = max(need or 0.0, err.half_length_needed)
-            entry = (math.inf, None, True)
-        else:
-            solves += 1
-            entry = (pair.energy_value + (t - a) ** 2 / s, pair,
-                     final or scan_opts.tol == opts.tol)
-        cache[key] = entry
-        return entry[:2]
+            return math.inf, None
+        solves += 1
+        return pair.energy_value + (t - a) ** 2 / s, pair
 
-    def slope(a: float, final: bool = False) -> float:
-        # -W'(a) = c + 2b; a = 0 has no long-wave multiplier, take a -> 0+
+    def solve_at(a: float) -> float:
+        # W at a scan mass, solved once to the continuation tolerance;
+        # a = 0 starts cold from its closed-form decoupled profile,
+        # which converges in a few iterations
+        key = round(a, 15)
+        if key not in cache:
+            cache[key], pair = solve(a, scan_opts, None if a == 0.0
+                                     else _warm_start(a, pairs, grid))
+            if pair is not None:
+                pairs[key] = pair
+        return cache[key]
+
+    def slope(a: float) -> float:
+        # -W'(a) = c + 2b at a scan mass with a profile; a = 0 has no
+        # long-wave multiplier, take a -> 0+
         if a == 0.0:
             return math.inf if prm.alpha > 0.0 else 2.0 * t / s
-        pair = solve_at(a, final)[1]
-        if pair is None:
-            raise DomainTooSmallError(
-                f"no profile at long-wave mass a = {a:.6g}; " + _enlarge(need),
-                half_length_needed=need)
-        return pair.c + 2.0 * (t - a) / s
+        return pairs[round(a, 15)].c + 2.0 * (t - a) / s
 
     for _ in range(9):
         nodes = [float(a) for a in np.linspace(0.0, a_max, _W_SCAN_NODES)]
-        vals = [solve_at(a)[0] for a in nodes]
+        vals = [solve_at(a) for a in nodes]
         if np.argmin(vals) < len(nodes) - 1:
             break
         a_max *= 2.0
@@ -803,55 +799,56 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         raise BoundaryMinimumError(
             f"scan minimum stuck at the upper endpoint a = {a_max}")
 
-    def root(lo, hi):
-        # the root of W' to rounding in a (xtol ~ 0 leaves brentq's 4 eps
-        # relative floor).  The bracket comes from coarse slopes; a root
-        # within their error of one end may lie just past it, in the cell
-        # of the same width on that side.
-        if slope(lo, True) < 0.0:
-            lo, hi = max(2.0 * lo - hi, 0.0), lo
-        elif slope(hi, True) > 0.0:
-            lo, hi = hi, 2.0 * hi - lo
-        return brentq(slope, lo, hi, args=(True,), xtol=_W_XTOL)
-
-    # the zoom step of a bracketing line search (Nocedal & Wright, §3.5):
-    # refine the cell between the best node and its downhill neighbour
-    # by halving it until its slopes bracket a root of W'
+    # the cell between the best node and its downhill neighbour; a
+    # neighbour with no profile gets one midpoint solve before the
+    # search gives up
     widened = False
-    for _ in range(len(nodes)):
+    while True:
         best = int(np.argmin(vals))
         j = best + (1 if slope(nodes[best]) >= 0.0 else -1)
-        if j < 0:                  # W rises from a = 0
-            if math.isfinite(vals[1]):
-                a_star = 0.0
+        if j < 0:
+            if math.isfinite(vals[1]):     # W rises from a = 0
                 break
             j = 1
         lo = min(best, j)
-        a0, a1 = nodes[lo], nodes[lo + 1]
-        am = 0.5 * (a0 + a1)
-        if math.isinf(vals[j]):
-            # halve the gap to a node with no profile before giving up
-            if widened:
-                raise DomainTooSmallError(
-                    "the scan minimum abuts long-wave masses whose profiles "
-                    "do not fit the box; " + _enlarge(need),
-                    half_length_needed=need)
-            widened = True
-        elif slope(a0) > 0.0 > slope(a1):
-            a_star = root(a0, a1)
+        if math.isfinite(vals[j]):
             break
-        else:
-            slope(am)  # raises when the split point has no profile
+        if widened:
+            raise DomainTooSmallError(
+                "the scan minimum abuts long-wave masses whose profiles "
+                "do not fit the box; " + _enlarge(need),
+                half_length_needed=need)
+        widened = True
+        am = 0.5 * (nodes[lo] + nodes[lo + 1])
         nodes.insert(lo + 1, am)
-        vals.insert(lo + 1, solve_at(am)[0])
+        vals.insert(lo + 1, solve_at(am))
+
+    if j < 0:
+        a_star, pair = 0.0, pairs.get(0.0)
+        if pair is None:
+            raise UnattainedInfimumError(
+                "the search settled on zero long-wave mass with no "
+                "short-wave self-interaction; no minimizer exists there")
+        warm = _stack(pair)
     else:
-        a_star = nodes[int(np.argmin(vals))]
-    w_value, pair = solve_at(a_star, True)
+        # the descent on F from where the cell's coarse c + 2b crosses 0
+        a0, a1 = nodes[lo], nodes[lo + 1]
+        g0, g1 = slope(a0), slope(a1)
+        w = g0 / (g0 - g1) if a0 > 0.0 and g0 > 0.0 > g1 else 0.5
+        tol = min(opts.tol, _TWIST_TOL)
+        Xh, last, iters, _, _, _, pgnorm, stop = _descend(
+            _warm_start(a0 + w * (a1 - a0), pairs, grid), (s, None), prm,
+            grid, tol, opts.max_iter, _STEP_WARM, twist=t)
+        if stop != "converged":
+            raise _not_converged(stop, iters, pgnorm, tol, opts.max_iter)
+        a_star = _squares(Xh, grid.constants(_grid_constants)
+                          .mass_kinetic)[1][0]
+        warm = last[3]
+    w_value, pair = solve(a_star, opts, warm)
     if pair is None:
-        raise UnattainedInfimumError(
-            "the search settled on zero long-wave mass with no short-wave "
-            "self-interaction; no minimizer exists there")
-    a_star = pair.t             # a near-duplicate's solved mass
+        raise DomainTooSmallError(
+            f"no profile at long-wave mass a = {a_star:.6g}; "
+            + _enlarge(need), half_length_needed=need)
 
     b = (t - a_star) / s
     Phi_vals = np.exp(-1j * b * grid.x) * pair.phi.values

@@ -21,8 +21,9 @@ JSON record per case:
 
 Each record holds the status ("solved" or the error type) and message,
 and for a solved case W, a*, twist_gap and n_solves (W set) or I, sigma
-and c (cold set), with the descent iterations and the `_evaluate`
-calls it made.  Both sets take a few minutes.
+and c (cold set), with the descent iterations (of every `_descend`
+call, so also a descent `minimize_W` runs outside `minimize_I`) and
+the `_evaluate` calls it made.  Both sets take a few minutes.
 
 --compare prints, per set, the status counts, how many error messages
 differ, the largest difference of every value (relative for W and I,
@@ -93,23 +94,27 @@ def cold_cases():
 
 
 class _Counts:
-    """Counts _evaluate calls and the descent iterations of minimize_I."""
+    """Counts _evaluate calls and the iterations of every _descend call.
+
+    Counting at _descend sees every descent, whoever runs it:
+    minimize_I's and any that minimize_W runs itself.
+    """
 
     def __init__(self, mod):
         self.evaluations = self.iterations = 0
-        evaluate, solve = mod._evaluate, mod.minimize_I
+        evaluate, descend = mod._evaluate, mod._descend
 
         def counted_evaluate(*args, **kwargs):
             self.evaluations += 1
             return evaluate(*args, **kwargs)
 
-        def counted_solve(*args, **kwargs):
-            pair, report = solve(*args, **kwargs)
-            self.iterations += report.iterations
-            return pair, report
+        def counted_descend(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            self.iterations += out[2]       # (Xh, last, iterations, ...)
+            return out
 
         mod._evaluate = counted_evaluate
-        mod.minimize_I = counted_solve
+        mod._descend = counted_descend
 
     def take(self):
         out = dict(iterations=self.iterations, evaluations=self.evaluations)

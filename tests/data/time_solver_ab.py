@@ -12,8 +12,9 @@ This works because the package imports its own modules relatively.
 
 One rep times, for each side, `--solves` cold `minimize_I` at random
 (s, t) in [0.5, 2.5]^2 (L=40, n=1024, default physics; the same points
-on both sides, drawn anew per rep) and `--w-calls` `minimize_W(1, 0.5)`
-at L=30, n=768.  The side that goes first alternates from rep to rep,
+on both sides, drawn anew per rep) and `--w-calls` rounds of
+`minimize_W` over the four `family` W points, (s, t) = (1, 0.5),
+(1, 1), (1.5, 0.75) and (2, 1), at L=30, n=768.  The side that goes first alternates from rep to rep,
 so a drift of the machine's speed falls on both.  Every call is
 preceded by a warm-up of both sides.  The script prints, per rep, the
 median cold solve and the median W-solve of each side and their ratios
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 LATTICE = (0.5, 2.5)
+W_POINTS = ((1.0, 0.5), (1.0, 1.0), (1.5, 0.75), (2.0, 1.0))
 DEFAULT = dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
 
 
@@ -69,9 +71,10 @@ class _Side:
     def wsolve(self, calls):
         times = []
         for _ in range(calls):
-            start = time.perf_counter()
-            self.pkg.minimize_W(1.0, 0.5, self.prm, self.wgrid)
-            times.append(time.perf_counter() - start)
+            for s, t in W_POINTS:
+                start = time.perf_counter()
+                self.pkg.minimize_W(s, t, self.prm, self.wgrid)
+                times.append(time.perf_counter() - start)
         return times
 
 

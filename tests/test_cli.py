@@ -556,6 +556,38 @@ def test_outside_theorem_flag(cfgfile):
     assert cfg2.manifest()["outside_theorem"] is False
 
 
+@pytest.mark.parametrize("workers, pools", [(5000, [4]), (2, [2]), (1, [])])
+def test_sweep_pool_bounded_by_points(tmp_path, monkeypatch, workers, pools):
+    # under fork a pool starts all its max_workers processes at the first
+    # submit, so the sweep asks for no more workers than points; the fake
+    # pool records its size and maps in this process, starting none
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    code = main(["sweep", "--set", "grid.half_length=30",
+                 "--set", "grid.points=256",
+                 "--set", "sweep.s_values=0.8, 1.2",
+                 "--set", "sweep.t_values=0.9, 1.1",
+                 "--set", f"sweep.workers={workers}",
+                 "--set", f"output.directory={tmp_path / 'out'}"])
+    assert code == 0
+    assert sizes == pools
+    assert [r["status"] for r in _sweep_csv(tmp_path)[1]] == ["ok"] * 4
+
+
 def test_sweep_parallel_workers(tmp_path):
     cfg = tmp_path / "sweeppar.cfg"
     cfg.write_text("""

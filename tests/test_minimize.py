@@ -617,13 +617,17 @@ class TestSpectralDescent:
         close(minimize_mod._total_pairing(Y, Y, consts.mass_metric[1]),
               pairings(Y, KY, w).sum())
         # the projection's kinetic energy is that of its projected rows;
-        # a zero-mass row is zeroed and adds nothing
-        for masses in ((0.7, 1.9), (0.0, 1.3)):
-            proj, energy = minimize_mod._project(Xh, masses,
-                                                 consts.mass_kinetic)
-            close(pairings(proj, proj, w), masses)
+        # a zero-mass row is zeroed and adds nothing, a free row (None)
+        # is kept and reports its own mass
+        for masses in ((0.7, 1.9), (0.0, 1.3), (0.7, None)):
+            proj, energy, rows = minimize_mod._project(Xh, masses,
+                                                       consts.mass_kinetic)
+            close(pairings(proj, proj, w), rows)
             close(energy, pairings(proj, proj, kinetic).sum())
-        assert not proj[0].any()
+            if masses[0] == 0.0:
+                assert not proj[0].any()
+        assert rows[0] == 0.7 and np.array_equal(proj[1], Xh[1])
+        close(rows[1], pairings(Xh, Xh, w)[1])
 
     @pytest.mark.parametrize("start", ["cold", "warm", "recentred"])
     def test_report_counts_evaluations(self, grid40, prm_coupled, start,
@@ -838,8 +842,8 @@ class TestMinimizeW:
 
     def test_unavailable_trial_point(self, grid_small, prm_coupled,
                                      monkeypatch):
-        # inner solves past the scan's nodes (the root-find's trial
-        # points) fail as a profile too wide for the box would
+        # the inner solve past the scan's nodes (the certificate at a*)
+        # fails as a profile too wide for the box would
         calls = []
         solve = minimize_mod.minimize_I
         nodes = minimize_mod._W_SCAN_NODES
@@ -910,17 +914,29 @@ class TestMinimizeW:
                                       (2.0, 1.0)])
     def test_no_near_duplicate_final_solves(self, s, t, prm_coupled,
                                             monkeypatch):
-        # the family W points: Brent's closing steps that land within its
-        # step floor, 1e-15 + 4 eps |a|, of a mass solved to the final
-        # tolerance reuse that solve, and a* is the solved mass
+        # the family W points: the scan's 17 nodes, then one solve to the
+        # final tolerance, the certificate at a*, which the descent on F
+        # leaves converged
         calls = self._record_inner_solves(monkeypatch)
         sol = nk.minimize_W(s, t, prm_coupled, nk.make_grid(30.0, 768))
         assert sol.pair.t == sol.a_star
-        final = sorted(a for a, _, tol, it in calls
-                       if tol == MinimizeOptions().tol and it is not None)
-        floor = 4.0 * np.finfo(float).eps
-        for a0, a1 in zip(final, final[1:]):
-            assert a1 - a0 > 1e-15 + floor * abs(a1)
+        final = [(a, it) for a, _, tol, it in calls
+                 if tol == MinimizeOptions().tol]
+        assert final == [(sol.a_star, 0)]
+        assert len(calls) == sol.n_solves <= minimize_mod._W_SCAN_NODES + 1
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, -1.5])
+    def test_neighbours_not_lower(self, t, prm_coupled):
+        # W(a*) is the minimum of I(s, a) + (t - a)^2/s: solved to the
+        # same tolerance, the masses a* +- 1e-3 give no lower W, less
+        # rounding (they lie ~1e-6 above, 2e-4 near a* = 0.004)
+        grid = nk.make_grid(30.0, 768)
+        sol = nk.minimize_W(1.0, t, prm_coupled, grid)
+        for a in (sol.a_star - 1e-3, sol.a_star + 1e-3):
+            if a > 0.0:
+                pair, _ = nk.minimize_I(1.0, a, prm_coupled, grid)
+                w = pair.energy_value + (t - a) ** 2
+                assert w >= sol.W_value - 1e-14 * abs(sol.W_value), a
 
     @staticmethod
     def _record_inner_solves(monkeypatch):
@@ -950,12 +966,19 @@ class TestMinimizeW:
         assert cold == [0.0]
 
     def test_descent_iteration_budget(self, prm_coupled, monkeypatch):
-        # warm scan nodes at the continuation tolerance: 248 descent
-        # iterations in all (392 with a cold top node and every node
-        # solved to the final tolerance)
-        calls = self._record_inner_solves(monkeypatch)
+        # every descent of the search, counted at _descend: 159 in the
+        # warm scan nodes at the continuation tolerance, 39 on F and 0
+        # in the certificate
+        iterations = []
+        descend = minimize_mod._descend
+
+        def recorded(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            iterations.append(out[2])
+            return out
+        monkeypatch.setattr(minimize_mod, "_descend", recorded)
         nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
-        assert sum(it for _, _, _, it in calls) <= 300
+        assert sum(iterations) <= 300
 
     def test_minimum_at_zero_refined(self, monkeypatch):
         # alpha = 0, t < 0: W' > 0 on (0, a_max), so a* = 0, the scan's
@@ -998,7 +1021,7 @@ class TestMinimizeW:
         # minimize_W(1, t) with the coarse c of one scan node moved by
         # bias: the first node right of the unbiased a* (side 0) or the
         # last left of it (side -1).  Returns the unbiased and biased
-        # solutions, the node and the brackets passed to brentq
+        # solutions
         grid = nk.make_grid(30.0, 768)
         want = nk.minimize_W(1.0, t, prm, grid)
         nodes = np.linspace(0.0, t + 4.0 * math.sqrt(1.0 + t),
@@ -1012,69 +1035,35 @@ class TestMinimizeW:
                 pair = dataclasses.replace(pair, c=pair.c + bias)
             return pair, report
 
-        brackets = []
-        brentq = minimize_mod.brentq
-
-        def recorded(f, lo, hi, **kwargs):
-            brackets.append((lo, hi))
-            return brentq(f, lo, hi, **kwargs)
-
         monkeypatch.setattr(minimize_mod, "minimize_I", biased)
-        monkeypatch.setattr(minimize_mod, "brentq", recorded)
-        sol = nk.minimize_W(1.0, t, prm, grid)
-        return want, sol, node, brackets
+        return want, nk.minimize_W(1.0, t, prm, grid)
 
     @pytest.mark.parametrize("side,bias", [(0, 1.0), (-1, -1.0)])
     def test_root_past_coarse_bracket(self, side, bias, prm_coupled,
                                       monkeypatch):
         # a coarse slope of the wrong sign at a node next to the root
-        # moves the scan's bracket one cell away from it; the final slopes
-        # put the root back in the neighbouring cell, where Brent's method
-        # finds it
-        want, sol, _, _ = self._biased_search(0.5, side, bias, prm_coupled,
-                                              monkeypatch)
-        # other warm starts move the inner solves' c, and so the root, by
-        # up to ~1e-9 (the final tolerance); W is flat there
-        assert abs(sol.a_star - want.a_star) <= 1e-8
-        assert sol.W_value == pytest.approx(want.W_value, rel=1e-13)
-        assert sol.twist_gap <= 1e-12
-
-    def test_root_widens_right(self, prm_coupled, monkeypatch):
-        # at t = 0.7 the lowest scan node lies left of a*; biased, it is
-        # the upper end of the coarse bracket, and the final slope there
-        # moves the root-find to the cell on its right
-        want, sol, node, brackets = self._biased_search(
-            0.7, -1, -1.0, prm_coupled, monkeypatch)
-        assert brackets[0][0] == node and brackets[0][1] > want.a_star
-        assert abs(sol.a_star - want.a_star) <= 1e-8
-        assert sol.W_value == pytest.approx(want.W_value, rel=1e-13)
-        assert sol.twist_gap <= 1e-12
+        # moves the descent's start from the root's cell to a mass 0.05
+        # to 0.3 away from a* (at t = 0.5 the lowest node lies right of
+        # a*, at t = 0.7 left of it); the descent on F still ends at the
+        # same minimizer
+        for t in (0.5, 0.7):
+            want, sol = self._biased_search(t, side, bias, prm_coupled,
+                                            monkeypatch)
+            monkeypatch.undo()
+            # the descent starts elsewhere, so a* moves by up to ~1e-9;
+            # W is flat there
+            assert abs(sol.a_star - want.a_star) <= 1e-8, t
+            assert sol.W_value == pytest.approx(want.W_value, rel=1e-13)
+            assert sol.twist_gap <= 1e-12, t
 
     def test_minimum_between_hermite_nodes(self):
         # alpha = 0, t = 0: a* = (9/32) s^3 = 0.144 lies in the first scan
         # cell, whose end a = 0 has slope 2t/s = 0, so no slope sign change
-        # brackets it; the zoom finds it by halving that cell
+        # brackets it; the descent on F starts at that cell's midpoint
         prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
         sol = nk.minimize_W(0.8, 0.0, prm, nk.make_grid(40.0, 512))
         assert abs(sol.a_star - 0.144) <= 1e-7
         assert sol.twist_gap <= 1e-12
-
-    def test_zoom_halves_cell(self, monkeypatch):
-        # the case above: every split point after the scan's nodes is the
-        # midpoint of two masses solved before it
-        calls = self._record_inner_solves(monkeypatch)
-        prm = nk.PhysParams(alpha=0.0, tau1=1.0, tau2=6.0, p=1, q=1.0)
-        sol = nk.minimize_W(0.8, 0.0, prm, nk.make_grid(40.0, 512))
-        nodes = minimize_mod._W_SCAN_NODES
-        coarse = minimize_mod._CONTINUATION_TOL
-        split = [i for i, (_, _, tol, _) in enumerate(calls)
-                 if i >= nodes and tol == coarse]
-        assert split
-        for i in split:
-            before = {a for a, _, _, _ in calls[:i]}
-            assert any(0.5 * (a0 + a1) == calls[i][0]
-                       for a0 in before for a1 in before if a0 < a1)
-        assert sol.n_solves <= 25
 
     def test_range_doubling(self, monkeypatch):
         # alpha = 0, t = 0: a* = (9/32) s^3 = 7.59375 lies above the first
@@ -1153,6 +1142,14 @@ class TestMinimizeW:
         with pytest.raises(nk.ConvergenceError):
             nk.minimize_W(1.0, 0.5, prm_coupled, grid_small,
                           MinimizeOptions(max_iter=5))
+
+    def test_descent_on_F_budget_exhausted(self, prm_coupled):
+        # the scan's nodes take at most 15 iterations here, the descent
+        # on F 39: a budget of 20 stops the latter
+        with pytest.raises(nk.ConvergenceError,
+                           match=r"within 20 iterations .* > tol 5\.0e-13"):
+            nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768),
+                          MinimizeOptions(max_iter=20))
 
     def test_rejects_unstable_power(self, grid30):
         prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=2, q=1.0)
