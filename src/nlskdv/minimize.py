@@ -30,7 +30,8 @@ Lagrange multipliers come from pairing the energy gradient with the
 profiles themselves (sigma = -<dE/dphi, phi>/2s, c = -<dE/dpsi, psi>/2t),
 and the residuals dE/2 + multiplier * profile of the stationarity
 system are the convergence certificates.  minimize_W runs the same
-descent with psi's row free and the twist penalty (t - |psi|^2)^2/s.
+descent with psi's row free and the twist penalty (t - |psi|^2)^2/s,
+and adds the penalty's rank-one curvature to psi's metric.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _evaluate(Xh, kinetic, rows, prm, grid, twist=None):
     return e, P, coef, X
 
 
-def _first_trial(S, Y, eta, mass_metric):
+def _first_trial(S, Y, eta, mass_metric, rank_one=None):
     """First trial step of an iteration: the two-point step, clamped.
 
     S is the last accepted step of the half spectrum and Y the change of
@@ -282,24 +283,48 @@ def _first_trial(S, Y, eta, mass_metric):
     (Barzilai & Borwein 1988), with K the preconditioner, is the step
     for which step * K Y best matches S (least squares in the 1/K
     metric), the secant equation of a preconditioned gradient step;
-    <Y, K Y> weights Y's squares by w K, so K Y is not formed.  It is
-    clamped to [eta/2, 2 eta] around the last accepted step eta and to
-    at most _STEP_MAX.  Without a history, or where <S, Y> <= 0 (no
-    positive curvature along the step), the last step grows by 1.26.
+    <Y, K Y> weights Y's squares by w K, so K Y is not formed; a
+    rank_one = (c, K psi) of _twist_metric takes c <K psi, Y_psi>^2 off
+    it, for <Y, M Y> in the twist metric M.  It is clamped to [eta/2,
+    2 eta] around the last accepted step eta and to at most _STEP_MAX.
+    Without a history, or where <S, Y> <= 0 (no positive curvature
+    along the step), the last step grows by 1.26.
     """
     sy = _total_pairing(S, Y, mass_metric[0]) if S is not None else 0.0
     if sy <= 0.0:
         return min(eta * 1.26, _STEP_MAX)
-    bb = sy / _total_pairing(Y, Y, mass_metric[1])
-    return min(max(bb, 0.5 * eta), 2.0 * eta, _STEP_MAX)
+    yky = _total_pairing(Y, Y, mass_metric[1])
+    if rank_one is not None:
+        c, Kpsi = rank_one
+        yky -= c * float(_pairings(Kpsi, Y[1], mass_metric[0])) ** 2
+    return min(max(sy / yky, 0.5 * eta), 2.0 * eta, _STEP_MAX)
+
+
+def _twist_metric(D, P, Xh, s, precond, w):
+    """Psi's row of D = K P, in place, in the metric of the descent on F.
+
+    The metric (K^-1 + h psi psi^T)^-1 adds the rank-one part h psi psi^T,
+    h = 8/s, of the penalty's Hessian; by Sherman-Morrison (Nocedal &
+    Wright 2006, ch. 6) it is K - c (K psi)(K psi)^T with
+    c = h / (1 + h <psi, K psi>).  In K alone psi's mass direction
+    converged linearly.  Returns the slope's change -c <K psi, P>^2,
+    from <P, K P> to <P, D>, and (c, K psi) for _first_trial.
+    """
+    Kpsi = precond * Xh[1]
+    h = 8.0 / s
+    c = h / (1.0 + h * float(_pairings(Kpsi, Xh[1], w)))
+    kp = float(_pairings(Kpsi, P[1], w))
+    D[1] -= c * kp * Kpsi
+    return -c * kp * kp, (c, Kpsi)
 
 
 def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
     """Projected, preconditioned descent at fixed parameters.
 
     X is the real (2, n) stack [phi; psi] and masses the floats (s, t),
-    or (s, None) with a twist t: then psi's row is free and the
-    objective is E + (t - |psi|^2)^2/s (see _evaluate).
+    or (s, None) with a twist t: then psi's row is free, the objective
+    is E + (t - |psi|^2)^2/s (see _evaluate) and psi's row is measured
+    in the metric of _twist_metric.
     The iterate is held as the rfft half spectrum of the stack, projected
     by _project and evaluated by _evaluate; the H1 preconditioner is a
     division by 1 + k^2.  An accepted trial's evaluation is the new
@@ -348,10 +373,14 @@ def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
     stop = "max_iter"
     while it < budget and pgnorm > tol:
         it += 1
-        D = precond * P
+        D, rank_one = precond * P, None
+        if twist is not None:
+            slope, rank_one = _twist_metric(D, P, Xh, rows[0], precond,
+                                            mass_metric[0])
+            gtd += slope
         armijo = pgnorm > _PG_SWITCH
         slack = 1e-13 * (1.0 + abs(e_cur))
-        trial = _first_trial(S, Y, eta, mass_metric)
+        trial = _first_trial(S, Y, eta, mass_metric, rank_one)
         while trial >= _STEP_MIN:
             cand, kinetic, rows = _project(Xh - trial * D, masses,
                                            mass_kinetic)
@@ -369,8 +398,9 @@ def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
                 eta = trial
             stop = "line_search"
             break
-        # trial * pgnorm bounds the move (K <= 1/2); one below the
-        # iterate's rounding leaves only noise in S and Y
+        # trial * pgnorm bounds the move (K <= 1/2, and the twist metric
+        # lies below K); one below the iterate's rounding leaves only
+        # noise in S and Y
         moved = trial * pgnorm > rounding
         S, Y = (cand - Xh, P_new - P) if moved else (None, None)
         Xh, X, e_cur, P, coef, pgnorm, gtd = (cand, X_new, e_new, P_new,
@@ -658,12 +688,13 @@ def _warm_start(a: float, known: dict, grid: Grid1D):
     tolerance).  Between two solved values the start interpolates their
     profiles linearly.  Above or below them all it extrapolates with the
     polynomial through the nearest ones on that side, the predictor of
-    natural-parameter continuation (Allgower & Georg 1990, ch. 2): the
-    quadratic through three, the secant of two, or next to a single one
-    that pair's profiles.  The quadratic is the secant plus Newton's
-    second divided-difference term.  a = 0 is never the third node: its
-    psi is 0 and psi grows like sqrt(a), which no quadratic in a
-    follows, so there the secant stays.  A psi row left all zero (the
+    natural-parameter continuation (Allgower & Georg 1990, ch. 2): of
+    degree 4 through the five nearest, of lower degree through fewer,
+    the one pair's profiles next to a single one.  It is Newton's form,
+    the nearest pair's profiles plus one divided-difference term per
+    further node.  a = 0 is a node only as the first or second: its psi
+    is 0 and psi grows like sqrt(a), which no polynomial in a follows,
+    so past the secant it is skipped.  A psi row left all zero (the
     only neighbour is a = 0, with no long wave) becomes a sech^2 bump.
     None when known is empty, as at the first available node of
     minimize_W's scan when a = 0 has no pair.
@@ -676,17 +707,16 @@ def _warm_start(a: float, known: dict, grid: Grid1D):
         X = (1.0 - w) * _stack(known[lo]) + w * _stack(known[hi])
     elif below or above:
         near = below or above
-        X = _stack(known[near[0]])
-        if len(near) > 1:
-            a0, a1 = near[:2]
-            X1 = _stack(known[a1])
-            d01 = X - X1
-            X = X + (a - a0) / (a0 - a1) * d01
-            if len(near) > 2 and near[2] > 0.0:
-                a2 = near[2]
-                slope12 = (X1 - _stack(known[a2])) / (a1 - a2)
-                X += (a - a0) * (a - a1) / (a0 - a2) * (d01 / (a0 - a1)
-                                                        - slope12)
+        near = near[:2] + [k for k in near[2:5] if k > 0.0]
+        # diffs[i] holds the divided difference over near[i-j..i] after
+        # pass j; diffs[j] is then the j-th Newton coefficient
+        diffs = [_stack(known[k]) for k in near]
+        X, basis = diffs[0], 1.0
+        for j in range(1, len(near)):
+            for i in range(len(near) - 1, j - 1, -1):
+                diffs[i] = (diffs[i] - diffs[i - 1]) / (near[i] - near[i - j])
+            basis *= a - near[j - 1]
+            X = X + basis * diffs[j]
     else:
         return None
     if not X[1].any():
@@ -705,22 +735,25 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     inner solve also gives the slope W' = -(c + 2b).  A 17-node scan
     keeps W and W' per node; the cell between the lowest node and its
     downhill neighbour places one descent on F (_descend with psi's row
-    free).  It starts from the profiles where the cell's coarse c + 2b
-    crosses zero (linearly; at the midpoint when the cell ends at a = 0
-    or its slopes keep their sign) and stops at a projected gradient of
-    min(opts.tol, 5e-13).  Its |psi|^2 is a*, and one warm
-    minimize_I(s, a*) at opts.tol certifies the pair (pair.t == a_star).
-    When W rises from a = 0, a* = 0 and the certificate re-solves that
-    node.  A downhill neighbour with no profile in the box gets one
-    midpoint solve before the search gives up; the error then names the
-    largest box the unavailable inner solves asked for.
+    free, in the metric of _twist_metric).  It starts from the profiles
+    where the cell's coarse c + 2b crosses zero (linearly; at the
+    midpoint when the cell ends at a = 0 or its slopes keep their sign)
+    and stops at a projected gradient of min(opts.tol, 5e-13).  Its
+    |psi|^2 is a*, and one warm minimize_I(s, a*) at opts.tol certifies
+    the pair (pair.t == a_star).  When W rises from a = 0, a* = 0 and
+    the certificate re-solves that node.  A downhill neighbour with no
+    profile in the box gets one midpoint solve before the search gives
+    up; the error then names the largest box the unavailable inner
+    solves asked for.
 
     The scan is a natural-parameter continuation in a: it ascends from
     a = 0, solved cold from its closed-form decoupled profile (or the
     first available node, when a = 0 has no pair), and every later node
-    starts from the profiles of the solved masses around it (see
-    _warm_start).  Scan nodes, the midpoint and the range doublings only
-    place the descent, so they are solved to max(opts.tol, 1e-6).
+    starts from the profiles of the solved masses around it:
+    interpolated between two, and beyond them extrapolated by the
+    polynomial through the nearest five, of degree 4 (see _warm_start).
+    Scan nodes, the midpoint and the range doublings only place the
+    descent, so they are solved to max(opts.tol, 1e-6).
     n_solves counts the minimize_I calls that returned a pair (scan
     nodes, midpoint, certificate), n_unavailable those refused for the
     box; the descent on F is neither.  The short-wave profile is

@@ -21,9 +21,12 @@ JSON record per case:
 
 Each record holds the status ("solved" or the error type) and message,
 and for a solved case W, a*, twist_gap and n_solves (W set) or I, sigma
-and c (cold set), with the descent iterations (of every `_descend`
-call, so also a descent `minimize_W` runs outside `minimize_I`) and
-the `_evaluate` calls it made.  Both sets take a few minutes.
+and c (cold set), with the descent iterations and `_evaluate` calls it
+made, counted at `_descend` and `_evaluate` in two parts: those of the
+descent on F that `minimize_W` runs itself (`f_iterations`,
+`f_evaluations`; 0 in the cold set) and those of every other descent,
+the inner `minimize_I` solves (`iterations`, `evaluations`).  Both sets
+take a few minutes.
 
 --compare prints, per set, the status counts, how many error messages
 differ, the largest difference of every value (relative for W and I,
@@ -94,14 +97,16 @@ def cold_cases():
 
 
 class _Counts:
-    """Counts _evaluate calls and the iterations of every _descend call.
+    """Counts descent iterations and _evaluate calls, split in two.
 
-    Counting at _descend sees every descent, whoever runs it:
-    minimize_I's and any that minimize_W runs itself.
+    Counting at _descend sees every descent, whoever runs it.  The
+    descent on F (the _descend call with a twist, which minimize_W runs
+    itself) is counted apart from the rest, the inner minimize_I solves.
     """
 
     def __init__(self, mod):
         self.evaluations = self.iterations = 0
+        self.f_evaluations = self.f_iterations = 0
         evaluate, descend = mod._evaluate, mod._descend
 
         def counted_evaluate(*args, **kwargs):
@@ -109,16 +114,25 @@ class _Counts:
             return evaluate(*args, **kwargs)
 
         def counted_descend(*args, **kwargs):
+            before = self.evaluations
             out = descend(*args, **kwargs)
-            self.iterations += out[2]       # (Xh, last, iterations, ...)
+            if kwargs.get("twist", args[7] if len(args) > 7 else None) is None:
+                self.iterations += out[2]   # (Xh, last, iterations, ...)
+            else:
+                self.f_iterations += out[2]
+                self.f_evaluations += self.evaluations - before
             return out
 
         mod._evaluate = counted_evaluate
         mod._descend = counted_descend
 
     def take(self):
-        out = dict(iterations=self.iterations, evaluations=self.evaluations)
+        out = dict(iterations=self.iterations,
+                   evaluations=self.evaluations - self.f_evaluations,
+                   f_iterations=self.f_iterations,
+                   f_evaluations=self.f_evaluations)
         self.evaluations = self.iterations = 0
+        self.f_evaluations = self.f_iterations = 0
         return out
 
 
@@ -206,8 +220,9 @@ def compare(path_a, path_b):
             print(f"  {key}: max {'rel' if relative else 'abs'} diff "
                   f"{gap:.2e} ({name}); largest value "
                   f"{sizes[0]:.3g} -> {sizes[1]:.3g}")
-        for key in ("n_solves", "iterations", "evaluations"):
-            if key in solved[0][0]:
+        for key in ("n_solves", "iterations", "evaluations",
+                    "f_iterations", "f_evaluations"):
+            if all(key in r for r in solved[0]):
                 same = sum(a[key] == b[key] for a, b in solved)
                 print(f"  {key} over solved: "
                       f"{sum(a[key] for a, _ in solved)} -> "

@@ -14,12 +14,14 @@ One rep times, for each side, `--solves` cold `minimize_I` at random
 (s, t) in [0.5, 2.5]^2 (L=40, n=1024, default physics; the same points
 on both sides, drawn anew per rep) and `--w-calls` rounds of
 `minimize_W` over the four `family` W points, (s, t) = (1, 0.5),
-(1, 1), (1.5, 0.75) and (2, 1), at L=30, n=768.  The side that goes first alternates from rep to rep,
-so a drift of the machine's speed falls on both.  Every call is
-preceded by a warm-up of both sides.  The script prints, per rep, the
-median cold solve and the median W-solve of each side and their ratios
-new / old, then the median of the per-rep ratios.  A ratio below 1
-means the new tree is faster.  It checks that both sides make the same
+(1, 1), (1.5, 0.75) and (2, 1), at L=30, n=768.  The side that goes
+first alternates from rep to rep, so a drift of the machine's speed
+falls on both.  Every call is preceded by a warm-up of both sides.  The
+script prints, per rep, the median cold solve and the median W-solve of
+each side and their ratios new / old, then the median of the per-rep
+ratios, and for each W point the median over reps of its own ratio (a
+point's solves of one rep are summed over its --w-calls).  A ratio
+below 1 means the new tree is faster.  It checks that both sides make the same
 descent iterations on every cold solve and reports the largest relative
 difference of I.
 """
@@ -69,12 +71,13 @@ class _Side:
         return times, iters, values
 
     def wsolve(self, calls):
-        times = []
+        # one list of times per W point
+        times = [[] for _ in W_POINTS]
         for _ in range(calls):
-            for s, t in W_POINTS:
+            for point, (s, t) in zip(times, W_POINTS):
                 start = time.perf_counter()
                 self.pkg.minimize_W(s, t, self.prm, self.wgrid)
-                times.append(time.perf_counter() - start)
+                point.append(time.perf_counter() - start)
         return times
 
 
@@ -98,6 +101,7 @@ def main(argv=None):
             side.cold([(1.0, 1.0)])
             side.wsolve(min(args.w_calls, 1))
         cold_ratios, w_ratios = [], []
+        point_ratios = [[] for _ in W_POINTS]
         iter_mismatch, worst_rel = 0, 0.0
         for rep in range(args.reps):
             points = [tuple(float(v) for v in rng.uniform(*LATTICE, 2))
@@ -118,9 +122,12 @@ def main(argv=None):
                     f"{med['old']:.3f} -> {med['new']:.3f} ms, ratio "
                     f"{cold_ratios[-1]:.3f}")
             if args.w_calls:
-                wmed = {k: statistics.median(v) * 1e3
+                wmed = {k: statistics.median(sum(v, [])) * 1e3
                         for k, v in wtimes.items()}
                 w_ratios.append(wmed["new"] / wmed["old"])
+                for ratios, old, new in zip(point_ratios, wtimes["old"],
+                                            wtimes["new"]):
+                    ratios.append(sum(new) / sum(old))
                 line += (f"; W-solve {wmed['old']:.1f} -> {wmed['new']:.1f}"
                          f" ms, ratio {w_ratios[-1]:.3f}")
             print(line, flush=True)
@@ -130,6 +137,10 @@ def main(argv=None):
     if w_ratios:
         print(f"median W-solve ratio {statistics.median(w_ratios):.3f} "
               f"({sum(r < 1.0 for r in w_ratios)} below 1)")
+        for (s, t), ratios in zip(W_POINTS, point_ratios):
+            print(f"  W point ({s:g}, {t:g}): median ratio "
+                  f"{statistics.median(ratios):.3f} "
+                  f"({sum(r < 1.0 for r in ratios)} below 1)")
     print(f"cold solves with different iterations: {iter_mismatch} of "
           f"{args.reps * args.solves}; largest relative I difference "
           f"{worst_rel:.2e}")

@@ -629,6 +629,43 @@ class TestSpectralDescent:
         assert rows[0] == 0.7 and np.array_equal(proj[1], Xh[1])
         close(rows[1], pairings(Xh, Xh, w)[1])
 
+    @given(half=st.integers(8, 16), seed=st.integers(0, 2 ** 32 - 1))
+    def test_twist_metric_matches_dense_solve(self, half, seed):
+        # psi's direction D solves (K^-1 + (8/s) psi psi^T) D = P, with
+        # psi psi^T the L2 rank-one operator v -> psi <psi, v>, as a
+        # dense solve on the half spectrum's real coordinates gives it;
+        # phi's row stays K P bit for bit, the slope is <P, D> and the
+        # first trial's two-point step is measured in the same metric
+        grid = nk.make_grid(10.0 + seed % 31, 2 * half)
+        rng = np.random.default_rng(seed)
+        Xh, P, Y = (scipy.fft.rfft(rng.standard_normal((2, grid.n))
+                                   * rng.lognormal(0.0, 1.0, (2, 1)))
+                    for _ in range(3))
+        s = rng.uniform(0.3, 3.0)
+        consts = grid.constants(minimize_mod._grid_constants)
+        w = consts.mass_metric[0]
+        D = consts.precond * P
+        slope, rank_one = minimize_mod._twist_metric(D, P, Xh, s,
+                                                     consts.precond, w)
+        assert np.array_equal(D[0], consts.precond * P[0])
+        psi = Xh[1].view(np.float64)
+        A = (np.diag(1.0 / np.repeat(consts.precond, 2))
+             + 8.0 / s * np.outer(psi, w * psi))
+
+        def solve(V):
+            return np.linalg.solve(A, V.view(np.float64)).view(complex)
+        want = solve(P[1])
+        assert (np.linalg.norm(D[1] - want)
+                <= 1e-12 * np.linalg.norm(want))
+        pairings = minimize_mod._total_pairing
+        assert (pairings(P, P, consts.mass_metric[1]) + slope
+                == pytest.approx(pairings(P, D, w), rel=1e-12))
+        # S = M Y makes the two-point step <S, Y>/<Y, M Y> exactly 1
+        S = np.array([consts.precond * Y[0], solve(Y[1])])
+        trial = minimize_mod._first_trial(S, Y, 1.0, consts.mass_metric,
+                                          rank_one)
+        assert trial == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("start", ["cold", "warm", "recentred"])
     def test_report_counts_evaluations(self, grid40, prm_coupled, start,
                                        monkeypatch):
@@ -783,7 +820,8 @@ class TestMinimizeW:
     def test_negative_momentum(self, prm_coupled):
         grid = nk.make_grid(30.0, 768)
         # at t = -1.5 the optimum sits at a ~ 0.004, in the scan's first
-        # cell, so the root-find's bracket ends at a = 0 (slope +inf)
+        # cell, which ends at a = 0 (slope +inf): the descent on F
+        # starts at that cell's midpoint
         for t in (-0.3, -1.5):
             sol = nk.minimize_W(1.0, t, prm_coupled, grid)
             assert sol.a_star >= 0.0
@@ -905,8 +943,8 @@ class TestMinimizeW:
         assert len(calls) == nodes + 1
 
     def test_inner_solve_count(self, prm_coupled):
-        # the slope-aware scan and two-neighbour warm starts need about
-        # half the inner solves of a 33-node value scan (38 here)
+        # 18 inner solves: the 17 warm-started scan nodes and the
+        # certificate at a*
         sol = nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
         assert sol.n_solves <= 24
 
@@ -924,6 +962,33 @@ class TestMinimizeW:
                  if tol == MinimizeOptions().tol]
         assert final == [(sol.a_star, 0)]
         assert len(calls) == sol.n_solves <= minimize_mod._W_SCAN_NODES + 1
+
+    @pytest.mark.parametrize("s, t", [(1.0, 0.5), (1.0, 1.0), (1.5, 0.75),
+                                      (2.0, 1.0)])
+    def test_descent_on_F_count(self, s, t, prm_coupled, monkeypatch):
+        # the family W points: in the twist metric the descent on F
+        # takes 19-28 iterations and 22-36 evaluations; in the plain H1
+        # metric its tail was linear, 35-93 iterations and 46-129
+        # evaluations ((1, 1) took the most)
+        counts, evaluations = [], []
+        evaluate, descend = minimize_mod._evaluate, minimize_mod._descend
+
+        def counted(*args, **kwargs):
+            evaluations.append(None)
+            return evaluate(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            before = len(evaluations)
+            out = descend(*args, **kwargs)
+            if kwargs.get("twist") is not None:
+                counts.append((out[2], len(evaluations) - before))
+            return out
+        monkeypatch.setattr(minimize_mod, "_evaluate", counted)
+        monkeypatch.setattr(minimize_mod, "_descend", recorded)
+        sol = nk.minimize_W(s, t, prm_coupled, nk.make_grid(30.0, 768))
+        [(iterations, evals)] = counts
+        assert iterations <= 40 and evals <= 40, (iterations, evals)
+        assert sol.twist_gap <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.0, -1.5])
     def test_neighbours_not_lower(self, t, prm_coupled):
@@ -966,8 +1031,8 @@ class TestMinimizeW:
         assert cold == [0.0]
 
     def test_descent_iteration_budget(self, prm_coupled, monkeypatch):
-        # every descent of the search, counted at _descend: 159 in the
-        # warm scan nodes at the continuation tolerance, 39 on F and 0
+        # every descent of the search, counted at _descend: 128 in the
+        # warm scan nodes at the continuation tolerance, 28 on F and 0
         # in the certificate
         iterations = []
         descend = minimize_mod._descend
@@ -1095,30 +1160,54 @@ class TestMinimizeW:
         assert np.all(X[1] > 0.0)
         assert minimize_mod._warm_start(0.3, {}, grid_small) is None
 
-    def test_warm_start_quadratic_predictor(self, grid_small):
-        # profiles quadratic in a: three solved masses on one side give
-        # them back beyond either end; between two it stays linear
+    @staticmethod
+    def _polynomial_pairs(grid, degree):
+        # (stack, pair) of profiles polynomial in a of the given degree
+        phi = np.exp(-grid.x ** 2)
+        psi = np.exp(-grid.x ** 2 / 4.0)
+        coef = [(1.0, 0.5), (1.0, 1.0), (1.0, -0.5), (-0.5, 0.25),
+                (0.25, -0.5)][:degree + 1]
+
         def stack(a):
-            return np.array([1.0 + a * phi + a * a * psi,
-                             a * psi - 0.5 * a * a * phi])
+            return sum(a ** k * np.array([c0 * phi + (k == 0), c1 * psi])
+                       for k, (c0, c1) in enumerate(coef))
 
         def pair(a):
             X = stack(a)
-            return SimpleNamespace(phi=nk.ComplexField(grid_small, X[0]),
-                                   psi=nk.RealField(grid_small, X[1]))
+            return SimpleNamespace(phi=nk.ComplexField(grid, X[0]),
+                                   psi=nk.RealField(grid, X[1]))
+        return stack, pair
 
-        phi = np.exp(-grid_small.x ** 2)
-        psi = np.exp(-grid_small.x ** 2 / 4.0)
-        known = {a: pair(a) for a in (0.5, 0.75, 1.25)}
-        for a in (1.5, 2.0, 0.3, 0.1):
-            X = minimize_mod._warm_start(a, known, grid_small)
-            assert np.max(np.abs(X - stack(a))) <= 1e-14
-        X = minimize_mod._warm_start(1.0, known, grid_small)
-        assert np.allclose(X, 0.5 * (stack(0.75) + stack(1.25)), atol=1e-15)
-        # the quadratic takes the three nearest on the side of a
-        known[0.6] = pair(0.6)
-        X = minimize_mod._warm_start(0.05, known, grid_small)
-        assert np.max(np.abs(X - stack(0.05))) <= 1e-14
+    def test_warm_start_quartic_predictor(self, grid_small):
+        # profiles quartic in a: five equally spaced solved masses on one
+        # side give them back one spacing beyond either end; fewer give
+        # the polynomial of lower degree; between two it stays linear
+        for degree in range(5):
+            stack, pair = self._polynomial_pairs(grid_small, degree)
+            nodes = 0.5 + 0.25 * np.arange(degree + 1)
+            known = {float(a): pair(float(a)) for a in nodes}
+            for a in (nodes[-1] + 0.25, nodes[0] - 0.25):
+                X = minimize_mod._warm_start(a, known, grid_small)
+                assert np.max(np.abs(X - stack(a))) <= 1e-14, (degree, a)
+        X = minimize_mod._warm_start(0.875, known, grid_small)
+        assert np.allclose(X, 0.5 * (stack(0.75) + stack(1.0)), atol=1e-15)
+        # the polynomial takes the five nearest on the side of a: a sixth
+        # mass off the quartic is not read
+        known[2.5] = pair(0.0)
+        X = minimize_mod._warm_start(0.25, known, grid_small)
+        assert np.max(np.abs(X - stack(0.25))) <= 1e-14
+
+    def test_warm_start_skips_zero_among_nearest_five(self, grid_small):
+        # a = 0 among the five nearest masses below a is skipped: its
+        # profiles, off the cubic of the other four, are not read, and
+        # the cubic through those four comes back
+        stack, pair = self._polynomial_pairs(grid_small, 3)
+        known = {a: pair(a) for a in (0.25, 0.5, 0.75, 1.0)}
+        known[0.0] = SimpleNamespace(
+            phi=nk.ComplexField(grid_small, np.ones(grid_small.n)),
+            psi=nk.RealField(grid_small, np.zeros(grid_small.n)))
+        X = minimize_mod._warm_start(1.25, known, grid_small)
+        assert np.max(np.abs(X - stack(1.25))) <= 1e-14
 
     def test_warm_start_skips_zero_as_third_node(self, grid_small):
         # psi grows like sqrt(a) from a = 0, so a = 0 is never the third
@@ -1145,7 +1234,7 @@ class TestMinimizeW:
 
     def test_descent_on_F_budget_exhausted(self, prm_coupled):
         # the scan's nodes take at most 15 iterations here, the descent
-        # on F 39: a budget of 20 stops the latter
+        # on F 28: a budget of 20 stops the latter
         with pytest.raises(nk.ConvergenceError,
                            match=r"within 20 iterations .* > tol 5\.0e-13"):
             nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768),
@@ -1217,10 +1306,10 @@ class TestGoldenMinimizers:
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, key
 
     def test_minimize_W(self):
-        # the recorded a_star and n_solves come from a golden-section
-        # search stopped at a width of 1e-6 (1 + |t|): a_star is pinned to
-        # that width, and the root-find of W' = -(c + 2b) must use fewer
-        # inner solves and leave |c + 2b| at rounding
+        # the recorded a_star and n_solves come from an earlier
+        # golden-section search stopped at a width of 1e-6 (1 + |t|):
+        # a_star is pinned to that width, and the scan with its descent
+        # on F must use fewer inner solves and leave |c + 2b| at rounding
         case = json.loads(GOLDEN.read_text())["w_solve"]
         w = nk.minimize_W(case["s"], case["t"],
                           nk.PhysParams(**case["params"]),
