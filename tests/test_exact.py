@@ -36,41 +36,50 @@ class TestLambdaForMass:
         with pytest.raises(nk.ValidationError):
             nk.lambda_for_mass(target, 1.0, 1.0, grid40)
 
-    def test_truncated_profile_takes_full_bracket(self, grid40,
-                                                  monkeypatch):
-        # the root-find starts next to the real-line width; a profile
-        # wider than the box has less mass on the grid than on the line,
-        # so that bracket misses and the full one is searched.  No point,
-        # bracket ends included, is evaluated twice, and lam is the root
-        # Brent's method finds on the mass function without that memo
-        lams, brackets = [], []
+    def test_newton_matches_brent_oracle(self, grid40, monkeypatch):
+        # scipy's brentq on the same grid mass over the whole bracket
+        # lam in [1e-12, 1e12] is the oracle: lam agrees to 1e-13 and the
+        # grid mass meets its target to 1e-14.  In the first two cases
+        # the grid mass at the real-line width falls short of the target,
+        # by rounding on grid40 and by a profile wider than its box at
+        # L=8, so the search starts below the root; then a sweep of grids,
+        # powers, betas and targets.  Each search takes at most 10 grid
+        # masses, the two bracket ends included
+        full = (math.log(1e-12), math.log(1e12))
         mass = exact._grid_mass
+        calls = []
 
-        def recorded_mass(lam, *args):
-            lams.append(lam)
-            return mass(lam, *args)
-
-        def recorded(f, lo, hi, **kwargs):
-            brackets.append((lo, hi))
-            return brentq(f, lo, hi, **kwargs)
+        def recorded_mass(*args):
+            calls.append(args)
+            return mass(*args)
         monkeypatch.setattr(exact, "_grid_mass", recorded_mass)
-        monkeypatch.setattr(exact, "brentq", recorded)
+
+        def check(target, power, beta, g):
+            calls.clear()
+            lam = nk.lambda_for_mass(target, power, beta, g)
+            assert len(calls) <= 10
+            want = np.exp(brentq(
+                lambda ll: mass(np.exp(ll), power, beta, g)[0] - target,
+                *full, xtol=1e-14, rtol=8.9e-16))
+            assert lam == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert mass(lam, power, beta, g)[0] == pytest.approx(
+                target, rel=1e-14, abs=0.0)
+            return lam
+
         grid = nk.make_grid(8.0, 128)
         for target, g in ((8.0 / 3.0, grid40), (0.05, grid)):
-            lams.clear()
-            lam = nk.lambda_for_mass(target, 1.0, 1.0, g)
-            assert len(lams) == len(set(lams))
-            want = np.exp(brentq(
-                lambda ll: mass(np.exp(ll), 1.0, 1.0, g) - target,
-                *brackets[-1], xtol=1e-14, rtol=8.9e-16))
-            assert lam == want
-        assert brackets[0][1] - brackets[0][0] <= 1e-6
-        full = (math.log(1e-12), math.log(1e12))
-        assert brackets[1:] == [full]
+            lam = check(target, 1.0, 1.0, g)
+            line = math.exp(exact._line_log_lambda(target, 1.0, 1.0))
+            assert mass(line, 1.0, 1.0, g)[0] < target
         # the profile is cut off well above its tail
         prof = nk.SechProfile(amplitude=lam, exponent=2.0, lam=lam)
         assert prof.evaluate(grid.x[:1])[0] >= 0.1 * lam
-        assert grid_mass(prof.sample(grid)) == pytest.approx(0.05, rel=1e-14)
+        for L, n in ((40.0, 1024), (8.0, 128), (30.0, 256), (20.0, 64)):
+            g = nk.make_grid(L, n)
+            for power in (1.0, 1.4, 2.0, 3.0, 3.9):
+                for beta in (0.5, 1.0, 2.0, 6.0):
+                    for target in np.logspace(-2.0, 2.0, 7):
+                        check(float(target), power, beta, g)
 
     def test_rejects_unbracketable_target(self, grid40):
         with pytest.raises(nk.ValidationError):
