@@ -4,9 +4,9 @@ With the coupling switched off, each equation has an explicit sech-power
 ground state at every mass.  These profiles seed the constrained solver
 and serve as oracles for multipliers, residuals, and traveling waves.
 The width parameter is found by Newton's method on the grid-quadrature
-mass from the closed-form real-line width, so the construction is valid
-for every admissible nonlinearity power.  The solver starts from the
-real-line width itself (_line_profile) and rescales to the masses.
+mass, started from the closed-form real-line width, rather than an
+analytic mass formula, so the construction is valid for every admissible
+nonlinearity power.
 """
 
 from __future__ import annotations
@@ -82,30 +82,17 @@ def _line_log_lambda(target: float, power: float, beta: float) -> float:
     return (math.log(target) - log_unit) / (r - 0.5)
 
 
-def _start_log_lambda(target: float, power: float, beta: float,
-                      grid: Grid1D) -> float:
-    """Real-line log lam for target, kept in [log 1e-12, log 1e12].
-
-    Refuses a target that the grid mass, increasing in lam for powers
-    below 4, reaches at no width in that range.
-    """
-    if not (_grid_mass(_LAM_LO, power, beta, grid)[0] < target
-            < _grid_mass(_LAM_HI, power, beta, grid)[0]):
-        raise ValidationError(
-            f"target mass {target} not bracketable at power {power}, "
-            f"beta {beta} on the grid L={grid.half_length}, n={grid.n} "
-            f"(widths lam in [{_LAM_LO}, {_LAM_HI}])")
-    return min(max(_line_log_lambda(target, power, beta), _LOG_LO), _LOG_HI)
-
-
 def lambda_for_mass(target: float, power_p: float, beta: float,
                     grid: Grid1D) -> float:
     """Width parameter lam such that the sampled profile has squared norm target.
 
-    Newton's method on log(mass) against log(lam) from _start_log_lambda.
-    Each point narrows the bracket [log 1e-12, log 1e12] on the sign of
-    mass - target; a bisection step of it replaces any Newton step that
-    would leave it.  Over powers 1-3.9, betas 0.5-6, masses 0.01-100 and
+    The grid mass is strictly increasing in lam for powers below 4, so a
+    target is refused unless it lies strictly between the grid masses at
+    lam = 1e-12 and 1e12.  Newton's method on log(mass) against log(lam)
+    then starts from the real-line width, kept in that range.  Each point
+    narrows the bracket [log 1e-12, log 1e12] on the sign of mass -
+    target; a bisection step of it replaces any Newton step that would
+    leave it.  Over powers 1-3.9, betas 0.5-6, masses 0.01-100 and
     four grids (560 searches) it takes 1-8 grid masses past the two at
     the bracket ends, median 3, and never bisects.
     """
@@ -115,7 +102,13 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
         raise ValidationError(f"beta must be positive, got {beta}")
     if not (0 < power_p < 4):
         raise ValidationError(f"power must lie in (0, 4), got {power_p}")
-    y = _start_log_lambda(target, power_p, beta, grid)
+    if not (_grid_mass(_LAM_LO, power_p, beta, grid)[0] < target
+            < _grid_mass(_LAM_HI, power_p, beta, grid)[0]):
+        raise ValidationError(
+            f"target mass {target} not bracketable at power {power_p}, "
+            f"beta {beta} on the grid L={grid.half_length}, n={grid.n} "
+            f"(widths lam in [{_LAM_LO}, {_LAM_HI}])")
+    y = min(max(_line_log_lambda(target, power_p, beta), _LOG_LO), _LOG_HI)
     lo, hi = _LOG_LO, _LOG_HI
     for _ in range(_NEWTON_MAX_ITER):
         mass, slope = _grid_mass(math.exp(y), power_p, beta, grid)
@@ -130,22 +123,17 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
     return math.exp(y)
 
 
-def _profile(lam: float, power: float, beta: float) -> SechProfile:
+def _ground_profile(mass: float, power: float, beta: float,
+                    grid: Grid1D) -> SechProfile:
+    """Sech profile of the given power and beta with grid mass mass."""
+    lam = lambda_for_mass(mass, power, beta, grid)
     return SechProfile(amplitude=(lam / beta) ** (1.0 / power),
                        exponent=2.0 / power, lam=lam)
 
 
-def _line_profile(mass: float, power: float, beta: float,
-                  grid: Grid1D) -> SechProfile:
-    """Profile at the real-line width for mass (_start_log_lambda)."""
-    lam = math.exp(_start_log_lambda(mass, power, beta, grid))
-    return _profile(lam, power, beta)
-
-
 def kdv_profile(t_mass: float, prm: PhysParams, grid: Grid1D) -> SechProfile:
     """Ground-state profile of the decoupled long-wave action at mass t."""
-    lam = lambda_for_mass(t_mass, prm.p_float, prm.beta2, grid)
-    return _profile(lam, prm.p_float, prm.beta2)
+    return _ground_profile(t_mass, prm.p_float, prm.beta2, grid)
 
 
 def kdv_ground(t_mass: float, prm: PhysParams, grid: Grid1D) -> RealField:
@@ -163,8 +151,7 @@ def nls_profile(s_mass: float, prm: PhysParams, grid: Grid1D) -> SechProfile:
         raise UnattainedInfimumError(
             "decoupled short-wave ground state needs a focusing "
             "self-interaction (beta1 > 0); the infimum is 0 and unattained")
-    return _profile(lambda_for_mass(s_mass, prm.q, prm.beta1, grid),
-                    prm.q, prm.beta1)
+    return _ground_profile(s_mass, prm.q, prm.beta1, grid)
 
 
 def nls_ground(s_mass: float, prm: PhysParams, grid: Grid1D) -> RealField:

@@ -48,7 +48,7 @@ import scipy.fft
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
-from .exact import _line_log_lambda, _line_profile
+from .exact import _line_log_lambda, kdv_profile, nls_ground
 from .functionals import (PhysParams, _potential_sum, gradient_values,
                           nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
@@ -418,26 +418,32 @@ def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
 
 
 def _initial_fields(s, t, prm, grid):
-    """Product of decoupled ground profiles at their real-line widths.
+    """Product of decoupled ground profiles, with width fallbacks.
 
-    No width is root-found (exact._line_profile refuses only a mass the
-    grid cannot reach): the first evaluation rescales each row to its
-    mass.  The long wave is sech^2(x/2) when its profile is wide for the
-    box, sqrt(lam) L < 16, tested in log space, where tau2 = 1e300
-    cannot overflow; the short wave is sech(x/2) without a
-    self-interaction.
+    The long wave is the decoupled KdV ground profile at mass t unless
+    that profile is wide for the box, sqrt(lam) L < 16, when it is
+    sech^2(x/2).  The test reads lam from the closed-form real-line
+    width (exact._line_log_lambda) in log space, where tau2 = 1e300
+    cannot overflow, so the width is root-found on the grid only for a
+    profile that is used.  The short wave is its decoupled ground
+    profile, or sech(x/2) without a self-interaction.
     """
     x = grid.x
-    phi, psi = np.zeros((2, grid.n))
     if t > 0.0:
         log_lam = _line_log_lambda(t, prm.p_float, prm.beta2)
         if 0.5 * log_lam + math.log(grid.half_length) >= math.log(16.0):
-            psi = _line_profile(t, prm.p_float, prm.beta2, grid).evaluate(x)
+            psi = kdv_profile(t, prm, grid).evaluate(x)
         else:
             psi = 1.0 / np.cosh(x / 2.0) ** 2
+    else:
+        psi = np.zeros_like(x)
     if s > 0.0:
-        phi = (_line_profile(s, prm.q, prm.beta1, grid).evaluate(x)
-               if prm.beta1 > 0.0 else 1.0 / np.cosh(x / 2.0))
+        if prm.beta1 > 0.0:
+            phi = nls_ground(s, prm, grid).values.copy()
+        else:
+            phi = 1.0 / np.cosh(x / 2.0)
+    else:
+        phi = np.zeros_like(x)
     return phi, psi
 
 

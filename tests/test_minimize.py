@@ -387,40 +387,35 @@ class TestDescentStart:
         (1.0, 60.0, True)])
     def test_long_wave_fallback_skips_root_find(self, prm_coupled, t, L,
                                                 used, monkeypatch):
-        # sqrt(lam) L < 16 at the closed-form real-line width: the long
-        # wave starts as sech^2(x/2).  No width is root-found: each row
-        # whose profile is used evaluates the grid mass at the two ends
-        # of the width range only, and starts at the real-line width
+        # sqrt(lam) L < 16 by the closed-form width: the long wave starts
+        # as sech^2(x/2) and no KdV grid mass is evaluated.  The decision
+        # is the one the root-found width gives
         grid = nk.make_grid(L, 512)
-        kdv = (t, prm_coupled.p_float, prm_coupled.beta2)
-        nls = (1.0, prm_coupled.q, prm_coupled.beta1)
-        lam = math.exp(exact_mod._line_log_lambda(*kdv))
+        lam = exact_mod.kdv_profile(t, prm_coupled, grid).lam
         assert (math.sqrt(lam) * L >= 16.0) == used
-        calls = []
+        betas = []
         mass = exact_mod._grid_mass
 
         def recorded_mass(lam, power, beta, grid):
-            calls.append((lam, beta))
+            betas.append(beta)
             return mass(lam, power, beta, grid)
         monkeypatch.setattr(exact_mod, "_grid_mass", recorded_mass)
-        phi, psi = minimize_mod._initial_fields(1.0, t, prm_coupled, grid)
-        rows = [kdv, nls] if used else [nls]
-        assert calls == [(end, beta) for _, _, beta in rows
-                         for end in (1e-12, 1e12)]
-
-        def line_profile(target, power, beta):
-            lam = math.exp(exact_mod._line_log_lambda(target, power, beta))
-            return exact_mod._profile(lam, power, beta).evaluate(grid.x)
-        assert np.array_equal(phi, line_profile(*nls))
+        _, psi = minimize_mod._initial_fields(1.0, t, prm_coupled, grid)
+        kdv_masses = betas.count(prm_coupled.beta2)
+        assert prm_coupled.beta1 != prm_coupled.beta2
         if used:
-            assert np.array_equal(psi, line_profile(*kdv))
+            assert kdv_masses > 0
+            assert grid.dx * np.sum(psi ** 2) == pytest.approx(t, rel=1e-12)
         else:
+            assert kdv_masses == 0
             assert np.array_equal(psi, 1.0 / np.cosh(grid.x / 2.0) ** 2)
+        assert betas.count(prm_coupled.beta1) > 0      # phi's root-find
 
     def test_unreachable_mass_refused_before_descent(self, monkeypatch):
         # no width in [1e-12, 1e12] gives the short wave grid mass 1e-310:
-        # the cold start refuses it with the inputs named and without a
-        # descent iteration, as nls_ground and kdv_ground refuse the mass
+        # the cold start's width search refuses it with the inputs named
+        # and without a descent iteration, as nls_ground and kdv_ground
+        # refuse the mass
         prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
         grid = nk.make_grid(30.0, 256)
         descents = []
