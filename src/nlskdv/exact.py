@@ -82,19 +82,35 @@ def _line_log_lambda(target: float, power: float, beta: float) -> float:
     return (math.log(target) - log_unit) / (r - 0.5)
 
 
+def _require_reachable(target: float, power_p: float, beta: float,
+                       grid: Grid1D) -> None:
+    """Refuse a target mass the grid mass reaches at no lam in [1e-12, 1e12].
+
+    The check evaluates the grid mass at the two ends of that range
+    only, and raises ValidationError naming the grid.
+    """
+    if not (_grid_mass(_LAM_LO, power_p, beta, grid)[0] < target
+            < _grid_mass(_LAM_HI, power_p, beta, grid)[0]):
+        raise ValidationError(
+            f"target mass {target} not bracketable at power {power_p}, "
+            f"beta {beta} on the grid L={grid.half_length}, n={grid.n} "
+            f"(widths lam in [{_LAM_LO}, {_LAM_HI}])")
+
+
 def lambda_for_mass(target: float, power_p: float, beta: float,
                     grid: Grid1D) -> float:
     """Width parameter lam such that the sampled profile has squared norm target.
 
     The grid mass is strictly increasing in lam for powers below 4, so a
     target is refused unless it lies strictly between the grid masses at
-    lam = 1e-12 and 1e12.  Newton's method on log(mass) against log(lam)
-    then starts from the real-line width, kept in that range.  Each point
-    narrows the bracket [log 1e-12, log 1e12] on the sign of mass -
-    target; a bisection step of it replaces any Newton step that would
-    leave it.  Over powers 1-3.9, betas 0.5-6, masses 0.01-100 and
-    four grids (560 searches) it takes 1-8 grid masses past the two at
-    the bracket ends, median 3, and never bisects.
+    lam = 1e-12 and 1e12 (_require_reachable).  Newton's method on
+    log(mass) against log(lam) then starts from the real-line width,
+    kept in that range.  Each point narrows the bracket [log 1e-12,
+    log 1e12] on the sign of mass - target; a bisection step of it
+    replaces any Newton step that would leave it.  Over powers 1-3.9,
+    betas 0.5-6, masses 0.01-100 and four grids (560 searches) it takes
+    1-8 grid masses past the two at the bracket ends, median 3, and
+    never bisects.
     """
     if not (target > 0):
         raise ValidationError(f"target mass must be positive, got {target}")
@@ -102,12 +118,7 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
         raise ValidationError(f"beta must be positive, got {beta}")
     if not (0 < power_p < 4):
         raise ValidationError(f"power must lie in (0, 4), got {power_p}")
-    if not (_grid_mass(_LAM_LO, power_p, beta, grid)[0] < target
-            < _grid_mass(_LAM_HI, power_p, beta, grid)[0]):
-        raise ValidationError(
-            f"target mass {target} not bracketable at power {power_p}, "
-            f"beta {beta} on the grid L={grid.half_length}, n={grid.n} "
-            f"(widths lam in [{_LAM_LO}, {_LAM_HI}])")
+    _require_reachable(target, power_p, beta, grid)
     y = min(max(_line_log_lambda(target, power_p, beta), _LOG_LO), _LOG_HI)
     lo, hi = _LOG_LO, _LOG_HI
     for _ in range(_NEWTON_MAX_ITER):

@@ -19,12 +19,15 @@ iterates in the same metric (Barzilai & Borwein 1988, the "short" step
 it usually passes and an iteration costs about one trial; the metric
 and the other per-grid constants are built once per grid.
 
-A cold solve is one descent at the full coupling, started from the
-product of the decoupled ground profiles.  In the H1 metric the high
-modes' curvature tends to 1, so a step of 2 leaves them undamped; the
-Armijo fraction 0.2 (any c1 in (0, 1) is allowed, Nocedal & Wright
-§3.1) refuses that step, where the customary 1e-4 accepts it and the
-descent stalls for thousands of iterations.
+A cold solve is nested iteration at the full coupling (Briggs, Henson
+& McCormick 2000, A Multigrid Tutorial, ch. 3): a descent from the
+product of the decoupled ground profiles on a coarser grid of the same
+box, then one on the solve's grid from its answer's zero-padded half
+spectrum, which usually certifies it with no iteration.  In the H1
+metric the high modes' curvature tends to 1, so a step of 2 leaves
+them undamped; the Armijo fraction 0.2 (any c1 in (0, 1) is allowed,
+Nocedal & Wright §3.1) refuses that step, where the customary 1e-4
+accepts it and the descent stalls for thousands of iterations.
 
 Lagrange multipliers come from pairing the energy gradient with the
 profiles themselves (sigma = -<dE/dphi, phi>/2s, c = -<dE/dpsi, psi>/2t),
@@ -37,6 +40,7 @@ and adds the penalty's rank-one curvature to psi's metric.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,7 +52,8 @@ import scipy.fft
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
-from .exact import _line_log_lambda, kdv_profile, nls_ground
+from .exact import (_line_log_lambda, _require_reachable, kdv_profile,
+                    nls_ground)
 from .functionals import (PhysParams, _potential_sum, gradient_values,
                           nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
@@ -66,6 +71,8 @@ _STALL = 100                      # gradient-norm iterations to halve pg in
 _CONTINUATION_TOL = 1e-6          # exit tolerance of minimize_W's scan nodes
 _TWIST_TOL = 5e-13                # and of its descent on F, at most
 _W_SCAN_NODES = 17
+_COARSE_CELLS = 8                 # coarse cells per decoupled decay length
+_COARSE_TOL = 1e-12               # a coarse descent's tolerance, at least
 
 
 @dataclass
@@ -120,15 +127,15 @@ class SolitaryWavePair:
 
 @dataclass
 class MinimizeReport:
-    """Record of one constrained descent."""
+    """Record of a solve's descents; a cold solve's coarse one counts too."""
 
     iterations: int
-    final_step: float
-    energy_history: list
+    final_step: float                 # of the last descent, as termination
+    energy_history: list              # at each start and accepted step
     termination: str
     I_value: float
     pg_norm: float
-    stages: int = 1                   # descents per solve; always one
+    stages: int = 1                   # coupling stages; always the full one
     evaluations: int = 0              # _evaluate calls, recentring included
 
 
@@ -318,15 +325,16 @@ def _twist_metric(D, P, Xh, s, precond, w):
     return -c * kp * kp, (c, Kpsi)
 
 
-def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
+def _descend(Xh, masses, prm, grid, tol, budget, step0, twist=None):
     """Projected, preconditioned descent at fixed parameters.
 
-    X is the real (2, n) stack [phi; psi] and masses the floats (s, t),
+    Xh is the rfft half spectrum of the real (2, n) stack [phi; psi],
+    and masses the floats (s, t),
     or (s, None) with a twist t: then psi's row is free, the objective
     is E + (t - |psi|^2)^2/s (see _evaluate) and psi's row is measured
     in the metric of _twist_metric.
-    The iterate is held as the rfft half spectrum of the stack, projected
-    by _project and evaluated by _evaluate; the H1 preconditioner is a
+    The iterate is held as that half spectrum, projected by _project
+    and evaluated by _evaluate; the H1 preconditioner is a
     division by 1 + k^2.  An accepted trial's evaluation is the new
     iterate's; one _squares product of its P gives |P|^2, for the
     gradient-norm test, and <P, K P>, the next Armijo slope.  The first
@@ -354,7 +362,7 @@ def _descend(X, masses, prm, grid, tol, budget, step0, twist=None):
     phase) or the last accepted one.
     """
     mass_kinetic, mass_metric, _, precond, _ = grid.constants(_grid_constants)
-    Xh, kinetic, rows = _project(scipy.fft.rfft(X), masses, mass_kinetic)
+    Xh, kinetic, rows = _project(Xh, masses, mass_kinetic)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is refused below
         e_cur, P, coef, X = _evaluate(Xh, kinetic, rows, prm, grid, twist)
@@ -425,8 +433,10 @@ def _initial_fields(s, t, prm, grid):
     sech^2(x/2).  The test reads lam from the closed-form real-line
     width (exact._line_log_lambda) in log space, where tau2 = 1e300
     cannot overflow, so the width is root-found on the grid only for a
-    profile that is used.  The short wave is its decoupled ground
-    profile, or sech(x/2) without a self-interaction.
+    profile that is used; a fallback's mass is still checked reachable
+    on the grid (exact._require_reachable, which the root-find runs).
+    The short wave is its decoupled ground profile, or sech(x/2)
+    without a self-interaction.
     """
     x = grid.x
     if t > 0.0:
@@ -434,6 +444,7 @@ def _initial_fields(s, t, prm, grid):
         if 0.5 * log_lam + math.log(grid.half_length) >= math.log(16.0):
             psi = kdv_profile(t, prm, grid).evaluate(x)
         else:
+            _require_reachable(t, prm.p_float, prm.beta2, grid)
             psi = 1.0 / np.cosh(x / 2.0) ** 2
     else:
         psi = np.zeros_like(x)
@@ -445,6 +456,41 @@ def _initial_fields(s, t, prm, grid):
     else:
         phi = np.zeros_like(x)
     return phi, psi
+
+
+_same_box = functools.lru_cache(maxsize=8)(Grid1D)  # one grid per (L, n)
+
+
+def _coarse_grid(s, t, prm, grid):
+    """The grid of a cold solve's coarse descent, or None if none is coarser.
+
+    Its n / 2^k points (even, at least 8) on grid's box are the fewest
+    that put _COARSE_CELLS cells in the decoupled decay length
+    2 / (p sqrt(lam)) of the narrower row with a self-interaction (p
+    its power, lam its real-line width, exact._line_log_lambda).
+    """
+    log_width = min(math.log(2.0 / power) - 0.5 * _line_log_lambda(
+        mass, power, beta) for mass, power, beta in (
+            (s, prm.q, prm.beta1), (t, prm.p_float, prm.beta2))
+        if mass > 0.0 and beta > 0.0)
+    n = grid.n
+    while n % 4 == 0 and n >= 16 and math.log(
+            4.0 * _COARSE_CELLS * grid.half_length / n) <= log_width:
+        n //= 2
+    return None if n == grid.n else _same_box(grid.half_length, n)
+
+
+def _padded(Xh, n):
+    """The half spectrum Xh of a coarser grid, zero-padded to n points.
+
+    The amplitudes scale by n / n_c; the coarse Nyquist cosine is split
+    between two modes of the finer grid, so its entry is halved.
+    """
+    m = Xh.shape[1] - 1
+    out = np.zeros((Xh.shape[0], n // 2 + 1), dtype=Xh.dtype)
+    out[:, :m + 1] = Xh * (n / (2 * m))
+    out[:, m] *= 0.5
+    return out
 
 
 def _circular_centroid(weights, grid):
@@ -550,15 +596,23 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     infimum is zero and unattained (UnattainedInfimumError).  A
     warm_start is a pair of finite real arrays on the grid, nonzero
     where the mass is positive.  Without one the descent starts at the
-    full coupling from the product of the decoupled ground profiles.
+    full coupling from the product of the decoupled ground profiles
+    (_initial_fields), and a mass that no width of its ground profile
+    gives on grid is refused first (ValidationError).
     A start whose energy or projected gradient is not finite (the
     parameters overflow double precision) raises ValidationError.
+
+    A cold solve first descends on _coarse_grid's grid, if there is one,
+    from the start's samples there to max(tol, 1e-12), and pads what
+    that descent reached, converged or not, onto grid for a warm
+    descent; both share opts.max_iter.  No boundary leak is judged on
+    the coarse grid.
 
     A cold descent starts from the step _STEP0 = 0.25.  A warm one
     starts near a solution, so from _STEP_WARM = 1.0, the unit step of
     the H1 metric (its high modes' curvature tends to 1).
 
-    Returns (SolitaryWavePair, MinimizeReport).  The descent's last
+    Returns (SolitaryWavePair, MinimizeReport).  The last descent's last
     accepted evaluation certifies the pair: its energy, multipliers and
     residual norms (NaN at zero mass).  Only when the psi mass centroid
     (phi's without a long wave) lies beyond eps L, the rounding of the
@@ -579,6 +633,7 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
             "the constrained infimum is 0 and is not attained")
 
     masses = (float(s), float(t))
+    coarse, step0 = None, _STEP_WARM
     if warm_start is not None:
         try:
             X = np.array(warm_start, dtype=np.float64)
@@ -592,15 +647,25 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
                 "warm_start has an all-zero row where the mass is positive")
     else:
         X = np.array(_initial_fields(s, t, prm, grid))
+        coarse, step0 = _coarse_grid(s, t, prm, grid), _STEP0
 
-    (Xh, last, iters, evaluations, final_step, history, pgnorm,
-     termination) = _descend(X, masses, prm, grid, opts.tol, opts.max_iter,
-                             _STEP0 if warm_start is None else _STEP_WARM)
+    iters, evaluations, history = 0, 0, []
+    Xh = scipy.fft.rfft(X if coarse is None else X[:, ::grid.n // coarse.n])
+    if coarse is not None:
+        # nested iteration: descend on the coarse grid from the start's
+        # samples there, and pad what it reached onto grid
+        Xh, _, iters, evaluations, _, history, _, _ = _descend(
+            Xh, masses, prm, coarse, max(opts.tol, _COARSE_TOL),
+            opts.max_iter, _STEP0)
+        Xh, step0 = _padded(Xh, grid.n), _STEP_WARM
+    Xh, last, it, ev, final_step, hist, pgnorm, termination = _descend(
+        Xh, masses, prm, grid, opts.tol, opts.max_iter - iters, step0)
+    iters += it
 
     report = MinimizeReport(
         iterations=iters, final_step=final_step,
-        energy_history=history, termination=termination,
-        I_value=math.nan, pg_norm=pgnorm, evaluations=evaluations)
+        energy_history=history + hist, termination=termination,
+        I_value=math.nan, pg_norm=pgnorm, evaluations=evaluations + ev)
     if termination != "converged":
         raise _not_converged(termination, iters, pgnorm, opts.tol,
                              opts.max_iter, report)
@@ -870,8 +935,8 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         w = g0 / (g0 - g1) if a0 > 0.0 and g0 > 0.0 > g1 else 0.5
         tol = min(opts.tol, _TWIST_TOL)
         Xh, last, iters, _, _, _, pgnorm, stop = _descend(
-            _warm_start(a0 + w * (a1 - a0), pairs, grid), (s, None), prm,
-            grid, tol, opts.max_iter, _STEP_WARM, twist=t)
+            scipy.fft.rfft(_warm_start(a0 + w * (a1 - a0), pairs, grid)),
+            (s, None), prm, grid, tol, opts.max_iter, _STEP_WARM, twist=t)
         if stop != "converged":
             raise _not_converged(stop, iters, pgnorm, tol, opts.max_iter)
         a_star = _squares(Xh, grid.constants(_grid_constants)

@@ -25,13 +25,17 @@ and c (cold set), with the descent iterations and `_evaluate` calls it
 made, counted at `_descend` and `_evaluate` in two parts: those of the
 descent on F that `minimize_W` runs itself (`f_iterations`,
 `f_evaluations`; 0 in the cold set) and those of every other descent,
-the inner `minimize_I` solves (`iterations`, `evaluations`).  Both sets
-take a few minutes.
+the inner `minimize_I` solves (`iterations`, `evaluations`).  `grids`
+lists the point count of every descent's grid, in call order, so a
+coarse stage of a cold solve shows as a count below the case's n.  Both
+sets take a few minutes.
 
---compare prints, per set, the status counts, how many error messages
-differ, the largest difference of every value (relative for W and I,
-absolute for the rest) and the summed counts, and exits 1 when any
-case's status or error type differs between the two records.
+--compare prints, per set, the status counts, the error messages that
+differ (old -> new), the largest difference of every value (relative
+for W and I, absolute for the rest), the summed counts and, for the
+cold set, how many solves took a coarse stage in each record (none
+where a record has no `grids`), and exits 1 when any case's status or
+error type differs between the two records.
 """
 
 import argparse
@@ -102,11 +106,13 @@ class _Counts:
     Counting at _descend sees every descent, whoever runs it.  The
     descent on F (the _descend call with a twist, which minimize_W runs
     itself) is counted apart from the rest, the inner minimize_I solves.
+    Every descent's grid size is kept, in call order.
     """
 
     def __init__(self, mod):
         self.evaluations = self.iterations = 0
         self.f_evaluations = self.f_iterations = 0
+        self.grids = []
         evaluate, descend = mod._evaluate, mod._descend
 
         def counted_evaluate(*args, **kwargs):
@@ -115,6 +121,7 @@ class _Counts:
 
         def counted_descend(*args, **kwargs):
             before = self.evaluations
+            self.grids.append(args[3].n)    # (Xh, masses, prm, grid, ...)
             out = descend(*args, **kwargs)
             if kwargs.get("twist", args[7] if len(args) > 7 else None) is None:
                 self.iterations += out[2]   # (Xh, last, iterations, ...)
@@ -130,14 +137,22 @@ class _Counts:
         out = dict(iterations=self.iterations,
                    evaluations=self.evaluations - self.f_evaluations,
                    f_iterations=self.f_iterations,
-                   f_evaluations=self.f_evaluations)
+                   f_evaluations=self.f_evaluations, grids=self.grids)
         self.evaluations = self.iterations = 0
         self.f_evaluations = self.f_iterations = 0
+        self.grids = []
         return out
 
 
 def _num(x):
     return None if math.isnan(x) else float(x)
+
+
+def _coarse_solves(records, cases):
+    """How many records ran a descent on fewer points than their case."""
+    n = {case["name"]: case["n"] for case in cases}
+    return sum(any(g < n[r["name"]] for g in r.get("grids", ()))
+               for r in records)
 
 
 def record(path):
@@ -204,9 +219,16 @@ def compare(path_a, path_b):
                 print(f"{kind} {a['name']}: {a['status']} -> {b['status']}")
                 changed += 1
             statuses[b["status"]] = statuses.get(b["status"], 0) + 1
-        moved = sum(a.get("error") != b.get("error") for a, b in pairs)
+        moved = [(a["name"], a.get("error"), b.get("error"))
+                 for a, b in pairs if a.get("error") != b.get("error")]
         print(f"{kind}: {len(pairs)} cases, statuses {statuses}, "
-              f"{moved} error messages differ")
+              f"{len(moved)} error messages differ")
+        for name, a, b in moved:
+            print(f"  {name}: {a!r} -> {b!r}")
+        if kind == "cold":
+            print("  solves with a coarse stage: " + " -> ".join(
+                str(_coarse_solves(side[kind], cold_cases()))
+                for side in (old, new)))
         solved = [(a, b) for a, b in pairs
                   if a["status"] == b["status"] == "solved"]
         if not solved:

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -134,14 +135,16 @@ class TestMinimizeIDecoupled:
 
     def test_failed_line_search_reported(self, prm_coupled, monkeypatch):
         # an Armijo fraction no step can meet: the first line search
-        # fails, and the report and the message say so, not the budget
+        # fails, and the report and the message say so, not the budget.
+        # It fails in the coarse descent, and again in the descent on
+        # the grid from its padded iterate: one iteration in each
         monkeypatch.setattr(minimize_mod, "_ARMIJO", 1e6)
         with pytest.raises(nk.ConvergenceError, match="line search") as err:
             nk.minimize_I(1.0, 1.0, prm_coupled, nk.make_grid(40.0, 512))
         assert "200000 iterations" not in str(err.value)
         rep = err.value.report
         assert rep.termination == "line_search"
-        assert rep.iterations == 1
+        assert rep.iterations == 2
         assert rep.final_step < minimize_mod._STEP_MIN
 
     def test_rounding_floor_stops_early(self, grid40, prm_coupled):
@@ -155,15 +158,30 @@ class TestMinimizeIDecoupled:
         assert rep.termination in ("line_search", "stalled")
         assert rep.iterations <= 1000
 
-    def test_stalled_descent_reported(self, grid40, prm_coupled):
-        # at (2, 1.5) the projected gradient stops at 1.7e-15, its
-        # rounding floor; without the stall test the descent keeps taking
-        # steps below the iterate's rounding until its budget is spent
+    def test_stalled_descent_reported(self, prm_coupled):
+        # at (2, 1.5) on L=40, n=256, where no coarser grid resolves the
+        # profile and the cold solve is one descent, the projected
+        # gradient stops at 1.4e-15, its rounding floor; without the
+        # stall test the descent keeps taking steps below the iterate's
+        # rounding until its budget is spent
+        grid = nk.make_grid(40.0, 256)
+        assert minimize_mod._coarse_grid(2.0, 1.5, prm_coupled, grid) is None
         with pytest.raises(nk.ConvergenceError, match="stalled") as err:
-            nk.minimize_I(2.0, 1.5, prm_coupled, grid40,
+            nk.minimize_I(2.0, 1.5, prm_coupled, grid,
                           MinimizeOptions(tol=1e-15))
         rep = err.value.report
         assert rep.termination == "stalled"
+        assert rep.iterations <= minimize_mod._STALL + 100
+
+    def test_floor_reached_from_padded_answer(self, grid40, prm_coupled):
+        # the same solve on L=40, n=1024 descends on n=256 to 1e-12
+        # first; from the padded answer the descent on grid40 meets the
+        # rounding floor in a failed line search, not a stall
+        with pytest.raises(nk.ConvergenceError, match="line search") as err:
+            nk.minimize_I(2.0, 1.5, prm_coupled, grid40,
+                          MinimizeOptions(tol=1e-15))
+        rep = err.value.report
+        assert rep.termination == "line_search"
         assert rep.iterations <= minimize_mod._STALL + 100
 
 
@@ -362,7 +380,9 @@ class TestDescentStart:
     def test_cold_and_warm_first_trials(self, grid30, prm_coupled,
                                         monkeypatch):
         # a cold descent starts from the step 0.25, a warm one from the
-        # unit step 1.0; the first iteration grows either by 1.26
+        # unit step 1.0; the first iteration grows either by 1.26.  The
+        # cold solve's coarse descent is cold, and the descent on grid30
+        # from its padded answer is warm and needs no iteration
         starts = []
         descend, first_trial = minimize_mod._descend, minimize_mod._first_trial
 
@@ -380,7 +400,8 @@ class TestDescentStart:
         cold, _ = nk.minimize_I(1.0, 1.0, prm_coupled, grid30)
         nk.minimize_I(1.1, 0.9, prm_coupled, grid30,
                       warm_start=minimize_mod._stack(cold))
-        assert starts == [[0.25, 0.25 * 1.26], [1.0, 1.0 * 1.26]]
+        assert starts == [[0.25, 0.25 * 1.26], [1.0, None],
+                          [1.0, 1.0 * 1.26]]
 
     @pytest.mark.parametrize("t, L, used", [
         (1.0, 30.0, False), (0.5, 40.0, False), (2.4, 40.0, True),
@@ -388,53 +409,84 @@ class TestDescentStart:
     def test_long_wave_fallback_skips_root_find(self, prm_coupled, t, L,
                                                 used, monkeypatch):
         # sqrt(lam) L < 16 by the closed-form width: the long wave starts
-        # as sech^2(x/2) and no KdV grid mass is evaluated.  The decision
-        # is the one the root-found width gives
+        # as sech^2(x/2), and of its KdV grid masses only the two
+        # reachability ends are evaluated.  The decision is the one the
+        # root-found width gives
         grid = nk.make_grid(L, 512)
         lam = exact_mod.kdv_profile(t, prm_coupled, grid).lam
         assert (math.sqrt(lam) * L >= 16.0) == used
-        betas = []
+        masses = []
         mass = exact_mod._grid_mass
 
         def recorded_mass(lam, power, beta, grid):
-            betas.append(beta)
+            masses.append((beta, lam))
             return mass(lam, power, beta, grid)
         monkeypatch.setattr(exact_mod, "_grid_mass", recorded_mass)
         _, psi = minimize_mod._initial_fields(1.0, t, prm_coupled, grid)
-        kdv_masses = betas.count(prm_coupled.beta2)
-        assert prm_coupled.beta1 != prm_coupled.beta2
+        beta1, beta2 = prm_coupled.beta1, prm_coupled.beta2
+        assert beta1 != beta2
+        kdv_lams = [lam for beta, lam in masses if beta == beta2]
+        ends = [exact_mod._LAM_LO, exact_mod._LAM_HI]
         if used:
-            assert kdv_masses > 0
+            assert kdv_lams[:2] == ends and len(kdv_lams) > 2
             assert grid.dx * np.sum(psi ** 2) == pytest.approx(t, rel=1e-12)
         else:
-            assert kdv_masses == 0
+            assert kdv_lams == ends
             assert np.array_equal(psi, 1.0 / np.cosh(grid.x / 2.0) ** 2)
-        assert betas.count(prm_coupled.beta1) > 0      # phi's root-find
+        assert len(masses) - len(kdv_lams) > 2      # phi's root-find
 
     def test_unreachable_mass_refused_before_descent(self, monkeypatch):
-        # no width in [1e-12, 1e12] gives the short wave grid mass 1e-310:
-        # the cold start's width search refuses it with the inputs named
-        # and without a descent iteration, as nls_ground and kdv_ground
-        # refuse the mass
+        # no width in [1e-12, 1e12] gives the short wave grid mass 1e-310,
+        # nor the long wave 1e-30 or less: the cold start refuses it with
+        # the inputs and the solve's own grid named, at once and without
+        # a descent iteration, as nls_ground and kdv_ground refuse the
+        # mass.  At n = 256 the solve has no coarse grid, at n = 512 it
+        # has one; a long wave that small would start as sech^2(x/2)
         prm = nk.PhysParams(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
-        grid = nk.make_grid(30.0, 256)
         descents = []
         monkeypatch.setattr(minimize_mod, "_descend",
                             lambda *args: descents.append(args))
-        text = ("target mass 1e-310 not bracketable at power 1.0, beta {} "
-                "on the grid L=30.0, n=256 (widths lam in "
-                "[1e-12, 1000000000000.0])")
-        for solve, beta in (
-                (lambda: nk.minimize_I(1e-310, 1.0, prm, grid),
-                 "0.6666666666666666"),
-                (lambda: nk.nls_ground(1e-310, prm, grid),
-                 "0.6666666666666666"),
-                (lambda: nk.kdv_ground(1e-310, prm, grid),
-                 "0.3333333333333333")):
-            with pytest.raises(nk.ValidationError) as exc:
-                solve()
-            assert str(exc.value) == text.format(beta)
+        short, long = "0.6666666666666666", "0.3333333333333333"
+        for n in (256, 512):
+            grid = nk.make_grid(30.0, n)
+            assert (minimize_mod._coarse_grid(1.0, 1.0, prm, grid)
+                    is None) == (n == 256)
+            text = ("target mass {} not bracketable at power 1.0, beta {} "
+                    f"on the grid L=30.0, n={n} (widths lam in "
+                    "[1e-12, 1000000000000.0])")
+            cases = [
+                (lambda: nk.minimize_I(1e-310, 1.0, prm, grid), 1e-310,
+                 short),
+                (lambda: nk.nls_ground(1e-310, prm, grid), 1e-310, short),
+                (lambda: nk.kdv_ground(1e-310, prm, grid), 1e-310, long)]
+            for t in (1e-30, 1e-200, 1e-300, 1e-310):
+                cases += [
+                    (lambda t=t: nk.minimize_I(1.0, t, prm, grid), t, long),
+                    (lambda t=t: nk.kdv_ground(t, prm, grid), t, long)]
+            for solve, mass, beta in cases:
+                start = time.perf_counter()
+                with pytest.raises(nk.ValidationError) as exc:
+                    solve()
+                assert time.perf_counter() - start < 0.1
+                assert str(exc.value) == text.format(mass, beta)
         assert descents == []
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_reachability_threshold(self, prm_coupled, n):
+        # the long wave's lowest reachable mass on the grid is its grid
+        # mass at lam = 1e-12 (5.4e-22 here).  A mass just below it is
+        # refused up front; one just above it is not, and descends as
+        # before the start checked reachability (no mass this small
+        # solves in this box: its profile cannot fit)
+        grid = nk.make_grid(30.0, n)
+        floor = exact_mod._grid_mass(exact_mod._LAM_LO, prm_coupled.p_float,
+                                     prm_coupled.beta2, grid)[0]
+        opts = MinimizeOptions(max_iter=50)
+        with pytest.raises(nk.ValidationError, match="not bracketable"):
+            nk.minimize_I(1.0, 0.9999 * floor, prm_coupled, grid, opts)
+        for t in (1.0001 * floor, 2.0 * floor):
+            with pytest.raises(nk.ConvergenceError):
+                nk.minimize_I(1.0, t, prm_coupled, grid, opts)
 
 
 class TestBoxPrediction:
@@ -720,7 +772,9 @@ class TestSpectralDescent:
         assert rep.iterations > 0
         assert rep.evaluations == len(calls) > rep.iterations
         # only the shifted start is recentred, by one more evaluation
-        assert len(calls) - descended[0] == (start == "recentred")
+        # after the last descent (a cold solve's second)
+        assert len(descended) == 1 + (start == "cold")
+        assert len(calls) - descended[-1] == (start == "recentred")
 
     def test_two_transforms_per_trial(self, grid40, prm_coupled,
                                       monkeypatch):
@@ -803,6 +857,203 @@ class TestColdDescent:
         pair, rep = nk.minimize_I(1.0, 1.0, prm, grid40)
         assert rep.stages == 1
         assert pair.energy_value == pytest.approx(energy, rel=1e-13, abs=0.0)
+
+
+def _fine_only(s, t, prm, grid, opts=None):
+    """The cold descent on grid alone: a cold solve without a coarse stage."""
+    opts = opts or MinimizeOptions()
+    start = scipy.fft.rfft(minimize_mod._initial_fields(s, t, prm, grid))
+    return minimize_mod._descend(start, (s, t), prm, grid, opts.tol,
+                                 opts.max_iter, minimize_mod._STEP0)
+
+
+# three cases of the cold set of tests/data/compare_solver_answers.py,
+# at L=40, n=512: two without a short-wave self-interaction (the coarse
+# grid follows the long wave's width) and one with both widths
+COLD_SET = {
+    "cold-7-1": (0.3115836700442644, 2.1067025204420857, dict(
+        alpha=2.3912082862561386, tau1=0.0, tau2=2.1666783475062243, p=1,
+        q=1.6960640302519332)),
+    "cold-7-26": (1.0318992102649147, 1.1762062312946153, dict(
+        alpha=0.6087352566405486, tau1=0.0, tau2=1.6709950723643656, p=1,
+        q=3.2886609928097705)),
+    "cold-8-4": (0.3369205151137916, 0.699418662198005, dict(
+        alpha=1.1840057438958085, tau1=1.0, tau2=3.8920036942385052, p=1,
+        q=2.130666322067866)),
+}
+
+
+class TestNestedIteration:
+    # a cold solve descends on a coarse grid of the same box, pads the
+    # answer's half spectrum onto the solve's grid and certifies it there
+
+    def test_padding_keeps_the_interpolant(self):
+        # the padded half spectrum is the coarse rows' trigonometric
+        # interpolant: it takes their values at the coarse points, and a
+        # profile resolved on the coarse grid is its samples on the fine
+        coarse, fine = nk.make_grid(40.0, 256), nk.make_grid(40.0, 1024)
+
+        def rows(x):
+            return np.array([np.exp(-x ** 2 / 8.0), np.exp(-x ** 2 / 18.0)])
+        X = scipy.fft.irfft(minimize_mod._padded(
+            scipy.fft.rfft(rows(coarse.x)), fine.n), fine.n)
+        assert np.max(np.abs(X[:, ::4] - rows(coarse.x))) <= 1e-15
+        assert np.max(np.abs(X - rows(fine.x))) <= 1e-15
+        # the Nyquist cosine is split between the two fine modes next
+        # to it, so it keeps its values at the coarse points
+        nyquist = np.cos(np.pi * (coarse.x + 40.0) / coarse.dx)
+        X = scipy.fft.irfft(minimize_mod._padded(
+            scipy.fft.rfft([nyquist, nyquist]), fine.n), fine.n)
+        assert np.max(np.abs(X[:, ::4] - nyquist)) <= 1e-14
+
+    def test_coarse_size_rule(self, grid40, prm_coupled):
+        # 8 coarse cells per decoupled decay length 2/(p sqrt(lam)) of
+        # the narrower row: n/4 = 256 over the family lattice at L=40,
+        # n=1024 (phi at s = 2.5 has 8.6 cells there, 4.3 at 128)
+        for s in np.linspace(0.5, 2.5, 10):
+            for t in np.linspace(0.5, 2.5, 10):
+                coarse = minimize_mod._coarse_grid(s, t, prm_coupled, grid40)
+                assert (coarse.half_length, coarse.n) == (40.0, 256)
+        # built once per (L, n_c), whichever grid asks
+        assert coarse is minimize_mod._coarse_grid(
+            1.0, 1.0, prm_coupled, nk.make_grid(40.0, 512))
+        # too narrow for any coarser grid: a large mass, or a grid with
+        # no grid of half its points that resolves the profile
+        assert minimize_mod._coarse_grid(40.0, 1.0, prm_coupled,
+                                         grid40) is None
+        assert minimize_mod._coarse_grid(1.0, 1.0, prm_coupled,
+                                         nk.make_grid(40.0, 256)) is None
+
+    @pytest.mark.parametrize("s, t, prm, L, n", [
+        (1.0, 1.0, dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0), 40.0,
+         256),
+        (8.0, 0.0, dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0), 40.0,
+         512)], ids=["n256", "t0-s8"])
+    def test_declined_solve_unchanged(self, s, t, prm, L, n):
+        # where no coarser grid resolves the profile, the solve is the
+        # one cold descent on its grid: its report is that descent's
+        prm = nk.PhysParams(**prm)
+        grid = nk.make_grid(L, n)
+        assert minimize_mod._coarse_grid(s, t, prm, grid) is None
+        _, last, iters, evals, step, history, pgnorm, stop = _fine_only(
+            s, t, prm, grid)
+        pair, rep = nk.minimize_I(s, t, prm, grid)
+        assert (rep.iterations, rep.final_step, rep.energy_history,
+                rep.termination, rep.pg_norm) == (
+                    iters, step, history, stop, pgnorm)
+        assert rep.evaluations in (evals, evals + 1)    # recentred or not
+        assert pair.energy_value == last[0] or rep.evaluations == evals + 1
+
+    @pytest.mark.parametrize("case", [
+        f"lattice-{s}-{t}" for s in (0.5, 1.5, 2.5) for t in (0.5, 1.5, 2.5)]
+        + list(COLD_SET))
+    def test_matches_fine_only_descent(self, case, grid40, prm_coupled,
+                                       monkeypatch):
+        # a 3x3 sub-lattice of the family lattice (L=40, n=1024) and
+        # three cold-set cases: the coarse-to-fine solve finds the
+        # minimizer of the cold descent on the grid alone, and the
+        # certificate meets tol
+        if case in COLD_SET:
+            s, t, prm = COLD_SET[case]
+            prm, grid = nk.PhysParams(**prm), nk.make_grid(40.0, 512)
+        else:
+            s, t = (float(v) for v in case.split("-")[1:])
+            prm, grid = prm_coupled, grid40
+        grids = []
+        descend = minimize_mod._descend
+
+        def recorded(*args):
+            out = descend(*args)
+            grids.append((args[3].n, out[-1]))
+            return out
+        monkeypatch.setattr(minimize_mod, "_descend", recorded)
+        pair, rep = nk.minimize_I(s, t, prm, grid)
+        assert grids == [(grid.n // 2 if case in COLD_SET else 256,
+                          "converged"), (grid.n, "converged")]
+        want = _fine_only(s, t, prm, grid)[1][0]
+        assert abs(pair.energy_value - want) <= 1e-14 * abs(want)
+        tol = MinimizeOptions().tol
+        assert pair.el_residual_phi <= tol and pair.el_residual_psi <= tol
+        assert rep.termination == "converged"
+
+    def test_one_call_per_solve(self, prm_coupled, monkeypatch):
+        # the coarse stage is a _descend call inside minimize_I, not a
+        # call through the module's minimize_I, which the benchmark's
+        # probes and minimize_W's solve counts see
+        calls = []
+        solve = minimize_mod.minimize_I
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(minimize_mod, "minimize_I", counted)
+        minimize_mod.minimize_I(1.0, 1.0, prm_coupled,
+                                nk.make_grid(40.0, 1024))
+        assert calls == [(1.0, 1.0)]
+        calls.clear()
+        sol = nk.minimize_W(1.0, 0.5, prm_coupled, nk.make_grid(30.0, 768))
+        assert sol.n_solves == len(calls) == 18
+        assert sol.n_unavailable == 0
+
+    def test_coarse_answer_finished_on_grid(self, monkeypatch):
+        # cold-7-0 (alpha 2.33, q 3.18) is narrower than its decoupled
+        # width, so the coarse grid (n = 256) resolves it only to about
+        # 1e-11; the descent on the grid finishes the padded answer in a
+        # few iterations, at the grid-only cold descent's minimizer
+        prm = nk.PhysParams(alpha=2.3270570707355804, tau1=1.0,
+                            tau2=2.15091456701174, p=1,
+                            q=3.1838836134906545)
+        grid = nk.make_grid(40.0, 512)
+        s, t = 1.6752100265302674, 2.2738703621330663
+        want = _fine_only(s, t, prm, grid)[1][0]
+        grids = []
+        descend = minimize_mod._descend
+
+        def recorded(*args):
+            out = descend(*args)
+            grids.append((args[3].n, out[2]))
+            return out
+        monkeypatch.setattr(minimize_mod, "_descend", recorded)
+        pair, rep = nk.minimize_I(s, t, prm, grid)
+        (n_c, coarse_iters), (n, fine_iters) = grids
+        assert (n_c, n) == (256, 512) and 0 < fine_iters <= 10
+        assert rep.iterations == coarse_iters + fine_iters
+        assert abs(pair.energy_value - want) <= 1e-14 * abs(want)
+
+    def test_coarse_failure_continues_on_grid(self, grid40, prm_coupled,
+                                              monkeypatch):
+        # a coarse descent that stops short (its budget cut to 5
+        # iterations here) hands what it reached to the descent on the
+        # grid, which ends with the status of the grid-only cold
+        # descent.  Both share max_iter, and the report counts both
+        fine = _fine_only(1.0, 1.0, prm_coupled, grid40)
+        cold = scipy.fft.rfft(minimize_mod._initial_fields(
+            1.0, 1.0, prm_coupled, grid40))
+        start_pg = minimize_mod._descend(cold, (1.0, 1.0), prm_coupled,
+                                         grid40, 0.0, 0, 0.25)[-2]
+        descend = minimize_mod._descend
+
+        def short(Xh, masses, prm, grid, tol, budget, step0, twist=None):
+            if grid is not grid40:
+                budget = min(budget, 5)
+            return descend(Xh, masses, prm, grid, tol, budget, step0, twist)
+        monkeypatch.setattr(minimize_mod, "_descend", short)
+        pair, rep = nk.minimize_I(1.0, 1.0, prm_coupled, grid40)
+        assert rep.termination == fine[-1] == "converged"
+        assert abs(pair.energy_value - fine[1][0]) <= 1e-14 * abs(fine[1][0])
+        assert rep.iterations > 5
+        # a budget spent on the coarse grid reports the padded iterate's
+        # state on the grid, not the cold start's
+        for max_iter in (3, 5, 8):
+            opts = MinimizeOptions(max_iter=max_iter)
+            with pytest.raises(nk.ConvergenceError,
+                               match=f"within {max_iter} iterations") as err:
+                nk.minimize_I(1.0, 1.0, prm_coupled, grid40, opts)
+            assert err.value.report.iterations == max_iter
+            assert err.value.report.pg_norm < start_pg
+        monkeypatch.undo()
+        with pytest.raises(nk.DomainTooSmallError):
+            nk.minimize_I(0.0, 1.0, prm_coupled, grid40)
 
 
 class TestMinimizeW:
