@@ -34,7 +34,10 @@ profiles themselves (sigma = -<dE/dphi, phi>/2s, c = -<dE/dpsi, psi>/2t),
 and the residuals dE/2 + multiplier * profile of the stationarity
 system are the convergence certificates.  minimize_W runs the same
 descent with psi's row free and the twist penalty (t - |psi|^2)^2/s,
-and adds the penalty's rank-one curvature to psi's metric.
+and adds the penalty's rank-one curvature to psi's metric.  It is
+nested iteration too: its scan of inner solves and its descent on F run
+on a coarser grid of the same box, and the descent finishes, and the
+certificate is solved, on the user's grid.
 """
 
 from __future__ import annotations
@@ -149,7 +152,9 @@ class WSolution:
     underlying mass-constrained minimizer.  twist_gap = |c + 2b| = |W'|
     is the joint descent's residual along psi, <G_psi - 4b psi, psi>/2a*
     (NaN when c is undefined).  n_solves counts the inner minimize_I
-    calls that returned a pair, n_unavailable those refused for the box.
+    calls that returned a pair, on whichever grid (the scan's may be
+    coarser, the certificate is on the user's), n_unavailable those
+    refused for the box.
     """
 
     a_star: float
@@ -462,12 +467,14 @@ _same_box = functools.lru_cache(maxsize=8)(Grid1D)  # one grid per (L, n)
 
 
 def _coarse_grid(s, t, prm, grid):
-    """The grid of a cold solve's coarse descent, or None if none is coarser.
+    """The grid of a coarse descent, or None if none is coarser.
 
     Its n / 2^k points (even, at least 8) on grid's box are the fewest
     that put _COARSE_CELLS cells in the decoupled decay length
     2 / (p sqrt(lam)) of the narrower row with a self-interaction (p
-    its power, lam its real-line width, exact._line_log_lambda).
+    its power, lam its real-line width, exact._line_log_lambda).  A cold
+    minimize_I asks at its masses (s, t), minimize_W at s and the top of
+    its first scan range, the narrowest long wave of that range.
     """
     log_width = min(math.log(2.0 / power) - 0.5 * _line_log_lambda(
         mass, power, beta) for mass, power, beta in (
@@ -491,6 +498,29 @@ def _padded(Xh, n):
     out[:, :m + 1] = Xh * (n / (2 * m))
     out[:, m] *= 0.5
     return out
+
+
+def _coarse_to_fine(Xh, masses, prm, grid, coarse, tols, budget, step0,
+                    **twist):
+    """_descend on coarse's grid, then on grid from its answer.
+
+    Xh is a half spectrum on coarse, or on grid when coarse is None:
+    then this is the one _descend on grid.  What the coarse descent
+    reached, converged or not, is zero-padded onto grid (_padded) for a
+    descent from _STEP_WARM there; both share budget.  tols are the
+    tolerances on grid and on coarse, and a twist is passed on to both.
+    Returns _descend's tuple, with iterations, evaluations and history
+    over both descents.
+    """
+    iters, evaluations, history = 0, 0, []
+    if coarse is not None:
+        Xh, _, iters, evaluations, _, history, _, _ = _descend(
+            Xh, masses, prm, coarse, tols[1], budget, step0, **twist)
+        Xh, step0 = _padded(Xh, grid.n), _STEP_WARM
+    Xh, last, it, ev, step, hist, pgnorm, stop = _descend(
+        Xh, masses, prm, grid, tols[0], budget - iters, step0, **twist)
+    return (Xh, last, iters + it, evaluations + ev, step, history + hist,
+            pgnorm, stop)
 
 
 def _circular_centroid(weights, grid):
@@ -649,23 +679,18 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
         X = np.array(_initial_fields(s, t, prm, grid))
         coarse, step0 = _coarse_grid(s, t, prm, grid), _STEP0
 
-    iters, evaluations, history = 0, 0, []
+    # nested iteration: a cold solve descends first on the coarse grid,
+    # from the start's samples there
     Xh = scipy.fft.rfft(X if coarse is None else X[:, ::grid.n // coarse.n])
-    if coarse is not None:
-        # nested iteration: descend on the coarse grid from the start's
-        # samples there, and pad what it reached onto grid
-        Xh, _, iters, evaluations, _, history, _, _ = _descend(
-            Xh, masses, prm, coarse, max(opts.tol, _COARSE_TOL),
-            opts.max_iter, _STEP0)
-        Xh, step0 = _padded(Xh, grid.n), _STEP_WARM
-    Xh, last, it, ev, final_step, hist, pgnorm, termination = _descend(
-        Xh, masses, prm, grid, opts.tol, opts.max_iter - iters, step0)
-    iters += it
+    Xh, last, iters, evaluations, final_step, history, pgnorm, termination = (
+        _coarse_to_fine(Xh, masses, prm, grid, coarse,
+                        (opts.tol, max(opts.tol, _COARSE_TOL)),
+                        opts.max_iter, step0))
 
     report = MinimizeReport(
-        iterations=iters, final_step=final_step,
-        energy_history=history + hist, termination=termination,
-        I_value=math.nan, pg_norm=pgnorm, evaluations=evaluations + ev)
+        iterations=iters, final_step=final_step, energy_history=history,
+        termination=termination, I_value=math.nan, pg_norm=pgnorm,
+        evaluations=evaluations)
     if termination != "converged":
         raise _not_converged(termination, iters, pgnorm, opts.tol,
                              opts.max_iter, report)
@@ -824,6 +849,16 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     box; the descent on F is neither.  The short-wave profile is
     reconstructed by the phase twist exp(-i b x).
 
+    The scan, the midpoint and the descent on F run on _coarse_grid's
+    grid for s and the first range's top mass, where one is coarser
+    than grid (nested iteration, as in a cold minimize_I); the range
+    doublings stay on it, and node availability and the box estimates
+    are judged there.  The descent's answer is zero-padded onto grid
+    (_padded), where the descent on F finishes from _STEP_WARM to the
+    same tolerance on what is left of opts.max_iter; at a* = 0 the
+    coarse a = 0 pair is padded the same way.  The certificate is solved
+    on grid.  Where no grid is coarser, everything runs on grid.
+
     Restricted to long-wave powers below 4/3; beyond that the reduced
     objective is unbounded below and the problem has no minimizer.
     """
@@ -843,6 +878,10 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         raise ValidationError(
             f"the twist term (t - a)^2/s overflows for s={s}, t={t}")
 
+    # the scan, its midpoint and the descent on F run on a coarser grid
+    # of the same box where the first range's top mass allows one
+    coarse = _coarse_grid(s, a_max, prm, grid)
+    scan_grid = grid if coarse is None else coarse
     cache: dict = {}    # scan mass -> W
     pairs: dict = {}    # scan mass -> its pair, where it has one
     scan_opts = dataclasses.replace(opts,
@@ -851,11 +890,11 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
     unavailable = 0
     need = None       # the largest box an unavailable node asked for
 
-    def solve(a: float, tol_opts: MinimizeOptions, warm):
-        # (W, pair) at a; pair is None where there is none
+    def solve(a: float, tol_opts: MinimizeOptions, warm, on: Grid1D):
+        # (W, pair) at a on the grid on; pair is None where there is none
         nonlocal solves, unavailable, need
         try:
-            pair, _ = minimize_I(s, a, prm, grid, tol_opts, warm_start=warm)
+            pair, _ = minimize_I(s, a, prm, on, tol_opts, warm_start=warm)
         except UnattainedInfimumError:
             return t * t / s, None            # I(s,0) = 0, unattained
         except DomainTooSmallError as err:
@@ -875,7 +914,8 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
         key = round(a, 15)
         if key not in cache:
             cache[key], pair = solve(a, scan_opts, None if a == 0.0
-                                     else _warm_start(a, pairs, grid))
+                                     else _warm_start(a, pairs, scan_grid),
+                                     scan_grid)
             if pair is not None:
                 pairs[key] = pair
         return cache[key]
@@ -928,21 +968,25 @@ def minimize_W(s: float, t: float, prm: PhysParams, grid: Grid1D,
                 "the search settled on zero long-wave mass with no "
                 "short-wave self-interaction; no minimizer exists there")
         warm = _stack(pair)
+        if coarse is not None:
+            warm = scipy.fft.irfft(_padded(scipy.fft.rfft(warm), grid.n),
+                                   grid.n)
     else:
         # the descent on F from where the cell's coarse c + 2b crosses 0
         a0, a1 = nodes[lo], nodes[lo + 1]
         g0, g1 = slope(a0), slope(a1)
         w = g0 / (g0 - g1) if a0 > 0.0 and g0 > 0.0 > g1 else 0.5
         tol = min(opts.tol, _TWIST_TOL)
-        Xh, last, iters, _, _, _, pgnorm, stop = _descend(
-            scipy.fft.rfft(_warm_start(a0 + w * (a1 - a0), pairs, grid)),
-            (s, None), prm, grid, tol, opts.max_iter, _STEP_WARM, twist=t)
+        Xh, last, iters, _, _, _, pgnorm, stop = _coarse_to_fine(
+            scipy.fft.rfft(_warm_start(a0 + w * (a1 - a0), pairs, scan_grid)),
+            (s, None), prm, grid, coarse, (tol, tol), opts.max_iter,
+            _STEP_WARM, twist=t)
         if stop != "converged":
             raise _not_converged(stop, iters, pgnorm, tol, opts.max_iter)
         a_star = _squares(Xh, grid.constants(_grid_constants)
                           .mass_kinetic)[1][0]
         warm = last[3]
-    w_value, pair = solve(a_star, opts, warm)
+    w_value, pair = solve(a_star, opts, warm, grid)
     if pair is None:
         raise DomainTooSmallError(
             f"no profile at long-wave mass a = {a_star:.6g}; "

@@ -27,15 +27,18 @@ descent on F that `minimize_W` runs itself (`f_iterations`,
 `f_evaluations`; 0 in the cold set) and those of every other descent,
 the inner `minimize_I` solves (`iterations`, `evaluations`).  `grids`
 lists the point count of every descent's grid, in call order, so a
-coarse stage of a cold solve shows as a count below the case's n.  Both
-sets take a few minutes.
+coarse stage of a cold solve shows as a count below the case's n, and a
+W-solve whose scan ran on a coarser grid has most of its counts below
+it.  Both sets take a few minutes.
 
 --compare prints, per set, the status counts, the error messages that
 differ (old -> new), the largest difference of every value (relative
-for W and I, absolute for the rest), the summed counts and, for the
-cold set, how many solves took a coarse stage in each record (none
-where a record has no `grids`), and exits 1 when any case's status or
-error type differs between the two records.
+for W and I, absolute for the rest), the summed counts and how many
+cases ran on a coarser grid in each record (none where a record has no
+`grids`): for the cold set the solves that took a coarse stage, for the
+W set the W-solves that ran most of their descents, the scan's, there.
+It exits 1 when any case's status or error type differs between the
+two records.
 """
 
 import argparse
@@ -148,11 +151,15 @@ def _num(x):
     return None if math.isnan(x) else float(x)
 
 
-def _coarse_solves(records, cases):
-    """How many records ran a descent on fewer points than their case."""
+def _coarse_solves(records, cases, share=0.0):
+    """How many records ran more than share of their descents (any, at
+    share 0) on fewer points than their case."""
     n = {case["name"]: case["n"] for case in cases}
-    return sum(any(g < n[r["name"]] for g in r.get("grids", ()))
-               for r in records)
+    count = 0
+    for r in records:
+        grids = r.get("grids", [])
+        count += sum(g < n[r["name"]] for g in grids) > share * len(grids)
+    return count
 
 
 def record(path):
@@ -225,10 +232,13 @@ def compare(path_a, path_b):
               f"{len(moved)} error messages differ")
         for name, a, b in moved:
             print(f"  {name}: {a!r} -> {b!r}")
-        if kind == "cold":
-            print("  solves with a coarse stage: " + " -> ".join(
-                str(_coarse_solves(side[kind], cold_cases()))
-                for side in (old, new)))
+        label, cases, share = (
+            ("solves with a coarse stage", cold_cases(), 0.0)
+            if kind == "cold" else
+            ("W-solves that scanned on a coarser grid", w_cases(), 0.5))
+        print(f"  {label}: " + " -> ".join(
+            str(_coarse_solves(side[kind], cases, share))
+            for side in (old, new)))
         solved = [(a, b) for a, b in pairs
                   if a["status"] == b["status"] == "solved"]
         if not solved:
