@@ -3,14 +3,19 @@
 With the coupling switched off, each equation has an explicit sech-power
 ground state at every mass.  These profiles seed the constrained solver
 and serve as oracles for multipliers, residuals, and traveling waves.
-The width parameter is found by Newton's method on the grid-quadrature
-mass, started from the closed-form real-line width, rather than an
-analytic mass formula, so the construction is valid for every admissible
-nonlinearity power.
+The public ground states (kdv_ground, nls_ground) find the width
+parameter by Newton's method on the grid-quadrature mass, started from
+the closed-form real-line width, rather than an analytic mass formula,
+so the construction is valid for every admissible nonlinearity power.
+The solver's cold start samples a profile that fits its box at the
+real-line width itself (_sech_at_width) and runs that search only for a
+short wave that does not fit (a long wave that does not fit starts as
+sech^2(x/2)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,15 +87,23 @@ def _line_log_lambda(target: float, power: float, beta: float) -> float:
     return (math.log(target) - log_unit) / (r - 0.5)
 
 
+@functools.lru_cache(maxsize=64)
+def _end_mass(lam: float, power: float, beta: float, grid: Grid1D) -> float:
+    """Grid mass at a bracket end, once per (lam, power, beta, grid)."""
+    return _grid_mass(lam, power, beta, grid)[0]
+
+
 def _require_reachable(target: float, power_p: float, beta: float,
                        grid: Grid1D) -> None:
     """Refuse a target mass the grid mass reaches at no lam in [1e-12, 1e12].
 
-    The check evaluates the grid mass at the two ends of that range
-    only, and raises ValidationError naming the grid.
+    The check compares with the grid mass at the two ends of that range
+    only, each computed once per power, beta and grid (_end_mass; a
+    Grid1D is keyed by its L and n), the top end only once the bottom
+    one passes.  It raises ValidationError naming the grid.
     """
-    if not (_grid_mass(_LAM_LO, power_p, beta, grid)[0] < target
-            < _grid_mass(_LAM_HI, power_p, beta, grid)[0]):
+    if not (_end_mass(_LAM_LO, power_p, beta, grid) < target
+            < _end_mass(_LAM_HI, power_p, beta, grid)):
         raise ValidationError(
             f"target mass {target} not bracketable at power {power_p}, "
             f"beta {beta} on the grid L={grid.half_length}, n={grid.n} "
@@ -103,9 +116,9 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
 
     The grid mass is strictly increasing in lam for powers below 4, so a
     target is refused unless it lies strictly between the grid masses at
-    lam = 1e-12 and 1e12 (_require_reachable).  Newton's method on
-    log(mass) against log(lam) then starts from the real-line width,
-    kept in that range.  Each point narrows the bracket [log 1e-12,
+    lam = 1e-12 and 1e12 (_require_reachable, which computes those two
+    ends once per grid).  Newton's method on log(mass) against log(lam)
+    then starts from the real-line width, kept in that range.  Each point narrows the bracket [log 1e-12,
     log 1e12] on the sign of mass - target; a bisection step of it
     replaces any Newton step that would leave it.  Over powers 1-3.9,
     betas 0.5-6, masses 0.01-100 and four grids (560 searches) it takes
@@ -134,12 +147,17 @@ def lambda_for_mass(target: float, power_p: float, beta: float,
     return math.exp(y)
 
 
+def _sech_at_width(lam: float, power: float, beta: float) -> SechProfile:
+    """Sech profile of the given power and beta at width lam."""
+    return SechProfile(amplitude=(lam / beta) ** (1.0 / power),
+                       exponent=2.0 / power, lam=lam)
+
+
 def _ground_profile(mass: float, power: float, beta: float,
                     grid: Grid1D) -> SechProfile:
     """Sech profile of the given power and beta with grid mass mass."""
     lam = lambda_for_mass(mass, power, beta, grid)
-    return SechProfile(amplitude=(lam / beta) ** (1.0 / power),
-                       exponent=2.0 / power, lam=lam)
+    return _sech_at_width(lam, power, beta)
 
 
 def kdv_profile(t_mass: float, prm: PhysParams, grid: Grid1D) -> SechProfile:

@@ -55,8 +55,8 @@ import scipy.fft
 from .errors import (BoundaryMinimumError, ConvergenceError,
                      DomainTooSmallError, UnattainedInfimumError,
                      ValidationError, require_count)
-from .exact import (_line_log_lambda, _require_reachable, kdv_profile,
-                    nls_ground)
+from .exact import (_LOG_HI, _LOG_LO, _ground_profile, _line_log_lambda,
+                    _require_reachable, _sech_at_width)
 from .functionals import (PhysParams, _potential_sum, gradient_values,
                           nonlinearity)
 from .grid import (ComplexField, Grid1D, RealField, apply_symbol,
@@ -430,36 +430,60 @@ def _descend(Xh, masses, prm, grid, tol, budget, step0, twist=None):
             stop)
 
 
+def _sech_bump(x, r):
+    """sech(x/2)^r; far out cosh overflows to inf, and the bump is 0 there."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(x / 2.0) ** r
+
+
+def _fits(log_lam, grid):
+    """Whether a sech profile of width lam fits the box, sqrt(lam) L >= 16."""
+    return 0.5 * log_lam + math.log(grid.half_length) >= math.log(16.0)
+
+
+def _ground_start(mass, power, beta, log_lam, grid):
+    """A used row's decoupled ground profile, sampled on grid.
+
+    log_lam is the closed-form real-line width (exact._line_log_lambda,
+    in log space, where tau2 = 1e300 cannot overflow).  When lam lies
+    in the root-find's range [1e-12, 1e12] and the profile fits the box,
+    the row is the profile at that width, once its mass is checked
+    reachable on grid (exact._require_reachable); _project rescales it
+    to its mass at the first evaluation.  Otherwise the width is
+    root-found on grid (exact.lambda_for_mass).
+    """
+    if _LOG_LO <= log_lam <= _LOG_HI and _fits(log_lam, grid):
+        _require_reachable(mass, power, beta, grid)
+        profile = _sech_at_width(math.exp(log_lam), power, beta)
+    else:
+        profile = _ground_profile(mass, power, beta, grid)
+    return profile.evaluate(grid.x)
+
+
 def _initial_fields(s, t, prm, grid):
     """Product of decoupled ground profiles, with width fallbacks.
 
-    The long wave is the decoupled KdV ground profile at mass t unless
-    that profile is wide for the box, sqrt(lam) L < 16, when it is
-    sech^2(x/2).  The test reads lam from the closed-form real-line
-    width (exact._line_log_lambda) in log space, where tau2 = 1e300
-    cannot overflow, so the width is root-found on the grid only for a
-    profile that is used; a fallback's mass is still checked reachable
-    on the grid (exact._require_reachable, which the root-find runs).
-    The short wave is its decoupled ground profile, or sech(x/2)
-    without a self-interaction.
+    Each used row is its decoupled ground profile (_ground_start): at
+    the closed-form real-line width where that fits the box, without a
+    root-find, else at the grid width lambda_for_mass finds.  The long
+    wave is sech^2(x/2) where its profile is wide for the box, sqrt(lam)
+    L < 16; that fallback's mass is still checked reachable on the grid.
+    The short wave is sech(x/2) without a self-interaction.
     """
     x = grid.x
+    psi, phi = np.zeros_like(x), np.zeros_like(x)
     if t > 0.0:
         log_lam = _line_log_lambda(t, prm.p_float, prm.beta2)
-        if 0.5 * log_lam + math.log(grid.half_length) >= math.log(16.0):
-            psi = kdv_profile(t, prm, grid).evaluate(x)
+        if _fits(log_lam, grid):
+            psi = _ground_start(t, prm.p_float, prm.beta2, log_lam, grid)
         else:
             _require_reachable(t, prm.p_float, prm.beta2, grid)
-            psi = 1.0 / np.cosh(x / 2.0) ** 2
-    else:
-        psi = np.zeros_like(x)
-    if s > 0.0:
-        if prm.beta1 > 0.0:
-            phi = nls_ground(s, prm, grid).values.copy()
-        else:
-            phi = 1.0 / np.cosh(x / 2.0)
-    else:
-        phi = np.zeros_like(x)
+            psi = _sech_bump(x, 2)
+    if s > 0.0 and prm.beta1 > 0.0:
+        phi = _ground_start(s, prm.q, prm.beta1,
+                            _line_log_lambda(s, prm.q, prm.beta1), grid)
+    elif s > 0.0:
+        phi = _sech_bump(x, 1)
     return phi, psi
 
 
@@ -627,8 +651,10 @@ def minimize_I(s: float, t: float, prm: PhysParams, grid: Grid1D,
     warm_start is a pair of finite real arrays on the grid, nonzero
     where the mass is positive.  Without one the descent starts at the
     full coupling from the product of the decoupled ground profiles
-    (_initial_fields), and a mass that no width of its ground profile
-    gives on grid is refused first (ValidationError).
+    (_initial_fields), each at its closed-form width where it fits the
+    box, and a mass that no width of its ground profile gives on grid
+    is refused first (ValidationError); the grid masses that check
+    compares with are computed once per grid and physics.
     A start whose energy or projected gradient is not finite (the
     parameters overflow double precision) raises ValidationError.
 
@@ -810,7 +836,7 @@ def _warm_start(a: float, known: dict, grid: Grid1D):
     else:
         return None
     if not X[1].any():
-        X[1] = 1.0 / np.cosh(grid.x / 2.0) ** 2
+        X[1] = _sech_bump(grid.x, 2)
     return X
 
 

@@ -29,7 +29,10 @@ the inner `minimize_I` solves (`iterations`, `evaluations`).  `grids`
 lists the point count of every descent's grid, in call order, so a
 coarse stage of a cold solve shows as a count below the case's n, and a
 W-solve whose scan ran on a coarser grid has most of its counts below
-it.  Both sets take a few minutes.
+it.  `grid_masses` counts the case's `exact._grid_mass` quadratures, the
+cold starts' width searches and reachability checks; the cases run in
+one process, in order, so a check cached by an earlier case of the same
+grid and physics is not counted again.  Both sets take a few minutes.
 
 --compare prints, per set, the status counts, the error messages that
 differ (old -> new), the largest difference of every value (relative
@@ -37,7 +40,8 @@ for W and I, absolute for the rest), the summed counts and how many
 cases ran on a coarser grid in each record (none where a record has no
 `grids`): for the cold set the solves that took a coarse stage, for the
 W set the W-solves that ran most of their descents, the scan's, there.
-It exits 1 when any case's status or error type differs between the
+It also prints the summed `grid_masses` of all cases ("n/a" for a
+record without them).  It exits 1 when any case's status or error type differs between the
 two records.
 """
 
@@ -109,14 +113,17 @@ class _Counts:
     Counting at _descend sees every descent, whoever runs it.  The
     descent on F (the _descend call with a twist, which minimize_W runs
     itself) is counted apart from the rest, the inner minimize_I solves.
-    Every descent's grid size is kept, in call order.
+    Every descent's grid size is kept, in call order, and the grid
+    masses that exact_mod computes are counted.
     """
 
-    def __init__(self, mod):
+    def __init__(self, mod, exact_mod):
         self.evaluations = self.iterations = 0
         self.f_evaluations = self.f_iterations = 0
+        self.grid_masses = 0
         self.grids = []
         evaluate, descend = mod._evaluate, mod._descend
+        grid_mass = exact_mod._grid_mass
 
         def counted_evaluate(*args, **kwargs):
             self.evaluations += 1
@@ -133,16 +140,23 @@ class _Counts:
                 self.f_evaluations += self.evaluations - before
             return out
 
+        def counted_grid_mass(*args):
+            self.grid_masses += 1
+            return grid_mass(*args)
+
         mod._evaluate = counted_evaluate
         mod._descend = counted_descend
+        exact_mod._grid_mass = counted_grid_mass
 
     def take(self):
         out = dict(iterations=self.iterations,
                    evaluations=self.evaluations - self.f_evaluations,
                    f_iterations=self.f_iterations,
-                   f_evaluations=self.f_evaluations, grids=self.grids)
+                   f_evaluations=self.f_evaluations, grids=self.grids,
+                   grid_masses=self.grid_masses)
         self.evaluations = self.iterations = 0
         self.f_evaluations = self.f_iterations = 0
+        self.grid_masses = 0
         self.grids = []
         return out
 
@@ -164,10 +178,11 @@ def _coarse_solves(records, cases, share=0.0):
 
 def record(path):
     import nlskdv as nk
+    from nlskdv import exact as exact_mod
     from nlskdv import minimize as mod
 
     # solves go through the module, so the counters see them too
-    counts = _Counts(mod)
+    counts = _Counts(mod, exact_mod)
     out = {"w": [], "cold": []}
     for kind, cases in (("w", w_cases()), ("cold", cold_cases())):
         for case in cases:
@@ -238,6 +253,10 @@ def compare(path_a, path_b):
             ("W-solves that scanned on a coarser grid", w_cases(), 0.5))
         print(f"  {label}: " + " -> ".join(
             str(_coarse_solves(side[kind], cases, share))
+            for side in (old, new)))
+        print("  grid masses over all cases: " + " -> ".join(
+            str(sum(r["grid_masses"] for r in side[kind]))
+            if all("grid_masses" in r for r in side[kind]) else "n/a"
             for side in (old, new)))
         solved = [(a, b) for a, b in pairs
                   if a["status"] == b["status"] == "solved"]

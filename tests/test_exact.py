@@ -55,6 +55,7 @@ class TestLambdaForMass:
         monkeypatch.setattr(exact, "_grid_mass", recorded_mass)
 
         def check(target, power, beta, g):
+            exact._end_mass.cache_clear()
             calls.clear()
             lam = nk.lambda_for_mass(target, power, beta, g)
             assert len(calls) <= 10
