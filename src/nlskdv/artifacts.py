@@ -21,7 +21,7 @@ from typing import Optional
 from .errors import (ConvergenceError, DomainTooSmallError,
                      UnattainedInfimumError)
 from .evolve import EvolveTrace
-from .grid import atomic_write, load_field, save_field
+from .grid import atomic_write, load_field, same_grid, save_field
 from .minimize import MinimizeReport, SolitaryWavePair, WSolution
 
 
@@ -75,6 +75,7 @@ def load_pair(dirpath: str) -> SolitaryWavePair:
     try:
         phi = load_field(os.path.join(dirpath, doc["fields"]["phi"]))
         psi = load_field(os.path.join(dirpath, doc["fields"]["psi"]))
+        same_grid(phi, psi)
         return SolitaryWavePair(phi=phi, psi=psi, **{
             attr: (math.nan if doc[key] is None else float(doc[key]))
             if nanable else doc[key] for key, attr, nanable in _PAIR_KEYS})

@@ -3,19 +3,22 @@
 The energy E, momentum-type functional G, and mass H are the quantities
 the time integrator must preserve; the two single-equation actions J and
 J~ drive the decoupled ground-state oracles.  All values are plain box
-quadratures with no renormalization folded in.
+quadratures with no renormalization folded in.  E and G take their
+derivative terms by Parseval from one forward transform of the stack
+[u; v], and the energy's gradient is one symbol application to it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 
 from .errors import ValidationError
-from .grid import (ComplexField, RealField, apply_symbol, deriv_values,
-                   same_grid)
+from .grid import ComplexField, RealField, apply_symbol, same_grid
 
 
 def parse_odd_denominator(p) -> Fraction:
@@ -118,17 +121,15 @@ class PhysParams:
     def __post_init__(self):
         p = parse_odd_denominator(self.p)
         object.__setattr__(self, "p", p)
-        if not (0 <= self.alpha < np.inf):
-            raise ValidationError(
-                f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (0 <= self.tau1 < np.inf):
-            raise ValidationError(
-                f"tau1 must be finite and >= 0, got {self.tau1}")
-        if not (0 < self.tau2 < np.inf):
-            raise ValidationError(
-                f"tau2 must be finite and > 0, got {self.tau2}")
-        if not (1 <= self.q < 4):
-            raise ValidationError(f"q must lie in [1, 4), got {self.q}")
+        for name, ok, bound in (
+                ("alpha", lambda x: 0 <= x < np.inf, "a finite real >= 0"),
+                ("tau1", lambda x: 0 <= x < np.inf, "a finite real >= 0"),
+                ("tau2", lambda x: 0 < x < np.inf, "a finite real > 0"),
+                ("q", lambda x: 1 <= x < 4, "a real in [1, 4)")):
+            val = getattr(self, name)
+            if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                    or not ok(val)):
+                raise ValidationError(f"{name} must be {bound}, got {val!r}")
         if not (Fraction(1) <= p < Fraction(4)):
             raise ValidationError(f"p must lie in [1, 4), got {p}")
         q, pf = self.q, float(p)
@@ -189,16 +190,17 @@ def nonlinearity(u: np.ndarray, v: np.ndarray, prm: PhysParams, out=None):
     return (nu, nv) if out is None else out
 
 
-def _derivs(u: np.ndarray, v: np.ndarray, grid, *orders: int):
-    """Spectral derivatives of both fields, one (u, v) pair per order.
+def _kinetic_twist(u: np.ndarray, v: np.ndarray, grid):
+    """int |u_x|^2 + v_x^2 dx and Im int u conj(u_x) dx, by Parseval.
 
-    The pair is one (2, n) stack: one forward transform for it and one
-    inverse for all orders.  A complex u makes the stack complex, so it
-    takes the full transform and v's rows come back as their real part.
+    One forward transform of the stack [u; v].  The wavenumbers come from
+    deriv_symbol(1), so the Nyquist mode is zeroed as the derivative does.
     """
-    out = apply_symbol(np.array([u, v]), grid,
-                       grid.deriv_symbol(orders)[:, None])
-    return out if np.isrealobj(u) else [(du, dv.real) for du, dv in out]
+    k, scale = grid.deriv_symbol(1).imag, grid.dx / grid.n
+    S = scipy.fft.fft(np.array([u, v]))
+    power = S.real ** 2 + S.imag ** 2
+    return (scale * float((k * k) @ (power[0] + power[1])),
+            -scale * float(k @ power[0]))
 
 
 def _potential_sum(u, v, nu, nv, prm: PhysParams) -> float:
@@ -213,30 +215,26 @@ def _potential_sum(u, v, nu, nv, prm: PhysParams) -> float:
                  + (mixed * np.vdot(u, u * v).real if mixed else 0.0))
 
 
-def _energy(u, v, ux, vx, nu, nv, prm: PhysParams, grid) -> float:
-    kinetic = np.vdot(ux, ux).real + np.dot(vx, vx)
-    return float(grid.dx * (kinetic - _potential_sum(u, v, nu, nv, prm)))
+def _energy(u, v, kinetic: float, prm: PhysParams, grid) -> float:
+    """E from its kinetic term and the potential read off N."""
+    return kinetic - grid.dx * _potential_sum(u, v, *nonlinearity(u, v, prm),
+                                              prm)
 
 
 def energy_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
                   grid) -> float:
     """Energy quadrature on raw sample arrays (u may be real or complex)."""
-    return _energy(u, v, *_derivs(u, v, grid, 1)[0],
-                   *nonlinearity(u, v, prm), prm, grid)
-
-
-def energy_gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams,
-                           grid):
-    """Energy and first variation -2 ((u_xx, v_xx) + N), one spectrum."""
-    (ux, vx), (uxx, vxx) = _derivs(u, v, grid, 1, 2)
-    nu, nv = nonlinearity(u, v, prm)
-    return (_energy(u, v, ux, vx, nu, nv, prm, grid),
-            (-2.0 * (uxx + nu), -2.0 * (vxx + nv)))
+    return _energy(u, v, _kinetic_twist(u, v, grid)[0], prm, grid)
 
 
 def gradient_values(u: np.ndarray, v: np.ndarray, prm: PhysParams, grid):
-    """First variation of the energy on raw arrays: -2 ((u_xx, v_xx) + N)."""
-    return energy_gradient_values(u, v, prm, grid)[1]
+    """First variation of the energy on raw arrays: -2 ((u_xx, v_xx) + N).
+
+    A complex u makes the stack [u; v] complex, so v_xx is its real part.
+    """
+    uxx, vxx = apply_symbol(np.array([u, v]), grid, grid.deriv_symbol(2))
+    nu, nv = nonlinearity(u, v, prm)
+    return -2.0 * (uxx + nu), -2.0 * (vxx.real + nv)
 
 
 def energy(u: ComplexField, v: RealField, prm: PhysParams) -> float:
@@ -262,15 +260,14 @@ def charge(u: ComplexField) -> float:
     return float(u.grid.dx * np.sum(np.abs(u.values) ** 2))
 
 
-def _momentum(u: np.ndarray, v: np.ndarray, ux: np.ndarray, dx) -> float:
-    im_part = float(np.imag(dx * np.sum(u * np.conj(ux))))
-    return float(dx * np.sum(v ** 2)) + im_part
+def _momentum(v: np.ndarray, twist: float, grid) -> float:
+    return float(grid.dx * np.dot(v, v)) + twist
 
 
 def momentum(u: ComplexField, v: RealField) -> float:
     """G(u, v) = int v^2 dx + Im int u conj(u_x) dx."""
     g = same_grid(u, v)
-    return _momentum(u.values, v.values, deriv_values(u.values, g), g.dx)
+    return _momentum(v.values, _kinetic_twist(u.values, v.values, g)[1], g)
 
 
 def kdv_action(gfield: RealField, prm: PhysParams) -> float:
@@ -287,9 +284,8 @@ def nls_action(f: ComplexField, prm: PhysParams) -> float:
 
 def conserved_triple(u: ComplexField, v: RealField,
                      prm: PhysParams) -> ConservedTriple:
-    """E, G and H of a pair; E and G share u_x from one transform pair."""
+    """E, G and H of a pair; E and G share one transform of [u; v]."""
     g = same_grid(u, v)
-    uv = u.values, v.values
-    ux, vx = _derivs(*uv, g, 1)[0]
-    E = _energy(*uv, ux, vx, *nonlinearity(*uv, prm), prm, g)
-    return ConservedTriple(E=E, G=_momentum(*uv, ux, g.dx), H=charge(u))
+    kinetic, twist = _kinetic_twist(u.values, v.values, g)
+    return ConservedTriple(E=_energy(u.values, v.values, kinetic, prm, g),
+                           G=_momentum(v.values, twist, g), H=charge(u))

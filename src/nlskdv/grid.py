@@ -50,23 +50,19 @@ class Grid1D:
         object.__setattr__(self, "wavenumbers", k)
         object.__setattr__(self, "h1_weights", w)
 
-    def deriv_symbol(self, order: int | tuple) -> np.ndarray:
+    def deriv_symbol(self, order: int) -> np.ndarray:
         """Multiplier (i k)^order of the spectral derivative, built once.
 
         The Nyquist mode is zeroed for odd orders so real input stays
-        real; even-order symbols are real.  A tuple of orders gives the
-        stack of their symbols, one row each, also built once.
+        real; even-order symbols are real.
         """
         sym = self._symbols.get(order)
         if sym is None:
-            if isinstance(order, tuple):
-                sym = np.array([self.deriv_symbol(m) for m in order])
+            sym = (1j * self.wavenumbers) ** order
+            if order % 2 == 0:
+                sym = sym.real.copy()
             else:
-                sym = (1j * self.wavenumbers) ** order
-                if order % 2 == 0:
-                    sym = sym.real.copy()
-                else:
-                    sym[self.n // 2] = 0.0
+                sym[self.n // 2] = 0.0
             sym.flags.writeable = False
             self._symbols[order] = sym
         return sym
@@ -108,20 +104,24 @@ def make_grid(L: float, n: int) -> Grid1D:
 class _Samples:
     """Samples of a function on a Grid1D: checked, copied and frozen.
 
-    The subclasses differ only in the dtype the samples are stored as.
+    The subclasses differ only in the dtype the samples are stored as,
+    and refuse samples of another kind (complex ones for a RealField).
     """
 
     grid: Grid1D
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=self._dtype)
+        vals = np.asarray(self.values)
+        if not np.can_cast(vals.dtype, self._dtype, "same_kind"):
+            raise ValidationError(f"{type(self).__name__} cannot hold "
+                                  f"{vals.dtype} samples")
+        vals = vals.astype(self._dtype)
         if vals.shape != (self.grid.n,):
             raise ValidationError(
                 f"expected {self.grid.n} samples, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("field contains non-finite samples")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -32,7 +32,11 @@ W-solve whose scan ran on a coarser grid has most of its counts below
 it.  `grid_masses` counts the case's `exact._grid_mass` quadratures, the
 cold starts' width searches and reachability checks; the cases run in
 one process, in order, so a check cached by an earlier case of the same
-grid and physics is not counted again.  Both sets take a few minutes.
+grid and physics is not counted again.  Each solved case also records
+the public functionals on its answer: for the cold set e_gap, the
+relative gap |energy(pair) - I|, and for the W set criterion 07's
+h_gap = |H - s|, g_gap = |G - t| and e_gap = |E - (I + b^2 s)| of
+(Phi, psi).  Both sets take a few minutes.
 
 --compare prints, per set, the status counts, the error messages that
 differ (old -> new), the largest difference of every value (relative
@@ -40,8 +44,9 @@ for W and I, absolute for the rest), the summed counts and how many
 cases ran on a coarser grid in each record (none where a record has no
 `grids`): for the cold set the solves that took a coarse stage, for the
 W set the W-solves that ran most of their descents, the scan's, there.
-It also prints the summed `grid_masses` of all cases ("n/a" for a
-record without them).  It exits 1 when any case's status or error type differs between the
+It also prints the summed `grid_masses` of all cases, and the largest
+functional gap over the cases both records solved ("n/a" for a record
+without them).  It exits 1 when any case's status or error type differs between the
 two records.
 """
 
@@ -194,11 +199,19 @@ def record(path):
                     sol = mod.minimize_W(case["s"], case["t"], prm, grid)
                     rec.update(W=sol.W_value, a_star=sol.a_star,
                                twist_gap=_num(sol.twist_gap),
-                               n_solves=sol.n_solves)
+                               n_solves=sol.n_solves,
+                               h_gap=abs(nk.charge(sol.Phi) - case["s"]),
+                               g_gap=abs(nk.momentum(sol.Phi, sol.psi)
+                                         - case["t"]),
+                               e_gap=abs(nk.energy(sol.Phi, sol.psi, prm)
+                                         - (sol.i_value
+                                            + sol.b ** 2 * case["s"])))
                 else:
                     pair, _ = mod.minimize_I(case["s"], case["t"], prm, grid)
                     rec.update(I=pair.energy_value, sigma=_num(pair.sigma),
-                               c=_num(pair.c))
+                               c=_num(pair.c),
+                               e_gap=_diff(nk.energy(pair.phi, pair.psi, prm),
+                                           pair.energy_value, True))
             except Exception as err:    # recorded: its type is the status
                 rec.update(status=type(err).__name__, error=str(err))
             else:
@@ -221,6 +234,11 @@ def _diff(a, b, relative):
 # (key, relative?) of the values compared per set
 _VALUES = {"w": (("W", True), ("a_star", False), ("twist_gap", False)),
            "cold": (("I", True), ("sigma", False), ("c", False))}
+
+# (key, what it measures) of the functional gaps recorded per set
+_GAPS = {"w": (("h_gap", "|H - s|"), ("g_gap", "|G - t|"),
+               ("e_gap", "|E - (I + b^2 s)|")),
+         "cold": (("e_gap", "|E - I| / |I|"),)}
 
 
 def compare(path_a, path_b):
@@ -271,6 +289,11 @@ def compare(path_a, path_b):
             print(f"  {key}: max {'rel' if relative else 'abs'} diff "
                   f"{gap:.2e} ({name}); largest value "
                   f"{sizes[0]:.3g} -> {sizes[1]:.3g}")
+        for key, label in _GAPS[kind]:
+            print(f"  largest {label} over solved: " + " -> ".join(
+                f"{max(r[key] for r in side):.2e}"
+                if all(key in r for r in side) else "n/a"
+                for side in zip(*solved)))
         for key in ("n_solves", "iterations", "evaluations",
                     "f_iterations", "f_evaluations"):
             if all(key in r for r in solved[0]):

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -641,6 +642,23 @@ def test_extreme_input_exit_code(command, override, small_pair_dir,
     assert code in (2, 3, 4)
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["code"] == code
+
+
+def test_pair_fields_on_different_grids_exit_3(small_pair_dir, tmp_path,
+                                               capsys):
+    # psi re-saved on another grid beside phi: the pair artifact is
+    # corrupt, not a grid mismatch of the run's own making
+    bad = tmp_path / "pair"
+    shutil.copytree(small_pair_dir, bad)
+    psi = nk.load_field(str(bad / "psi"))
+    nk.save_field(nk.RealField(nk.make_grid(20.0, 256), psi.values),
+                  str(bad / "psi"))
+    code = main(["evolve", "--set", f"output.directory={tmp_path}",
+                 "--set", "grid.half_length=30", "--set", "grid.points=256",
+                 "--init", str(bad)])
+    assert code == 3
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["code"] == 3 and "corrupt pair artifact" in record["error"]
 
 
 @pytest.mark.parametrize("override,grid_text", [

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import nlskdv as nk
 from nlskdv.evolve import _Orbit, y_norm
-from nlskdv.functionals import (_potential_sum, energy_gradient_values,
-                                energy_values, gradient_values,
-                                nonlinearity, parse_odd_denominator)
+from nlskdv.functionals import (_potential_sum, energy_values,
+                                gradient_values, nonlinearity,
+                                parse_odd_denominator)
 
 from conftest import complex_field, oracle_integral, real_field, sech
 
@@ -51,6 +51,16 @@ class TestPhysParams:
     def test_rejects_infinite(self, name):
         kwargs = dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
         kwargs[name] = float("inf")
+        with pytest.raises(nk.ValidationError, match=name):
+            nk.PhysParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["alpha", "tau1", "tau2", "q"])
+    @pytest.mark.parametrize("value", ["2", True, 2.0 + 0j, None],
+                             ids=["str", "bool", "complex", "none"])
+    def test_rejects_non_real(self, name, value):
+        # typed like MinimizeOptions: ValidationError, not a bare TypeError
+        kwargs = dict(alpha=1.0, tau1=1.0, tau2=1.0, p=1, q=1.0)
+        kwargs[name] = value
         with pytest.raises(nk.ValidationError, match=name):
             nk.PhysParams(**kwargs)
 
@@ -185,18 +195,17 @@ class TestStackedTransforms:
                                 counting(name, getattr(scipy.fft, name)))
         return calls
 
-    # a complex u makes the stack complex: one full transform pair
+    # E takes its derivative terms by Parseval from one forward transform
+    # of the stack; the gradient is one symbol application, and a
+    # complex u makes the stack complex: one full transform pair
     @pytest.mark.parametrize("fn,phase,calls", [
-        pytest.param(energy_values, 1.0, ["rfft", "irfft"],
-                     id="energy_values"),
+        pytest.param(energy_values, 1.0, ["fft"], id="energy_values"),
         pytest.param(gradient_values, 1.0, ["rfft", "irfft"],
                      id="gradient_values"),
-        pytest.param(energy_gradient_values, 1.0, ["rfft", "irfft"],
-                     id="energy_gradient_values"),
-        pytest.param(energy_values, 1.0 + 0.5j, ["fft", "ifft"],
+        pytest.param(energy_values, 1.0 + 0.5j, ["fft"],
                      id="energy_values-complex"),
-        pytest.param(energy_gradient_values, 1.0 + 0.5j, ["fft", "ifft"],
-                     id="energy_gradient_values-complex"),
+        pytest.param(gradient_values, 1.0 + 0.5j, ["fft", "ifft"],
+                     id="gradient_values-complex"),
     ])
     def test_one_transform_pair(self, grid30, prm_coupled, fft_calls, fn,
                                 phase, calls):
@@ -224,11 +233,17 @@ class TestStackedTransforms:
     # (2, n) stack, not one field at a time
     def test_conserved_triple_one_transform_pair(self, grid30, prm_coupled,
                                                  fft_calls):
-        # E and G share u_x
+        # E and G share one forward transform of [u; v]
         v = np.exp(-grid30.x ** 2 / 4)
         nk.conserved_triple(nk.ComplexField(grid30, (1.0 + 0.5j) * v),
                             nk.RealField(grid30, 0.5 * v), prm_coupled)
-        assert fft_calls == ["fft", "ifft"]
+        assert fft_calls == ["fft"]
+
+    def test_momentum_one_transform(self, grid30, fft_calls):
+        v = np.exp(-grid30.x ** 2 / 4)
+        nk.momentum(nk.ComplexField(grid30, (1.0 + 0.5j) * v),
+                    nk.RealField(grid30, 0.5 * v))
+        assert fft_calls == ["fft"]
 
     def test_y_norm_one_transform(self, grid30, fft_calls):
         v = np.exp(-grid30.x ** 2 / 4)
@@ -245,6 +260,37 @@ class TestStackedTransforms:
         fft_calls.clear()
         nk.orbital_distance(st, orbit)
         assert fft_calls == ["fft", "fft"]
+
+
+class TestParsevalReference:
+    # E and G take their derivative terms by Parseval from one spectrum;
+    # the reference is the quadrature of the physical spectral derivatives
+    @pytest.fixture
+    def noisy_pair(self, grid30):
+        rng = np.random.default_rng(35)
+        bump = np.exp(-grid30.x ** 2 / 6)
+        noise = 1e-3 * rng.standard_normal((3, grid30.n))
+        u = (1.0 + 0.4j) * bump + noise[0] + 1j * noise[1]
+        return (nk.ComplexField(grid30, u),
+                nk.RealField(grid30, 0.8 * bump + noise[2]))
+
+    def test_matches_physical_quadrature(self, noisy_pair, prm_coupled):
+        u, v = noisy_pair
+        prm, dx, n = prm_coupled, u.grid.dx, u.grid.n
+        for f in noisy_pair:
+            assert abs(scipy.fft.fft(f.values)[n // 2]) > 1e-3
+        ux, vx = nk.deriv(u).values, nk.deriv(v).values
+        au, vv = np.abs(u.values), v.values
+        potential = np.sum(prm.beta1 * au ** 3 + prm.beta2 * vv ** 3
+                           + prm.alpha * au ** 2 * vv)
+        e_ref = dx * (np.vdot(ux, ux).real + np.dot(vx, vx) - potential)
+        g_ref = dx * (np.dot(vv, vv) + np.vdot(ux, u.values).imag)
+        e, g = nk.energy(u, v, prm), nk.momentum(u, v)
+        assert abs(e - e_ref) <= 1e-13 * abs(e_ref)
+        assert abs(g - g_ref) <= 1e-13 * abs(g_ref)
+        # one formula each: the triple's E and G are energy's and momentum's
+        trip = nk.conserved_triple(u, v, prm)
+        assert (trip.E, trip.G, trip.H) == (e, g, nk.charge(u))
 
 
 class TestEnergy:

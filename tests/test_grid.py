@@ -140,13 +140,18 @@ def test_stacked_rows_match_single_rows(half, order, seed):
         assert np.array_equal(smoothed[i], apply_symbol(X[i], g, symbol))
 
 
-def test_symbol_stack_cached(grid30):
-    # a tuple of orders gives the stacked symbols, built once and frozen
-    stack = grid30.deriv_symbol((1, 2))
-    assert grid30.deriv_symbol((1, 2)) is stack
-    assert not stack.flags.writeable
-    assert np.array_equal(stack, [grid30.deriv_symbol(1),
-                                  grid30.deriv_symbol(2)])
+def test_deriv_symbol_cached(grid30):
+    # each order's symbol is built once and frozen; odd orders zero the
+    # Nyquist mode, even orders are real
+    for order in (1, 2, 3):
+        sym = grid30.deriv_symbol(order)
+        assert grid30.deriv_symbol(order) is sym
+        assert not sym.flags.writeable
+        expect = (1j * grid30.wavenumbers) ** order
+        if order % 2:
+            expect[grid30.n // 2] = 0.0
+        assert np.array_equal(sym, expect)
+    assert np.isrealobj(grid30.deriv_symbol(2))
 
 
 def test_one_fft_library():
@@ -184,6 +189,20 @@ def test_field_validation(grid30):
     bad[3] = np.inf
     with pytest.raises(nk.ValidationError):
         nk.RealField(grid30, bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [
+    lambda n: np.ones(n) + 0.5j,
+    lambda n: np.ones(n, dtype=complex),
+    lambda n: [1.0 + 0.5j] * n,
+], ids=["complex", "zero-imaginary", "list"])
+def test_real_field_refuses_complex(grid30, values):
+    # refused, not cut to the real part with a ComplexWarning
+    with pytest.raises(nk.ValidationError, match="RealField"):
+        nk.RealField(grid30, values(grid30.n))
+    assert nk.ComplexField(grid30, values(grid30.n)).values.shape == (
+        grid30.n,)
 
 
 def test_field_values_frozen(grid30):
